@@ -10,14 +10,18 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"tvq"
 	"tvq/internal/bench"
+	"tvq/internal/cnf"
 	"tvq/internal/core"
 	"tvq/internal/engine"
+	"tvq/internal/objset"
+	"tvq/internal/query"
 	"tvq/internal/server"
 	"tvq/internal/video"
 	"tvq/internal/vr"
@@ -381,4 +385,114 @@ func BenchmarkAblationClassFilter(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkJSONLSinkDeliver measures the match encoder on the shape the
+// sparse-fanout workload produces — a few objects, a window's worth of
+// consecutive frame ids — for a sparse and a bitmap object set. One op
+// is 10000 deliveries, so that the CI gate's -benchtime=2x measures
+// milliseconds; a warm sink must report 0 allocs/op.
+func BenchmarkJSONLSinkDeliver(b *testing.B) {
+	const deliveries = 10000
+	frames := make([]tvq.FrameID, 48)
+	for i := range frames {
+		frames[i] = tvq.FrameID(967 + i) // crosses 999→1000
+	}
+	dense := make([]objset.ID, 24)
+	for i := range dense {
+		dense[i] = objset.ID(640 + i)
+	}
+	for _, c := range []struct {
+		name string
+		objs objset.Set
+	}{
+		{"sparse", objset.New(412, 436, 3077)},
+		{"dense", objset.New(dense...)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			sink := tvq.NewJSONLSink(io.Discard)
+			d := tvq.Delivery{FID: 1014, Match: tvq.Match{QueryID: 731, Objects: c.objs, Frames: frames}}
+			if err := sink.Deliver(d); err != nil { // the buffers reach their size
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for range deliveries {
+					if err := sink.Deliver(d); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*deliveries), "ns/delivery")
+		})
+	}
+}
+
+// BenchmarkEvaluateFanout measures shared-plan evaluation where fan-out
+// dominates: 1000 subscriptions round-robin over 32 ≥-only bodies with
+// thresholds 1–3 (the sparse-fanout shape) against one frame's result
+// states of M1. One op is 100 EvaluateStates calls; the cost should
+// follow matches/call, and allocs/op must stay at two per call.
+func BenchmarkEvaluateFanout(b *testing.B) {
+	const calls = 100
+	ds := loadBenchDataset(b, "M1")
+	r := rand.New(rand.NewSource(1))
+	labels := []string{"person", "car", "truck", "bus"}
+	bodies := make([][]cnf.Disjunction, 32)
+	for i := range bodies {
+		for c, nc := 0, 1+r.Intn(3); c < nc; c++ {
+			var d cnf.Disjunction
+			for j, nj := 0, 1+r.Intn(2); j < nj; j++ {
+				d = append(d, cnf.Condition{Label: labels[r.Intn(len(labels))], Op: cnf.GE, N: 1 + r.Intn(3)})
+			}
+			bodies[i] = append(bodies[i], d)
+		}
+	}
+	const window, duration = 60, 30
+	qs := make([]cnf.Query, 1000)
+	for i := range qs {
+		qs[i] = cnf.Query{ID: i + 1, Window: window, Duration: duration, Clauses: bodies[i%len(bodies)]}
+	}
+	ev, err := query.NewEvaluator(vr.NewRegistry(ds.Reg.Names()...), qs)
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	// The states of the frame with the most of them; they stay valid
+	// because the generator is not driven past it.
+	cfg := core.Config{Window: window, Duration: duration}
+	best, most := 0, -1
+	gen := core.NewMFS(cfg)
+	for i, f := range ds.Trace.Frames() {
+		if n := len(gen.Process(f)); n > most {
+			best, most = i, n
+		}
+	}
+	classes := map[objset.ID]vr.Class{}
+	classOf := func(id objset.ID) vr.Class { return classes[id] }
+	gen = core.NewMFS(cfg)
+	var states []*core.State
+	for _, f := range ds.Trace.Frames()[:best+1] {
+		for id, c := range f.Classes {
+			classes[id] = c
+		}
+		states = gen.Process(f)
+	}
+
+	matches := len(ev.EvaluateStates(states, classOf))
+	if matches == 0 {
+		b.Fatal("no matches: the benchmark measures nothing")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for range calls {
+			if got := len(ev.EvaluateStates(states, classOf)); got != matches {
+				b.Fatalf("%d matches, then %d", matches, got)
+			}
+		}
+	}
+	b.ReportMetric(float64(matches), "matches/call")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*calls*matches), "ns/match")
 }

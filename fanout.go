@@ -1,6 +1,7 @@
 package tvq
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -24,7 +25,7 @@ import (
 // the sink closed receives an already-closed channel.
 type FanoutSink struct {
 	mu        sync.Mutex
-	taps      map[*Tap]struct{}
+	taps      []*Tap // attached, in attachment order
 	closed    bool
 	delivered atomic.Uint64
 }
@@ -32,7 +33,7 @@ type FanoutSink struct {
 // NewFanoutSink builds a fan-out sink with no taps attached. Deliveries
 // with no taps attached are counted and discarded.
 func NewFanoutSink() *FanoutSink {
-	return &FanoutSink{taps: make(map[*Tap]struct{})}
+	return &FanoutSink{}
 }
 
 // Tap is one consumer's bounded view of a FanoutSink's delivery stream.
@@ -58,7 +59,7 @@ func (f *FanoutSink) Tap(buffer int) *Tap {
 		close(t.ch)
 		return t
 	}
-	f.taps[t] = struct{}{}
+	f.taps = append(f.taps, t)
 	return t
 }
 
@@ -72,7 +73,7 @@ func (f *FanoutSink) Deliver(d Delivery) error {
 		return nil
 	}
 	f.delivered.Add(1)
-	for t := range f.taps {
+	for _, t := range f.taps {
 		select {
 		case t.ch <- d:
 			continue
@@ -117,11 +118,11 @@ func (f *FanoutSink) Close() {
 		return
 	}
 	f.closed = true
-	for t := range f.taps {
+	for _, t := range f.taps {
 		t.closed = true
 		close(t.ch)
-		delete(f.taps, t)
 	}
+	f.taps = nil
 }
 
 // bind implements sessionBound. Deliver never blocks, so the sink needs
@@ -150,6 +151,7 @@ func (t *Tap) Close() {
 		return
 	}
 	t.closed = true
-	delete(f.taps, t)
+	i := slices.Index(f.taps, t) // attached: every tap is until it closes
+	f.taps = slices.Delete(f.taps, i, i+1)
 	close(t.ch)
 }

@@ -132,8 +132,11 @@ func (f *SummaryFact) result(j int) uint64 {
 // returns s itself when densifying is not worthwhile; Intern stores a
 // clone and hands back the canonical copy). These encode the project's
 // documented ownership transfers; without the override their computed
-// summaries would poison every laundering site.
+// summaries would poison every laundering site. AppendTo copies the
+// members into the caller's own slice; its summary would tie that slice
+// to the set it was filled from.
 var intrinsicFresh = map[string]bool{
+	"(tvq/internal/objset.Set).AppendTo":     true,
 	"tvq/internal/objset.Compact":            true,
 	"tvq/internal/objset.FromSorted":         true,
 	"(tvq/internal/objset.Set).Clone":        true,

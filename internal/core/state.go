@@ -129,10 +129,19 @@ func (fl *frameList) expireBefore(min vr.FrameID) {
 // fids returns the frame ids as a fresh slice.
 func (fl *frameList) fids() []vr.FrameID {
 	out := make([]vr.FrameID, len(fl.entries))
-	for i, e := range fl.entries {
-		out[i] = e.fid
-	}
+	fl.fill(out, 0)
 	return out
+}
+
+// fill writes the frame ids, each shifted by offset, into dst, which
+// must be exactly len() long.
+//
+//tvq:noalloc
+func (fl *frameList) fill(dst []vr.FrameID, offset vr.FrameID) {
+	_ = dst[:len(fl.entries)]
+	for i, e := range fl.entries {
+		dst[i] = e.fid + offset
+	}
 }
 
 // hash returns a 64-bit FNV-1a hash of the exact frame set, used by the
@@ -263,6 +272,15 @@ func (s *State) FrameCount() int { return s.frames.len() }
 // Frames returns the frame ids of the state's frame set, oldest first.
 // The slice is freshly allocated.
 func (s *State) Frames() []vr.FrameID { return s.frames.fids() }
+
+// FillFrames writes the state's frame ids, oldest first and each
+// shifted by offset, into dst, which must be exactly FrameCount() long.
+// It is how the evaluation layer materializes a result's frame list
+// into storage it owns, in the numbering of its caller (a dynamically
+// added window group numbers frames from its own start).
+//
+//tvq:noalloc
+func (s *State) FillFrames(dst []vr.FrameID, offset vr.FrameID) { s.frames.fill(dst, offset) }
 
 // MarkedFrames returns the marked (key) frames, oldest first.
 func (s *State) MarkedFrames() []vr.FrameID {

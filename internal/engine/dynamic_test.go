@@ -2,11 +2,13 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"tvq/internal/cnf"
 	"tvq/internal/objset"
+	"tvq/internal/query"
 	"tvq/internal/vr"
 )
 
@@ -319,5 +321,69 @@ func TestStreamCancellation(t *testing.T) {
 	// The goroutine must terminate and close the channel even though the
 	// producer stops sending.
 	for range out {
+	}
+}
+
+// TestAddedGroupSharedBodyFrameIDs is the regression test for the group
+// offset: a window group added to a running engine numbers its frames
+// from its own start, and its matches must report engine frame ids.
+// All matches of one state share one frame list, so an offset applied
+// per match instead of once per list moves the ids once per subscriber
+// — invisible with one query per body, which is all the older tests
+// have. Two subscribers on one body in a group that starts at frame 40
+// must report exactly what a fresh engine over the re-based suffix
+// reports, shifted by 40.
+func TestAddedGroupSharedBodyFrameIDs(t *testing.T) {
+	const cut = 40
+	frames := smallTrace(t, 21).Frames()
+	render := func(fid vr.FrameID, m query.Match, shift vr.FrameID) string {
+		shifted := make([]vr.FrameID, len(m.Frames))
+		for i, f := range m.Frames {
+			shifted[i] = f + shift
+		}
+		return fmt.Sprintf("%d|q%d|%v|%v", fid+shift, m.QueryID, m.Objects, shifted)
+	}
+	twins := []cnf.Query{mkQuery(t, 2, "person >= 1", 6, 3), mkQuery(t, 3, "person >= 1", 6, 3)}
+
+	live, err := New([]cnf.Query{mkQuery(t, 1, "car >= 1", 10, 5)}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range frames[:cut] {
+		live.ProcessFrame(f)
+	}
+	for _, q := range twins {
+		if err := live.AddQuery(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if live.Groups() != 2 {
+		t.Fatalf("Groups = %d, want 2: the twins must share one added group", live.Groups())
+	}
+	var got []string
+	for _, f := range frames[cut:] {
+		for _, m := range live.ProcessFrame(f) {
+			if m.QueryID != 1 {
+				got = append(got, render(f.FID, m, 0))
+			}
+		}
+	}
+
+	fresh, err := New(twins, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for i, f := range frames[cut:] {
+		f.FID = vr.FrameID(i)
+		for _, m := range fresh.ProcessFrame(f) {
+			want = append(want, render(f.FID, m, cut))
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("the fresh run matched nothing; the test is vacuous")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("added group reports other frame ids than a fresh run shifted by %d:\n got %v\nwant %v", cut, got[:min(3, len(got))], want[:3])
 	}
 }

@@ -253,23 +253,23 @@ func (e *Engine) ProcessFrame(f vr.Frame) []query.Match {
 				gf.Owned = true
 			}
 		}
-		gf.FID = f.FID - g.startFID()
+		gf.FID = f.FID - g.start
 		var began time.Time
 		if e.opts.Observe != nil {
 			began = time.Now()
 		}
 		// states is only valid until the group's next Process call
 		// (generators reuse emission buffers and recycle dead states);
-		// EvaluateStates copies everything a Match retains, which is what
-		// makes the returned matches durable past this call (see the
+		// EvaluateStatesFrom copies everything a Match retains — each
+		// matched state's frame list once, already in engine numbering
+		// (generators number frames from zero, the group began at
+		// g.start), shared read-only by that state's matches — which is
+		// what makes the returned matches durable past this call (see the
 		// ownership notes on core.Generator).
 		states := g.gen.Process(gf)
 		var matches []query.Match
 		if e.opts.Windows != Tumbling || (gf.FID+1)%vr.FrameID(g.window) == 0 {
-			matches = g.eval.EvaluateStates(states, e.classOf)
-			for i := range matches {
-				shiftFrames(matches[i].Frames, g.startFID())
-			}
+			matches = g.eval.EvaluateStatesFrom(states, e.classOf, g.start)
 		}
 		if e.opts.Observe != nil {
 			e.opts.Observe(ProcessStat{
@@ -282,20 +282,6 @@ func (e *Engine) ProcessFrame(f vr.Frame) []query.Match {
 		out = append(out, matches...)
 	}
 	return out
-}
-
-// startFID is the engine frame id at which this group began processing
-// (non-zero for groups added dynamically); generators number frames from
-// zero internally.
-func (g *group) startFID() vr.FrameID { return g.start }
-
-func shiftFrames(frames []vr.FrameID, delta vr.FrameID) {
-	if delta == 0 {
-		return
-	}
-	for i := range frames {
-		frames[i] += delta
-	}
 }
 
 // filterSet keeps only ids whose class is in keep. It reports whether

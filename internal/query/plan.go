@@ -1,7 +1,6 @@
 package query
 
 import (
-	"math/bits"
 	"slices"
 
 	"tvq/internal/cnf"
@@ -52,6 +51,15 @@ type plan struct {
 	subs     []subscriber
 	slotFree []int
 	slotOf   map[int]int // query id → slot
+
+	// byQID lists the live slots by ascending query id and rank inverts
+	// it (slot → position in byQID) as of generation rankGen; read it
+	// through ranks(). Evaluation orders its matches by sorting ranks —
+	// dense integers that pack into one word with the matched state —
+	// instead of comparing query ids.
+	byQID   []int32
+	rank    []int32
+	rankGen uint64
 
 	// Evaluation scratch, epoch-stamped so no per-state clearing; its
 	// reuse is one reason the evaluator is not safe for concurrent use.
@@ -167,7 +175,35 @@ func (p *plan) add(q cnf.Query) {
 	p.subs[slot] = subscriber{qid: q.ID, duration: q.Duration, body: bid}
 	p.slotOf[q.ID] = slot
 	p.setSub(bid, slot)
+	p.byQID = slices.Insert(p.byQID, p.qidPos(q.ID), int32(slot))
 	p.gen++
+}
+
+// qidPos returns the position in byQID of the first slot whose query id
+// is not below qid — where qid is, or where it belongs. Searched by
+// hand: a comparison closure over p would allocate.
+func (p *plan) qidPos(qid int) int {
+	lo, hi := 0, len(p.byQID)
+	for lo < hi {
+		if mid := (lo + hi) / 2; p.subs[p.byQID[mid]].qid < qid {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// ranks brings rank up to date with byQID; patches only edit the list,
+// so that a burst of them pays for one pass.
+func (p *plan) ranks() []int32 {
+	if p.rankGen != p.gen {
+		for i, slot := range p.byQID {
+			p.rank[slot] = int32(i)
+		}
+		p.rankGen = p.gen
+	}
+	return p.rank
 }
 
 // remove deregisters a query, releasing its slot and any predicate,
@@ -181,6 +217,8 @@ func (p *plan) remove(qid int) bool {
 		return false
 	}
 	delete(p.slotOf, qid)
+	at := p.qidPos(qid)
+	p.byQID = slices.Delete(p.byQID, at, at+1)
 	sub := p.subs[slot]
 	p.subs[slot] = subscriber{}
 	p.slotFree = append(p.slotFree, slot)
@@ -203,6 +241,7 @@ func (p *plan) allocSlot() int {
 		return s
 	}
 	p.subs = append(p.subs, subscriber{})
+	p.rank = append(p.rank, 0)
 	return len(p.subs) - 1
 }
 
@@ -493,17 +532,5 @@ func (p *plan) growScratch() {
 	for len(p.bodyStamp) < len(p.bodies) {
 		p.bodyStamp = append(p.bodyStamp, 0)
 		p.bodyCount = append(p.bodyCount, 0)
-	}
-}
-
-// forEachSub calls fn for every subscriber of the body, walking the set
-// bits of its fan-out mask word-parallel.
-func (p *plan) forEachSub(bid uint32, fn func(sub *subscriber)) {
-	for wi, word := range p.bodies[bid].subs {
-		for word != 0 {
-			bit := bits.TrailingZeros64(word)
-			word &^= 1 << uint(bit)
-			fn(&p.subs[wi*64+bit])
-		}
 	}
 }

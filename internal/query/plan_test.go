@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -241,5 +242,80 @@ func TestPlanGeneration(t *testing.T) {
 	ev.Remove(1)
 	if ev.Generation() == g1 {
 		t.Fatal("Remove did not bump generation")
+	}
+}
+
+// TestEvaluateStatesFanout pins what evaluation costs and guarantees
+// when many subscriptions share few bodies: a call makes two
+// allocations — the matches and one block holding every matched
+// state's frame list — however many subscribers there are; the matches
+// of one state share that state's list; and the output is ordered by
+// (query id, object set) whatever order the queries were added in and
+// whichever were removed since.
+func TestEvaluateStatesFanout(t *testing.T) {
+	reg := vr.StandardRegistry()
+	var bodies []string
+	for car := 1; car <= 4; car++ {
+		for person := 1; person <= 4; person++ {
+			bodies = append(bodies,
+				fmt.Sprintf("car >= %d AND person >= %d", car, person),
+				fmt.Sprintf("(car >= %d OR person >= %d)", car, person))
+		}
+	}
+	states := buildStates(t, []objset.Set{
+		objset.New(1, 2, 3, 4, 5, 6, 8),
+		objset.New(1, 2, 3, 4, 6),
+		objset.New(1, 2, 4, 5, 6, 8),
+		objset.New(2, 3, 4, 5),
+		objset.New(1, 2, 3, 4, 5, 6, 8),
+	}, 5, 2)
+	if len(states) < 3 {
+		t.Fatalf("%d states: the feed is too simple to say anything", len(states))
+	}
+
+	matches := map[int]int{}
+	for _, nsubs := range []int{len(bodies), 1000} {
+		ev, err := NewEvaluator(reg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Descending ids with every third query removed again: the plan's
+		// slot order is nothing like the id order.
+		for i := nsubs + nsubs/2; i > 0; i-- {
+			if err := ev.Add(mkQuery(t, i, bodies[i%len(bodies)], 5, 2+i%2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 3; i <= nsubs+nsubs/2; i += 3 {
+			ev.Remove(i)
+		}
+
+		out := ev.EvaluateStates(states, classOf) // also warms the scratch and the states' class counts
+		matches[nsubs] = len(out)
+		for i := 1; i < len(out); i++ {
+			a, b := out[i-1], out[i]
+			if a.QueryID > b.QueryID || a.QueryID == b.QueryID && objset.Compare(a.Objects, b.Objects) >= 0 {
+				t.Fatalf("%d subscribers: matches %d and %d out of order: (%d, %v) then (%d, %v)",
+					nsubs, i-1, i, a.QueryID, a.Objects, b.QueryID, b.Objects)
+			}
+		}
+		lists := map[string]*vr.FrameID{}
+		for _, m := range out {
+			if m.QueryID%3 == 0 {
+				t.Fatalf("removed query %d matched", m.QueryID)
+			}
+			if first, ok := lists[m.Objects.Key()]; !ok {
+				lists[m.Objects.Key()] = &m.Frames[0]
+			} else if first != &m.Frames[0] {
+				t.Fatalf("%d subscribers: two matches of %v hold separate frame lists", nsubs, m.Objects)
+			}
+		}
+		if allocs := testing.AllocsPerRun(50, func() { ev.EvaluateStates(states, classOf) }); allocs > 2 {
+			t.Errorf("%d subscribers, %d matches over %d states: %.0f allocations per call, want 2",
+				nsubs, len(out), len(lists), allocs)
+		}
+	}
+	if matches[1000] < 10*matches[len(bodies)] || matches[len(bodies)] == 0 {
+		t.Fatalf("matches by subscriber count: %v; the fan-out is not being exercised", matches)
 	}
 }

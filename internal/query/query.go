@@ -15,7 +15,8 @@ package query
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"tvq/internal/cnf"
 	"tvq/internal/core"
@@ -29,7 +30,13 @@ import (
 type Match struct {
 	QueryID int
 	Objects objset.Set
-	Frames  []vr.FrameID
+	// Frames lists the frames of joint presence, oldest first. Every
+	// match of the same state in one evaluation holds the same list —
+	// one backing array, materialized once — so it is read-only: sinks,
+	// Process callers and anything they hand it to must copy before
+	// changing it. The list is never reused by the evaluator, so holding
+	// a match for as long as one likes is safe.
+	Frames []vr.FrameID
 }
 
 // Evaluator evaluates a dynamic set of queries, all sharing one window
@@ -45,6 +52,12 @@ type Evaluator struct {
 	queries []cnf.Query // registration order, for Queries()
 	window  int         // 0 while empty
 	p       *plan
+
+	// Evaluation scratch, reused across EvaluateStates calls (one more
+	// reason the evaluator is not safe for concurrent use). Neither
+	// holds a pointer, so a finished pass keeps nothing alive.
+	keys []uint64 // subscriber rank<<32 | index into hits
+	hits []stateHit
 }
 
 // NewEvaluator builds an evaluator over queries — possibly none. All
@@ -161,36 +174,87 @@ func (e *Evaluator) Classes() map[vr.Class]bool {
 
 // EvaluateStates runs the shared plan against a result state set and
 // returns all matches, sorted by (query id, object set) for determinism
-// (§5.2 step 2). Each state's per-class counts drive one pass over the
-// distinct predicates; satisfied bodies fan out to their subscribers,
-// each re-checking its own duration (the generator push-down used the
-// group's minimum).
+// (§5.2 step 2). It is EvaluateStatesFrom with frame ids reported in the
+// generator's own numbering.
 func (e *Evaluator) EvaluateStates(states []*core.State, classOf func(objset.ID) vr.Class) []Match {
+	return e.EvaluateStatesFrom(states, classOf, 0)
+}
+
+// EvaluateStatesFrom evaluates a result state set whose generator
+// numbers frames from zero while its caller numbers them from start (a
+// window group added to a running engine): every reported frame id is
+// the generator's plus start.
+//
+// states must be in objset.Compare order with distinct object sets, as
+// core.Generator.Process returns them. Each state's per-class counts
+// drive one pass over the distinct predicates; satisfied bodies fan out
+// to their subscribers, each re-checking its own duration (the
+// generator push-down used the group's minimum). The pass only records
+// one word per match — the subscriber's rank by query id above the
+// matched state's position among the pass's hits, which follows the
+// states' object-set order — so sorting the words orders the matches,
+// which are then written into one exactly sized slice. A (query, state)
+// pair occurs at most once, so the order is total.
+//
+// The result is freshly allocated on every call and owned by the
+// caller: one []Match plus one block of frame ids, in which every
+// matched state's frame list is materialized once. All matches of a
+// state share that list (and the state's immutable object set), so
+// Match.Frames is read-only for everyone downstream.
+func (e *Evaluator) EvaluateStatesFrom(states []*core.State, classOf func(objset.ID) vr.Class, start vr.FrameID) []Match {
 	if len(e.queries) == 0 || len(states) == 0 {
 		return nil
 	}
-	e.p.refreshLabels()
+	p := e.p
+	p.refreshLabels()
 	nclasses := e.reg.Len()
-	var out []Match
-	for _, s := range states {
-		agg := s.Aggregate(nclasses, classOf)
+	rank := p.ranks()
+	keys, hits := e.keys[:0], e.hits[:0]
+	nframes := 0
+	for si, s := range states {
 		frameCount := s.FrameCount()
-		for _, bid := range e.p.satisfied(agg, s.Objects) {
-			e.p.forEachSub(bid, func(sub *subscriber) {
-				if frameCount < sub.duration {
-					return
+		first := len(keys)
+		for _, bid := range p.satisfied(s.Aggregate(nclasses, classOf), s.Objects) {
+			for wi, word := range p.bodies[bid].subs {
+				for ; word != 0; word &= word - 1 {
+					if slot := wi*64 + bits.TrailingZeros64(word); frameCount >= p.subs[slot].duration {
+						keys = append(keys, uint64(rank[slot])<<32|uint64(len(hits)))
+					}
 				}
-				out = append(out, Match{QueryID: sub.qid, Objects: s.Objects, Frames: s.Frames()})
-			})
+			}
+		}
+		if len(keys) > first {
+			hits = append(hits, stateHit{state: si, frames: nframes})
+			nframes += frameCount
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].QueryID != out[j].QueryID {
-			return out[i].QueryID < out[j].QueryID
-		}
-		return objset.Compare(out[i].Objects, out[j].Objects) < 0
-	})
+	e.keys, e.hits = keys, hits
+	if len(keys) == 0 {
+		return nil
+	}
+	slices.Sort(keys)
+
+	frames := make([]vr.FrameID, nframes)
+	for _, h := range hits {
+		s := states[h.state]
+		s.FillFrames(frames[h.frames:h.frames+s.FrameCount()], start)
+	}
+	out := make([]Match, len(keys))
+	for i, k := range keys {
+		h := hits[uint32(k)]
+		s := states[h.state]
+		end := h.frames + s.FrameCount()
+		out[i] = Match{QueryID: p.subs[p.byQID[k>>32]].qid, Objects: s.Objects, Frames: frames[h.frames:end:end]}
+	}
 	return out
+}
+
+// stateHit is one state with at least one match in the current pass:
+// its index in the evaluated slice and where its frame list starts in
+// the pass's shared block of frame ids.
+type stateHit struct {
+	state  int
+	frames int
 }
 
 // GEOnly reports whether the §5.3 pruning strategy is applicable: every

@@ -19,23 +19,34 @@ import (
 // of every network ingest loop) without corrupting past or future
 // results. Run under -race (CI does) this also exercises the pooled
 // merge path's happens-before edges with a concurrent consumer.
+//
+// Matches of one state share one frame list (queries 1 and 4 have the
+// same body, as have the subscribed 3 and 5), so the harness also pins
+// what makes that sharing safe: the list is fresh per evaluation —
+// held results stay intact, which a pooled list would not — and nobody
+// downstream writes to it, so two fan-out taps may read one delivery's
+// frames concurrently.
 func TestSessionResultLifetime(t *testing.T) {
 	tr := sessionTrace(t)
 	queries := []tvq.Query{
 		tvq.MustQuery(1, "car >= 1 AND person >= 2", 10, 5),
 		tvq.MustQuery(2, "person >= 3", 25, 10),
+		tvq.MustQuery(4, "car >= 1 AND person >= 2", 10, 5),
 	}
 
 	// Reference: immutable trace frames through a pristine session with
-	// the same three queries (the hostile runs subscribe q3 as well, and
-	// subscribed queries' matches appear in Process results too).
+	// the same five queries (the hostile runs subscribe q3 and q5 as
+	// well, and subscribed queries' matches appear in Process results
+	// too).
 	var want []string
 	ref, err := tvq.Open(context.Background(), tvq.WithQueries(queries...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.Subscribe(tvq.MustQuery(3, "car >= 1", 8, 4)); err != nil {
-		t.Fatal(err)
+	for _, id := range []int{3, 5} {
+		if _, err := ref.Subscribe(tvq.MustQuery(id, "car >= 1", 8, 4)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	results, err := ref.Run(tr)
 	if err != nil {
@@ -99,10 +110,35 @@ func TestSessionResultLifetime(t *testing.T) {
 					heldDeliveries <- out
 				}()
 
+				// Query 5, the twin of 3, fans out to two taps whose
+				// consumers render every delivery the moment it arrives:
+				// both read the same Match.Frames, concurrently with each
+				// other and with the session still delivering.
+				fan := tvq.NewFanoutSink()
+				if _, err := s.Subscribe(tvq.MustQuery(5, "car >= 1", 8, 4), tvq.WithSink(fan)); err != nil {
+					t.Fatal(err)
+				}
+				tapped := make(chan []string, 2)
+				for range 2 {
+					tap := fan.Tap(4096)
+					go func() {
+						var out []string
+						for d := range tap.C() {
+							d.Match.QueryID = 3 // compare with query 3's pristine run
+							out = append(out, shiftedKey(d.FID, d.Match, 0))
+						}
+						if tap.Dropped() != 0 {
+							out = nil
+						}
+						tapped <- out
+					}()
+				}
+
 				// The producer decodes every frame into ONE reusable buffer,
 				// hands the session a Frame aliasing it, and overwrites it
 				// immediately after Process returns.
 				buf := make([]uint32, 0, 64)
+				shared := 0                        // twin matches seen sharing a frame list
 				var gotLive []string               // rendered as results arrive
 				var heldResults [][]tvq.FeedResult // rendered after the run
 				for _, f := range tr.Frames() {
@@ -117,6 +153,7 @@ func TestSessionResultLifetime(t *testing.T) {
 						for _, m := range r.Matches {
 							gotLive = append(gotLive, shiftedKey(r.FID, m, 0))
 						}
+						shared += sharedFrameLists(t, r.Matches, 1, 4) + sharedFrameLists(t, r.Matches, 3, 5)
 					}
 					// Poison the shared buffer before the next frame reuses
 					// it: anything aliasing it is now visibly corrupt.
@@ -148,7 +185,10 @@ func TestSessionResultLifetime(t *testing.T) {
 						len(gotLive), len(want))
 				}
 				if fmt.Sprint(gotHeld) != fmt.Sprint(gotLive) {
-					t.Errorf("held results changed after later frames were processed: results alias engine state")
+					t.Errorf("held results changed after later frames were processed: results alias engine state or a reused frame list")
+				}
+				if shared == 0 {
+					t.Error("no twin matches seen: the sharing check is vacuous")
 				}
 
 				delivered := <-heldDeliveries
@@ -157,7 +197,38 @@ func TestSessionResultLifetime(t *testing.T) {
 					t.Errorf("held sink deliveries diverge (%d vs %d): deliveries alias engine state",
 						len(delivered), len(wantSub))
 				}
+				for range 2 {
+					got := <-tapped
+					sort.Strings(got)
+					if fmt.Sprint(got) != fmt.Sprint(wantSub) {
+						t.Errorf("tap deliveries diverge (%d vs %d)", len(got), len(wantSub))
+					}
+				}
 			})
 		}
 	}
+}
+
+// sharedFrameLists checks that within one frame's matches every match
+// of query a and the match of its twin b over the same object set hold
+// the same frame list — one backing array, not two equal copies — and
+// returns how many such pairs it saw.
+func sharedFrameLists(t *testing.T, matches []tvq.Match, a, b int) int {
+	t.Helper()
+	pairs := 0
+	for _, ma := range matches {
+		if ma.QueryID != a {
+			continue
+		}
+		for _, mb := range matches {
+			if mb.QueryID != b || !mb.Objects.Equal(ma.Objects) {
+				continue
+			}
+			pairs++
+			if len(ma.Frames) == 0 || len(ma.Frames) != len(mb.Frames) || &ma.Frames[0] != &mb.Frames[0] {
+				t.Errorf("queries %d and %d matched %v with separate frame lists %v and %v", a, b, ma.Objects, ma.Frames, mb.Frames)
+			}
+		}
+	}
+	return pairs
 }

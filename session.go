@@ -2,12 +2,14 @@ package tvq
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tvq/internal/engine"
@@ -73,6 +75,18 @@ type Session struct {
 	done    chan struct{}   // closed when the session closes
 	closed  bool
 	err     error
+
+	// subGen counts changes to which sink a query id delivers to
+	// (Subscribe, Cancel, Attach, Resume); it is bumped under mu and
+	// read without it. routes is the delivery path's copy of that
+	// mapping — query id → sink, live subscriptions with a sink only —
+	// as of generation routeGen; both are guarded by procMu. Delivery
+	// checks the counter before every match and re-reads the table under
+	// mu only when it moved, so a Cancel or Attach still takes effect
+	// between two matches of one batch without a lock per match.
+	subGen   atomic.Uint64
+	routes   map[int]Sink
+	routeGen uint64
 }
 
 // Open builds a session. The zero configuration — tvq.Open(ctx) — is a
@@ -248,18 +262,15 @@ func (s *Session) applyPendingLocked() {
 	}
 }
 
-// deliverLocked routes each match of a subscribed query to its sink.
+// deliverLocked (procMu held) routes each match of a subscribed query
+// to its sink.
 func (s *Session) deliverLocked(results []FeedResult) error {
 	for _, r := range results {
 		for _, m := range r.Matches {
-			// Snapshot the sink while holding mu: Attach replaces it
-			// under the same lock, possibly from another goroutine.
-			s.mu.Lock()
-			var sink Sink
-			if sub := s.subs[m.QueryID]; sub != nil && !sub.cancelled {
-				sink = sub.sink
+			if gen := s.subGen.Load(); gen != s.routeGen {
+				s.resolveRoutesLocked(gen)
 			}
-			s.mu.Unlock()
+			sink := s.routes[m.QueryID]
 			if sink == nil {
 				continue
 			}
@@ -269,6 +280,25 @@ func (s *Session) deliverLocked(results []FeedResult) error {
 		}
 	}
 	return nil
+}
+
+// resolveRoutesLocked (procMu held) rebuilds the delivery path's sink
+// table from the subscription table. gen was read before taking mu, so
+// a change racing the rebuild leaves routeGen behind the counter and
+// the next match resolves again.
+func (s *Session) resolveRoutesLocked(gen uint64) {
+	if s.routes == nil {
+		s.routes = make(map[int]Sink)
+	}
+	clear(s.routes)
+	s.mu.Lock()
+	for id, sub := range s.subs {
+		if sub.sink != nil {
+			s.routes[id] = sub.sink
+		}
+	}
+	s.mu.Unlock()
+	s.routeGen = gen
 }
 
 // Run processes the remainder of the trace — frames from the session's
@@ -344,6 +374,7 @@ func (s *Session) Subscribe(q Query, opts ...SubOption) (*Subscription, error) {
 	}
 	s.mu.Lock()
 	s.subs[q.ID] = sub
+	s.subGen.Add(1)
 	s.mu.Unlock()
 	return sub, nil
 }
@@ -370,7 +401,7 @@ func (s *Session) Subscriptions() []*Subscription {
 	for _, sub := range s.subs {
 		out = append(out, sub)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].q.ID < out[j].q.ID })
+	slices.SortFunc(out, func(a, b *Subscription) int { return cmp.Compare(a.q.ID, b.q.ID) })
 	return out
 }
 
@@ -422,12 +453,14 @@ func (sub *Subscription) Cancel() error {
 	sub.cancelled = true
 	close(sub.done)
 	delete(s.subs, sub.q.ID)
+	s.subGen.Add(1)
 	s.pending = append(s.pending, sub)
 	sink := sub.sink
 	s.mu.Unlock()
 	// Close the sink outside s.mu: ChanSink.closeSink may hand the close
 	// to a Deliver currently parked on the full channel, and that
-	// Deliver's caller (deliverLocked) takes s.mu between matches.
+	// Deliver's caller (deliverLocked) takes s.mu before its next match
+	// to pick up this very cancellation.
 	// sub.done is already closed, so a parked Deliver cannot stay
 	// parked. applyPendingLocked's later closeSink is a no-op.
 	if b, ok := sink.(sessionBound); ok {
@@ -447,6 +480,7 @@ func (sub *Subscription) Attach(sink Sink) {
 		b.bind(sub.done, s.done)
 	}
 	sub.sink = sink
+	s.subGen.Add(1)
 }
 
 // Snapshot serializes the complete session state — processor, queries
@@ -489,7 +523,7 @@ func (s *Session) bodyLocked() (sessionBody, error) {
 		body.subIDs = append(body.subIDs, id)
 	}
 	s.mu.Unlock()
-	sort.Ints(body.subIDs)
+	slices.Sort(body.subIDs)
 	var buf bytes.Buffer
 	if err := s.proc.Snapshot(&buf); err != nil {
 		return sessionBody{}, err
@@ -523,7 +557,7 @@ func (body sessionBody) encode(sw *snapshot.Writer) {
 		for feed := range body.buffers {
 			feeds = append(feeds, feed)
 		}
-		sort.Slice(feeds, func(i, j int) bool { return feeds[i] < feeds[j] })
+		slices.Sort(feeds)
 		sw.Uvarint(uint64(len(feeds)))
 		for _, feed := range feeds {
 			sw.Varint(int64(feed))
@@ -693,6 +727,7 @@ func Resume(ctx context.Context, r io.Reader, opts ...Option) (*Session, error) 
 		}
 		s.subs[id] = sub
 	}
+	s.subGen.Add(1) // routes start empty at generation 0
 	s.initCheckpointer()
 	s.watchContext(ctx)
 	return s, nil

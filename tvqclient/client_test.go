@@ -332,3 +332,36 @@ func TestClientCursorStall(t *testing.T) {
 		t.Fatalf("regressing ingest error = %v, want ErrCursorStalled", err)
 	}
 }
+
+// TestStreamCancelMidLine pins the requested end of a stream: a
+// consumer that cancels its context while the daemon is halfway through
+// a line must see the sequence end, not a decode error for the fragment
+// the torn-down connection left in the scanner (the serving example
+// failed one run in six on exactly that).
+func TestStreamCancelMidLine(t *testing.T) {
+	const line = `{"feed":0,"fid":7,"query":1,"objects":[1,2],"frames":[5,6,7]}`
+	sent := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		fmt.Fprintf(w, "%s\n%s", line, line[:23]) // one whole line, then a fragment
+		w.(http.Flusher).Flush()
+		close(sent)
+		<-r.Context().Done()
+	}))
+	defer ts.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var got []tvq.Delivery
+	for d, err := range tvqclient.New(ts.URL).Stream(ctx, 1) {
+		if err != nil {
+			t.Fatalf("stream yielded %v after %d deliveries; a cancelled stream must just end", err, len(got))
+		}
+		got = append(got, d)
+		<-sent
+		cancel()
+	}
+	if len(got) != 1 || got[0].FID != 7 {
+		t.Fatalf("deliveries before the cancel: %+v, want the one whole line", got)
+	}
+}

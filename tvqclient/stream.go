@@ -86,7 +86,12 @@ func (c *Client) stream(ctx context.Context, queryID int, format string) iter.Se
 			}
 			d, err := decodeDelivery(line)
 			if err != nil {
-				yield(tvq.Delivery{}, err)
+				// A cancelled ctx cuts the connection wherever it is, and
+				// the scanner hands over the fragment of the line it had:
+				// the requested end, like the read error below.
+				if ctx.Err() == nil {
+					yield(tvq.Delivery{}, err)
+				}
 				return
 			}
 			if !yield(d, nil) {
