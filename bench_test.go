@@ -113,6 +113,24 @@ func BenchmarkFigure4(b *testing.B) {
 	}
 }
 
+// BenchmarkSSGCoherentFeed runs the three methods over V2 at the paper's
+// own window (w=300, d=240, full scale): a static camera whose frames
+// mostly repeat their predecessor, the feed State Traversal on the
+// frame's change is built for. Figures 4-6 order the methods
+// SSG < MFS ≤ NAIVE; this is where that ordering shows in ns/op.
+func BenchmarkSSGCoherentFeed(b *testing.B) {
+	ds, err := bench.Config{Seed: 1, Scale: 1}.LoadDataset("V2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.Config{Window: bench.DefaultWindow, Duration: bench.DefaultDuration}
+	for _, m := range bench.MCOSMethods {
+		b.Run(m, func(b *testing.B) {
+			mcosBench(b, "V2", m, cfg, ds.Trace)
+		})
+	}
+}
+
 // BenchmarkFigure5 sweeps the duration parameter d (one sub-benchmark per
 // d value, V1 and M2 panels).
 func BenchmarkFigure5(b *testing.B) {

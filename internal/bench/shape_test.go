@@ -56,6 +56,33 @@ func TestShapeSSGVisitsFewerStatesOnM1(t *testing.T) {
 	}
 }
 
+// Claim (§4.3, Figures 4-6): on a static camera with heavy traffic (V2)
+// at the paper's own window, State Traversal touches a small part of the
+// graph — the states the previous frame contained and the subtrees an
+// arriving object enters — where NAIVE intersects every state it holds.
+// Full scale, because the claim is about w=300: at a test-sized window a
+// frame's change is most of the window.
+func TestShapeSSGVisitsQuarterOfNaiveOnV2(t *testing.T) {
+	c := Config{Seed: 1, Scale: 1}
+	ds, err := c.LoadDataset("V2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := scaledCfg(c)
+	ssg := runMetered(t, core.NewSSG(cfg), ds.Trace)
+	naive := runMetered(t, core.NewNaive(cfg), ds.Trace)
+	if 4*ssg.StatesVisited > naive.StatesVisited {
+		t.Errorf("SSG visited %d states over %d frames, NAIVE %d; SSG should visit at most a quarter",
+			ssg.StatesVisited, ssg.FramesProcessed, naive.StatesVisited)
+	}
+	// Every visit costs SSG at most two object-set operations (the
+	// arrival test and the intersection); the tests that turn a subtree
+	// away are the rest.
+	if ssg.Intersections >= naive.Intersections {
+		t.Errorf("SSG computed %d object-set operations, NAIVE %d", ssg.Intersections, naive.Intersections)
+	}
+}
+
 // Claim (§4.2, Figure 7): MFS prunes invalid states that NAIVE retains,
 // and the gap widens as occlusions are injected (po).
 func TestShapeMFSPrunesMoreUnderOcclusion(t *testing.T) {

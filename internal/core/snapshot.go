@@ -12,10 +12,11 @@ import (
 // Generator state codecs. A generator's complete incremental state —
 // states with their frame sets and key-frame marks, the window buffer,
 // and for SSG the whole graph — is serialized so a restored generator
-// continues bit-identically. Maps are written in sorted order so the
-// encoding is deterministic; decoding validates structural invariants
-// (sorted sets, in-range graph indices, reciprocal edges) and returns
-// errors, never panics, on malformed input.
+// goes on to emit exactly what the original would have. States are
+// written in sorted order so the encoding is deterministic; decoding
+// validates structural invariants (sorted sets, in-range graph indices,
+// reciprocal edges) and returns errors, never panics, on malformed
+// input.
 
 // Generator kind tags in the wire format.
 const (
@@ -109,8 +110,8 @@ func decodeSet(r *snapshot.Reader) objset.Set {
 // rest-closure blockers, termination flag.
 func encodeState(w *snapshot.Writer, s *State) {
 	encodeSet(w, s.Objects)
-	w.Uvarint(uint64(len(s.frames.entries)))
-	for _, e := range s.frames.entries {
+	w.Uvarint(uint64(s.frames.len()))
+	for _, e := range s.frames.live() {
 		w.Varint(e.fid)
 		w.Bool(e.marked)
 	}
@@ -165,31 +166,36 @@ func decodeMetrics(r *snapshot.Reader) Metrics {
 	}
 }
 
-// encodeWindow writes a frame-id → object-set buffer in fid order.
-func encodeWindow(w *snapshot.Writer, window map[vr.FrameID]objset.Set) {
-	fids := make([]vr.FrameID, 0, len(window))
-	for fid := range window {
-		fids = append(fids, fid)
-	}
-	sort.Slice(fids, func(i, j int) bool { return fids[i] < fids[j] })
-	w.Uvarint(uint64(len(fids)))
-	for _, fid := range fids {
+// encodeWindow writes the window buffer as (frame id, object set) pairs
+// in fid order; fw.next is written by the caller, ahead of the metrics.
+func encodeWindow(w *snapshot.Writer, fw *frameWindow) {
+	first := max(0, fw.next-vr.FrameID(len(fw.sets)))
+	w.Uvarint(uint64(fw.next - first))
+	for fid := first; fid < fw.next; fid++ {
 		w.Varint(fid)
-		encodeSet(w, window[fid])
+		s, _ := fw.at(fid)
+		encodeSet(w, s)
 	}
 }
 
-func decodeWindow(r *snapshot.Reader, window map[vr.FrameID]objset.Set) {
+// decodeWindow reads what encodeWindow wrote into fw, which must be
+// sized for the generator's window and already carry next; a frame
+// outside [next−w, next) has no slot there and is rejected.
+func decodeWindow(r *snapshot.Reader, fw *frameWindow) {
 	n := r.Count(2)
-	var prev vr.FrameID
+	prev := vr.FrameID(-1)
 	for i := 0; i < n; i++ {
 		fid := r.Varint()
-		if i > 0 && fid <= prev {
+		if fid <= prev {
 			r.Fail("window frame ids not strictly increasing: %d then %d", prev, fid)
 			return
 		}
+		if _, ok := fw.at(fid); !ok {
+			r.Fail("window frame %d outside the %d frames before %d", fid, len(fw.sets), fw.next)
+			return
+		}
 		prev = fid
-		window[fid] = decodeSet(r)
+		*fw.slot(fid) = decodeSet(r)
 		if r.Err() != nil {
 			return
 		}
@@ -201,9 +207,9 @@ func decodeWindow(r *snapshot.Reader, window map[vr.FrameID]objset.Set) {
 // canonical object-set order so the encoding is deterministic regardless
 // of handle assignment history.
 func (t *table) encode(w *snapshot.Writer) {
-	w.Varint(t.next)
+	w.Varint(t.window.next)
 	encodeMetrics(w, t.metrics)
-	encodeWindow(w, t.window)
+	encodeWindow(w, &t.window)
 	states := make([]*State, 0, t.live)
 	for _, s := range t.states {
 		if s != nil {
@@ -220,9 +226,9 @@ func (t *table) encode(w *snapshot.Writer) {
 }
 
 func (t *table) decode(r *snapshot.Reader) error {
-	t.next = r.Varint()
+	t.window.next = r.Varint()
 	t.metrics = decodeMetrics(r)
-	decodeWindow(r, t.window)
+	decodeWindow(r, &t.window)
 	n := r.Count(2)
 	for i := 0; i < n; i++ {
 		s := decodeState(r)
@@ -252,9 +258,12 @@ func (t *table) decode(r *snapshot.Reader) error {
 // skipped, which is exactly the state liveRoots/refreshPrincipals would
 // leave behind.
 func (g *SSG) encode(w *snapshot.Writer) error {
-	w.Varint(g.next)
+	// Expiry is lazy between sweeps; a snapshot carries no expired frame
+	// id and no node the next sweep would remove.
+	g.sweep(g.window.next - vr.FrameID(g.cfg.Window))
+	w.Varint(g.window.next)
 	encodeMetrics(w, g.metrics)
-	encodeWindow(w, g.window)
+	encodeWindow(w, &g.window)
 
 	live := make([]*ssgNode, 0, g.live)
 	for _, n := range g.nodes {
@@ -331,9 +340,9 @@ func (g *SSG) encode(w *snapshot.Writer) error {
 }
 
 func (g *SSG) decode(r *snapshot.Reader) error {
-	g.next = r.Varint()
+	g.window.next = r.Varint()
 	g.metrics = decodeMetrics(r)
-	decodeWindow(r, g.window)
+	decodeWindow(r, &g.window)
 
 	count := r.Count(4)
 	if r.Err() != nil {
@@ -430,5 +439,20 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 	for _, i := range readEdges() {
 		g.results = append(g.results, nodes[i])
 	}
+	g.relistFolded()
 	return r.Err()
+}
+
+// relistFolded rebuilds the list of nodes the last frame was folded
+// into, which is not serialized: frame sets are exact, so it is the
+// nodes whose frame set ends with that frame.
+func (g *SSG) relistFolded() {
+	for _, n := range g.nodes {
+		if n == nil {
+			continue
+		}
+		if fl := n.state.frames.live(); len(fl) > 0 && fl[len(fl)-1].fid == g.window.next-1 {
+			g.folded = append(g.folded, n)
+		}
+	}
 }

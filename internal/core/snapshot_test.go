@@ -99,6 +99,128 @@ func TestGeneratorSnapshotResume(t *testing.T) {
 	}
 }
 
+// resumeAt snapshots a generator fed feed[:cut], restores it, and checks
+// that the restored generator emits what an uninterrupted one emits for
+// the rest of the feed: the same object sets over the same frames. Key
+// frame marks are not compared. Which of a state's frames are marked
+// depends on the order its parents reach it, and encoding sweeps nodes
+// out of the graph that the uninterrupted run still walks through.
+func resumeAt(t *testing.T, cfg Config, feed []vr.Frame, cut int) {
+	t.Helper()
+	full, cutGen := NewSSG(cfg), NewSSG(cfg)
+	for _, f := range feed[:cut] {
+		full.Process(f)
+		cutGen.Process(f)
+	}
+	var w snapshot.Writer
+	if err := EncodeGenerator(&w, cutGen); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := DecodeGenerator(snapshot.NewReader(w.Bytes()), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range feed[cut:] {
+		want := fmt.Sprint(resultMap(full.Process(f)))
+		if got := fmt.Sprint(resultMap(restored.Process(f))); got != want {
+			t.Fatalf("w=%d d=%d cut %d: frame %d diverged after restore:\n got  %s\n want %s",
+				cfg.Window, cfg.Duration, cut, f.FID, got, want)
+		}
+	}
+}
+
+// TestSSGSnapshotAtQuietCuts cuts coherent feeds where SSG carries the
+// most from one frame to the next: right after a run of frames that
+// brought no arrival, where the next frame is maintained from the list
+// of nodes the last frame was folded into alone — a list the snapshot
+// does not hold and decode must rebuild — and right after an empty
+// frame, where that list is empty and the next frame is all arrivals. A
+// decoder that leaves the list empty loses states at the first kind of
+// cut; the cuts of TestGeneratorSnapshotResume (i.i.d. feeds, where
+// nearly every frame brings an arrival) do not notice.
+func TestSSGSnapshotAtQuietCuts(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	quiet, empty := 0, 0
+	for trial := 0; trial < 40; trial++ {
+		cfg := Config{Window: 2 + r.Intn(39), Terminate: terminateVariant(trial)}
+		cfg.Duration = r.Intn(cfg.Window + 1)
+		feed := flickerFeed(r, 3*cfg.Window+20, 5+r.Intn(4))
+		afterQuiet, afterEmpty := quietCuts(feed)
+		for _, cuts := range [][]int{afterQuiet, afterEmpty} {
+			// Up to three cuts of each kind, spread over the feed.
+			for i := 0; i < 3 && i < len(cuts); i++ {
+				if cut := cuts[i*len(cuts)/3]; cut < len(feed) {
+					resumeAt(t, cfg, feed, cut)
+				}
+			}
+		}
+		quiet += len(afterQuiet)
+		empty += len(afterEmpty)
+	}
+	if quiet == 0 || empty == 0 {
+		t.Fatalf("feeds offered %d cuts after quiet runs and %d after empty frames", quiet, empty)
+	}
+}
+
+// TestSSGSnapshotHoldsNoExpiredFrames pins what sweeping before encode
+// is for. Between sweeps a node no frame reaches keeps frame ids that
+// left the window, and a node whose key frames all left stays in the
+// graph; neither may reach a snapshot, or every Snapshot writes and
+// every Resume rebuilds state the next sweep would have thrown away.
+// After 3·w frames without an arrival (eight objects that leave one by
+// one, the last of them less than w frames before the cut), cut just
+// before a sweep is due, the snapshot must hold no frame id below the
+// window and as many states as a sweep leaves — and encoding must not
+// change what the generator goes on to emit.
+func TestSSGSnapshotHoldsNoExpiredFrames(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 20; trial++ {
+		// d = w keeps nodes out of the result set, whose members are
+		// expired every frame whether or not the traversal reaches them.
+		cfg := Config{Window: 8 + r.Intn(60)}
+		cfg.Duration = cfg.Window
+		feed := flickerFeed(r, 2*cfg.Window, 8)
+		ids := []objset.ID{1, 2, 3, 4, 5, 6, 7, 8}
+		for n := 0; n < 3*cfg.Window || (len(feed)+1)%min(cfg.Window, sweepEvery) != 0; n++ {
+			if len(ids) > 1 && n%(3*cfg.Window/8) == 3*cfg.Window/8-1 {
+				ids = ids[:len(ids)-1]
+			}
+			feed = append(feed, vr.Frame{FID: vr.FrameID(len(feed)), Objects: objset.New(ids...)})
+		}
+
+		g, plain := NewSSG(cfg), NewSSG(cfg)
+		for _, f := range feed {
+			g.Process(f)
+			plain.Process(f)
+		}
+		var w snapshot.Writer
+		if err := EncodeGenerator(&w, g); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := DecodeGenerator(snapshot.NewReader(w.Bytes()), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		minFID := vr.FrameID(len(feed) - cfg.Window)
+		for _, n := range restored.(*SSG).nodes {
+			if n == nil {
+				continue
+			}
+			if fl := n.state.frames.live(); len(fl) == 0 || fl[0].fid < minFID || !n.state.Valid() {
+				t.Fatalf("trial %d (w=%d): snapshot holds stale state %v; window starts at %d", trial, cfg.Window, n.state, minFID)
+			}
+		}
+		plain.sweep(minFID)
+		if restored.StateCount() != plain.StateCount() {
+			t.Errorf("trial %d (w=%d): snapshot holds %d states, a sweep leaves %d", trial, cfg.Window, restored.StateCount(), plain.StateCount())
+		}
+		next := vr.Frame{FID: vr.FrameID(len(feed)), Objects: objset.New(ids...)}
+		if got, want := fmt.Sprint(resultMap(g.Process(next))), fmt.Sprint(resultMap(plain.Process(next))); got != want {
+			t.Errorf("trial %d: encoding changed the next frame's results:\n got  %s\n want %s", trial, got, want)
+		}
+	}
+}
+
 // TestEncodeGeneratorDeterministic verifies the encoding is stable: two
 // snapshots of the same state are byte-identical (internal maps must be
 // serialized in canonical order).

@@ -11,13 +11,29 @@ import (
 // directed graph whose edges point from a state to states generated from
 // it, so an edge (s, s') implies IDs' ⊂ IDs (Property 1) and no two
 // children of a node contain one another (Property 2). The State
-// Traversal (ST) algorithm walks the graph from its roots for every
-// arriving frame: when the intersection between a node's object set and
-// the arriving object set is empty, the entire subtree is skipped —
-// subsets of a disjoint set are disjoint too — which is the pruning power
-// the paper attributes to the graph. CNPS (Connecting the New Principal
-// State, §4.3.5) then links the frame's own state to the top-level
-// intersection states without violating Property 2.
+// Traversal (ST) algorithm walks the graph from its roots and skips the
+// entire subtree of a node that cannot be affected — subsets of a
+// disjoint set are disjoint too — which is the pruning power the paper
+// attributes to the graph. CNPS (Connecting the New Principal State,
+// §4.3.5) then links the frame's own state to the largest states below
+// it without violating Property 2.
+//
+// ST runs on the frame's change, not on the frame (DESIGN.md "State
+// Traversal on the frame's change"). With F the arriving object set, F′
+// the previous frame's and A = F ∖ F′ the arrivals:
+//
+//  1. every state the previous frame folded (the under-list: exactly the
+//     live states ⊆ F′) is intersected with F, without recursion. For a
+//     state S that no arrival touches, S ∩ F = (S ∩ F′) ∩ F, and S ∩ F′
+//     is on the under-list, so this alone maintains S ∩ F;
+//  2. only if A ≠ ∅, Algorithm 1 runs from the roots with its pruning
+//     test applied to A: a node disjoint from A is skipped with its
+//     subtree, a node meeting A gets the full prune → intersect with F →
+//     apply step. Every state meeting A is reached, because its
+//     ancestors are supersets and meet A too.
+//
+// On the first frame and after an empty frame the under-list is empty
+// and A = F: that case is the paper's ST.
 //
 // Node lookup is by interned object-set handle (one hash of the id
 // stream plus an integer compare, no key strings), traversal
@@ -47,19 +63,25 @@ type SSG struct {
 	results     []*ssgNode
 	resultsNext []*ssgNode
 
-	next    vr.FrameID
 	metrics Metrics
 
 	// window buffers the object set of each live frame for the marking
-	// rule (State.fold) when parents' frames merge into new states.
-	window map[vr.FrameID]objset.Set
+	// rule (State.fold) when parents' frames merge into new states, and
+	// numbers the frames: window.next is the id Process expects.
+	window frameWindow
+
+	// folded lists the nodes the current frame was folded into — every
+	// live state ⊆ F once the traversal is done — and under is the same
+	// list for the previous frame, which step 1 walks. The two swap each
+	// frame. Entries may have died since they were listed; nodes are never
+	// recycled, so a stale pointer is detected by its dead flag.
+	folded []*ssgNode
+	under  []*ssgNode
 
 	// scratch, reused across frames
-	touched    []*ssgNode
 	stack      []*ssgNode // child snapshots for the recursive traversal
-	roots      []*ssgNode
 	cands      []*ssgNode // CNPS candidates
-	selected   []*ssgNode // CNPS selection
+	arrived    []objset.ID
 	buf        objset.Scratch
 	em         emitter
 	pool       statePool
@@ -72,9 +94,20 @@ type ssgNode struct {
 	children []*ssgNode
 	parents  []*ssgNode
 
-	// visited holds the id of the last frame whose traversal visited
-	// this node (Algorithm 1 lines 1-2).
+	// last is the node that held IDn ∩ F the last time that was a proper
+	// subset of IDn. Frames repeat, so it is tried (if still alive and
+	// still equal) before the intersection is hashed into the interner.
+	last *ssgNode
+
+	// visited holds the id of the last frame whose traversal tested this
+	// node against the arrivals (Algorithm 1 lines 1-2).
 	visited vr.FrameID
+
+	// foldedAt is 1 + the id of the last frame folded into this node, so
+	// a node reached from many parents is folded and listed once, and
+	// collectResults can tell which previous results it meets again on
+	// the folded list.
+	foldedAt vr.FrameID
 
 	// createdAt is the frame whose traversal created this node; a node
 	// still being assembled in the current frame absorbs the frames of
@@ -87,14 +120,15 @@ type ssgNode struct {
 	// (Definition 5). Sorted ascending.
 	createdBy []vr.FrameID
 
-	// resultMark is 1 + the id of the last frame that added this node to
-	// the result set; collectResults uses it to deduplicate without a
-	// per-frame set.
-	resultMark vr.FrameID
-
 	onRootList bool
 	dead       bool
 }
+
+// sweepEvery bounds lazy expiry: the traversal only expires the nodes it
+// reaches, so every sweepEvery frames (every w, for a shorter window) all
+// nodes are expired and the invalid ones removed. A node no frame reaches
+// therefore outlives its last key frame by fewer than sweepEvery frames.
+const sweepEvery = 32
 
 // NewSSG returns a Strict State Graph generator for the given window
 // parameters. It panics if cfg is invalid.
@@ -105,7 +139,7 @@ func NewSSG(cfg Config) *SSG {
 	return &SSG{
 		cfg:    cfg,
 		intern: objset.NewInterner(),
-		window: make(map[vr.FrameID]objset.Set),
+		window: newFrameWindow(cfg.Window),
 	}
 }
 
@@ -144,7 +178,6 @@ func (g *SSG) newNode(objects objset.Set, createdAt vr.FrameID) *ssgNode {
 	n := &ssgNode{state: s, handle: h, createdAt: createdAt}
 	g.setNode(h, n)
 	g.metrics.StatesCreated++
-	g.touched = append(g.touched, n)
 	return n
 }
 
@@ -154,181 +187,201 @@ func (g *SSG) newNode(objects objset.Set, createdAt vr.FrameID) *ssgNode {
 //tvq:noalloc
 //tvq:ephemeral
 func (g *SSG) Process(f vr.Frame) []*State {
-	if f.FID != g.next {
+	if f.FID != g.window.next {
 		panic("core: frames must be processed in order starting at 0")
 	}
-	g.next++
 	g.metrics.FramesProcessed++
 	minFID := f.FID - vr.FrameID(g.cfg.Window) + 1
-	g.touched = g.touched[:0]
-	for fid := range g.window {
-		if fid < minFID {
-			delete(g.window, fid)
-		}
-	}
 	// The window buffer (and any principal state interned from it)
 	// outlives this call, so a borrowed frame is cloned: its storage
 	// belongs to the caller and may be reused for the next frame. Clone
 	// also picks the word-parallel bitmap form when the ids are dense.
 	// An Owned frame's storage transfers to us, so Compact suffices.
-	f.Objects = retainObjects(f)
-	g.window[f.FID] = f.Objects
+	prev, _ := g.window.at(f.FID - 1) // before push: with w = 1 they share a slot
+	f.Objects = g.window.push(f)
+	g.under, g.folded = g.folded, g.under[:0]
 
-	// Periodic full sweep: traversal expires nodes lazily, so nodes in
-	// subtrees that no recent frame intersected can hold expired frames.
-	// They are never emitted (result maintenance re-checks), but sweeping
-	// once per window keeps memory proportional to live states.
-	if g.cfg.Window > 0 && f.FID > 0 && f.FID%vr.FrameID(g.cfg.Window) == 0 {
+	if f.FID%vr.FrameID(min(g.cfg.Window, sweepEvery)) == 0 {
 		g.sweep(minFID)
 	}
-
 	if !f.Objects.IsEmpty() {
-		g.traverse(f, minFID)
+		g.traverse(f, prev, minFID)
 	}
-
 	return g.collectResults(f, minFID)
 }
 
-// traverse runs ST from every root, then creates/updates the frame's own
-// principal state and connects it via CNPS.
-func (g *SSG) traverse(f vr.Frame, minFID vr.FrameID) {
-	// Candidates for CNPS: the state generated at the top level of each
-	// root's subtree (Theorem 2: only states IDroot ∩ IDns can be
-	// adjacent to the new principal state).
-	candidates := g.cands[:0]
+// traverse runs ST on the frame's change, then creates/updates the
+// frame's own principal state and connects it via CNPS.
+func (g *SSG) traverse(f vr.Frame, prev objset.Set, minFID vr.FrameID) {
+	created := g.metrics.StatesCreated
 
-	roots := g.liveRoots()
-	for _, r := range roots {
-		if r.dead || len(r.parents) > 0 {
-			continue // re-parented or removed during this very traversal
+	// Step 1: the states the previous frame folded. The list is closed
+	// under descendants (a subset of a state ⊆ F′ is ⊆ F′), so there is
+	// nothing to recurse into, and none of its members meets an arrival,
+	// so step 2 visits none of them again.
+	for _, n := range g.under {
+		if n.dead {
+			continue
 		}
-		if c := g.visit(r, f, minFID); c != nil {
-			candidates = append(candidates, c)
+		g.metrics.StatesVisited++
+		g.maintain(n, f, minFID)
+	}
+
+	// Step 2: Algorithm 1 from the roots, entering only subtrees an
+	// arrival touches. Orphans promoted onto rootOrder meanwhile are
+	// appended past the range; they were children of a node removed by
+	// its own visit, which visited them.
+	if arrivals := g.arrivals(f.Objects, prev); !arrivals.IsEmpty() {
+		for _, r := range g.liveRoots() {
+			g.visit(r, f, arrivals, minFID)
 		}
 	}
 
-	ns := g.ensurePrincipal(f, minFID)
-	g.cands = candidates[:0]
-	g.connectPrincipal(ns, candidates)
-	g.refreshPrincipals(f, minFID)
+	// CNPS re-wires the graph below the principal state; with no state
+	// created this frame there is nothing it could connect that was not
+	// connected when the youngest of them was.
+	if ns := g.ensurePrincipal(f); ns != nil && g.metrics.StatesCreated != created {
+		g.connectPrincipal(ns)
+	}
+	g.refreshPrincipals(minFID)
 }
 
-// visit implements one step of the ST algorithm on node n; it returns the
-// node holding IDn ∩ IDns when n is a traversal root (the CNPS candidate
-// from this subtree), or nil when the intersection is empty.
-func (g *SSG) visit(n *ssgNode, f vr.Frame, minFID vr.FrameID) *ssgNode {
-	if n.dead {
-		return nil
-	}
-	if n.visited == f.FID {
-		// Already handled via another path this frame; the candidate for
-		// CNPS is still the intersection state, which must exist by now.
-		inter := n.state.Objects.IntersectInto(f.Objects, &g.buf)
-		if inter.IsEmpty() {
-			return nil
+// arrivals returns F ∖ F′ in generator-owned scratch; the result is valid
+// until the next call.
+func (g *SSG) arrivals(cur, prev objset.Set) objset.Set {
+	ids := cur.AppendTo(g.arrived[:0])
+	g.arrived = ids[:0]
+	out := ids[:0]
+	for _, id := range ids {
+		if !prev.Contains(id) {
+			out = append(out, id)
 		}
-		if h, ok := g.intern.Lookup(inter); ok {
-			return g.node(h)
-		}
-		return nil
 	}
-	n.visited = f.FID
-	g.metrics.StatesVisited++
-	g.touched = append(g.touched, n)
+	return objset.FromSorted(out)
+}
 
-	// Snapshot the children onto the shared scratch stack: visits of the
-	// subtree may re-home or remove entries of n.children, but the
-	// snapshot keeps this node's iteration stable without allocating.
+// visit implements one step of the ST algorithm on a live node not yet
+// visited this frame: a node no arrival touches is skipped together with
+// its subtree — the SSG pruning step, on A instead of F.
+func (g *SSG) visit(n *ssgNode, f vr.Frame, arrivals objset.Set, minFID vr.FrameID) {
+	n.visited = f.FID
+	g.metrics.Intersections++
+	if !n.state.Objects.Intersects(arrivals) {
+		return
+	}
+	g.metrics.StatesVisited++
+
+	// Snapshot the children onto the shared scratch stack: maintaining n
+	// may re-home or remove entries of n.children, but the snapshot keeps
+	// this node's iteration stable without allocating. When n is removed
+	// as invalid its former children may still meet an arrival, so they
+	// are visited from here even though the node itself is gone.
 	base := len(g.stack)
 	g.stack = append(g.stack, n.children...)
-	count := len(g.stack) - base
-	defer func() { g.stack = g.stack[:base] }()
+	end := len(g.stack)
+	g.maintain(n, f, minFID)
 
-	// pruneState (Algorithm 1 line 3): expire frames; an invalid node
-	// (no marked frames) or empty node leaves the graph immediately. Its
-	// former children may still intersect the arriving frame, so they
-	// are visited from here even though the node itself is gone.
-	if g.pruneNode(n, minFID) {
-		for i := 0; i < count; i++ {
-			g.visit(g.stack[base+i], f, minFID)
+	// A target just attached under n needs no visit of its own (its
+	// bookkeeping happened at creation); any children it acquired were
+	// re-homed siblings already present in the snapshot.
+	for i := base; i < end; i++ {
+		if c := g.stack[i]; !c.dead && c.visited != f.FID {
+			g.visit(c, f, arrivals, minFID)
 		}
-		return nil
 	}
+	g.stack = g.stack[:base]
+}
 
+// maintain is what a frame does to one node (Algorithm 1 lines 3-5):
+// expire old frames, removing the node if that leaves it empty or
+// invalid, then materialize IDn ∩ F and fold the frame into it.
+func (g *SSG) maintain(n *ssgNode, f vr.Frame, minFID vr.FrameID) {
+	if g.pruneNode(n, minFID) {
+		return
+	}
 	g.metrics.Intersections++
 	inter := n.state.Objects.IntersectInto(f.Objects, &g.buf)
 	if inter.IsEmpty() {
-		// Every descendant has an object set ⊂ IDn, so every descendant
-		// intersection is empty too: skip the whole subtree. This is the
-		// SSG pruning step.
-		return nil
+		return
 	}
-
-	target := g.applyIntersection(n, inter, f)
-
-	// Recurse into children (visitNext) via the snapshot. A target just
-	// attached under n needs no visit of its own (its bookkeeping
-	// happened at creation); any children it acquired were re-homed
-	// siblings already present in the snapshot.
-	for i := 0; i < count; i++ {
-		g.visit(g.stack[base+i], f, minFID)
+	if inter.Len() == n.state.Objects.Len() {
+		// Step 3 of the Graph Maintenance Procedure: inter ⊆ IDn, so equal
+		// sizes mean the node itself co-occurs in the arriving frame.
+		g.foldFrame(n, f)
+		return
 	}
-	return target
+	if t := n.last; t != nil && !t.dead && t.state.Objects.Equal(inter) {
+		g.foldInto(t, n, f)
+		return
+	}
+	n.last = g.target(n, inter, f)
 }
 
-// applyIntersection materializes the state for inter = IDn ∩ IDns and
-// performs frame bookkeeping (Graph Maintenance Procedure steps 3-4);
-// key-frame marks are decided by the rest-closure rule in State.fold.
-// inter may be scratch-backed; it is interned (copied) before being
-// retained.
-func (g *SSG) applyIntersection(n *ssgNode, inter objset.Set, f vr.Frame) *ssgNode {
-	if inter.Equal(n.state.Objects) {
-		// Step 3: the node itself co-occurs in the arriving frame.
-		n.state.fold(f.FID, f.Objects)
-		return n
-	}
-
-	var target *ssgNode
+// target finds or creates the node for inter = IDn ∩ F, a proper subset
+// of IDn, and folds the frame into it (Graph Maintenance Procedure step
+// 4). It returns nil when the §5.3 strategy terminates the state. inter
+// may be scratch-backed; it is interned (copied) before being retained.
+func (g *SSG) target(n *ssgNode, inter objset.Set, f vr.Frame) *ssgNode {
 	if h, ok := g.intern.Lookup(inter); ok {
-		target = g.nodes[h]
-		// Step 4.a: the state exists. A target created earlier in this
-		// same traversal has only seen its first parent, so it absorbs
-		// this parent's frames too; an older target is already exact
-		// (every frame containing it was appended when it arrived).
-		if target.createdAt == f.FID {
-			g.foldMissing(target, n)
-		}
-		target.state.fold(f.FID, f.Objects)
-		g.touched = append(g.touched, target)
-		return target
+		t := g.nodes[h]
+		g.foldInto(t, n, f)
+		return t
 	}
 	if g.cfg.Terminate != nil && g.cfg.Terminate(inter) {
 		g.metrics.StatesTerminated++
 		return nil
 	}
-	target = g.newNode(inter, f.FID)
-	g.foldMissing(target, n)
-	target.state.fold(f.FID, f.Objects)
-	g.attachChild(n, target)
-	return target
+	t := g.newNode(inter, f.FID)
+	t.state.frames.reserve(n.state.frames.len()+1, g.cfg.Window)
+	g.foldInto(t, n, f)
+	g.attachChild(n, t)
+	return t
+}
+
+// foldInto folds the arriving frame into t, the existing state for
+// IDparent ∩ F (step 4.a). A target created earlier in this same
+// traversal has only seen its first parent, so it absorbs this parent's
+// frames too; an older target is already exact (every frame containing
+// it was folded when it arrived).
+func (g *SSG) foldInto(t, parent *ssgNode, f vr.Frame) {
+	if t.createdAt == f.FID {
+		g.foldMissing(t, parent)
+	}
+	g.foldFrame(t, f)
+}
+
+// foldFrame folds the arriving frame into n and lists n among this
+// frame's folded nodes, once however many parents lead to it; key-frame
+// marks are decided by the rest-closure rule in State.fold.
+func (g *SSG) foldFrame(n *ssgNode, f vr.Frame) {
+	if n.foldedAt == f.FID+1 {
+		return
+	}
+	n.foldedAt = f.FID + 1
+	// A node reached as another's target may hold frames that expired
+	// since a frame last reached it; dropping them first lets the append
+	// reuse their room instead of growing the list past the window.
+	n.state.frames.expireBefore(f.FID - vr.FrameID(g.cfg.Window) + 1)
+	n.state.fold(f.FID, f.Objects)
+	g.folded = append(g.folded, n)
 }
 
 // foldMissing folds every frame of parent that target lacks. A frame
 // containing the parent's objects contains the target's (a subset), so
 // the target's frame set stays exact (= all window frames containing it).
 func (g *SSG) foldMissing(target, parent *ssgNode) {
-	te := target.state.frames.entries
+	te := target.state.frames.live()
 	i := 0
-	for _, e := range parent.state.frames.entries {
+	for _, e := range parent.state.frames.live() {
 		for i < len(te) && te[i].fid < e.fid {
 			i++
 		}
 		if i < len(te) && te[i].fid == e.fid {
 			continue
 		}
-		if of, ok := g.window[e.fid]; ok {
+		if of, ok := g.window.at(e.fid); ok {
 			target.state.fold(e.fid, of)
-			te = target.state.frames.entries // insertion may reallocate
+			te = target.state.frames.live() // insertion may move the entries
 		}
 	}
 }
@@ -379,7 +432,7 @@ func detachParent(child, parent *ssgNode) {
 
 // ensurePrincipal creates or refreshes the node for the arriving frame's
 // own object set: the new principal state (Definition 5).
-func (g *SSG) ensurePrincipal(f vr.Frame, minFID vr.FrameID) *ssgNode {
+func (g *SSG) ensurePrincipal(f vr.Frame) *ssgNode {
 	var ns *ssgNode
 	if h, ok := g.intern.Lookup(f.Objects); ok {
 		ns = g.nodes[h]
@@ -388,12 +441,14 @@ func (g *SSG) ensurePrincipal(f vr.Frame, minFID vr.FrameID) *ssgNode {
 			g.metrics.StatesTerminated++
 			return nil
 		}
+		// No window frame contains F, or the traversal would have
+		// generated it from their closure: this frame is its whole frame
+		// set, and createdAt 0 says there is nothing to absorb.
 		ns = g.newNode(f.Objects, 0)
-		ns.createdAt = 0
 	}
 	// The creating frame is always a key frame of its principal state:
 	// its object set equals the state's, so fold marks it.
-	ns.state.fold(f.FID, f.Objects)
+	g.foldFrame(ns, f)
 	ns.createdBy = append(ns.createdBy, f.FID)
 	if wasPrincipal := len(ns.createdBy) > 1; !wasPrincipal {
 		g.principals = append(g.principals, ns)
@@ -402,49 +457,37 @@ func (g *SSG) ensurePrincipal(f vr.Frame, minFID vr.FrameID) *ssgNode {
 	return ns
 }
 
-// connectPrincipal implements CNPS (Algorithm 2): sort candidates by
-// object-set size descending and connect ns to each candidate not already
-// reachable from a previously selected one.
-func (g *SSG) connectPrincipal(ns *ssgNode, candidates []*ssgNode) {
-	if ns == nil || len(candidates) == 0 {
-		return
-	}
-	// A candidate may have been pruned (and its state recycled) by a
-	// later root's traversal after it was collected; drop those before
-	// the sort touches their state.
-	live := candidates[:0]
-	for _, c := range candidates {
-		if c != nil && !c.dead && c != ns {
-			live = append(live, c)
+// connectPrincipal implements CNPS (Algorithm 2). The candidates are the
+// nodes this frame folded — every live state ⊆ IDns, which contains the
+// states IDroot ∩ IDns of Theorem 2. They are sorted by object-set size
+// descending, and ns is connected to each one not contained in a
+// previously selected one.
+func (g *SSG) connectPrincipal(ns *ssgNode) {
+	cands := g.cands[:0]
+	for _, c := range g.folded {
+		// A folded node can have been removed by its own visit later in
+		// the traversal; its state is gone.
+		if c != ns && !c.dead {
+			cands = append(cands, c)
 		}
 	}
-	candidates = live
-	slices.SortStableFunc(candidates, func(a, b *ssgNode) int {
+	slices.SortStableFunc(cands, func(a, b *ssgNode) int {
 		return b.state.Objects.Len() - a.state.Objects.Len()
 	})
-	selected := g.selected[:0]
-	defer func() { g.selected = selected[:0] }()
-	for _, c := range candidates {
-		if c.dead {
-			continue
-		}
-		if !c.state.Objects.ProperSubsetOf(ns.state.Objects) {
-			continue // candidate not strictly below ns (e.g. equals it)
-		}
+	// The selection is a subsequence of the candidates read so far, so it
+	// is collected in place.
+	selected := cands[:0]
+next:
+	for _, c := range cands {
 		// Property 2 for ns's children: skip a candidate contained in an
 		// already selected one (reachability via edges implies subset, so
 		// this over-approximates the paper's reachable-set test safely:
-		// every skipped candidate keeps its generating root as a parent
-		// and stays reachable for traversal).
-		redundant := false
+		// every skipped candidate keeps its generating parent and stays
+		// reachable for traversal).
 		for _, s := range selected {
-			if c == s || c.state.Objects.ProperSubsetOf(s.state.Objects) {
-				redundant = true
-				break
+			if c.state.Objects.ProperSubsetOf(s.state.Objects) {
+				continue next
 			}
-		}
-		if redundant {
-			continue
 		}
 		// attachChild (not addEdge): a re-created principal state may
 		// already carry children, and Property 2 must hold against them
@@ -452,15 +495,26 @@ func (g *SSG) connectPrincipal(ns *ssgNode, candidates []*ssgNode) {
 		g.attachChild(ns, c)
 		selected = append(selected, c)
 	}
+	g.cands = cands[:0]
+}
+
+// expireCreatedBy drops the principal frames of n that left the window.
+// Survivors are copied down so the slice keeps its backing capacity.
+func expireCreatedBy(n *ssgNode, minFID vr.FrameID) {
+	i := 0
+	for i < len(n.createdBy) && n.createdBy[i] < minFID {
+		i++
+	}
+	if i > 0 {
+		n.createdBy = n.createdBy[:copy(n.createdBy, n.createdBy[i:])]
+	}
 }
 
 // pruneNode expires old frames on n and removes it from the graph when it
 // became empty or invalid; it reports whether the node was removed.
 func (g *SSG) pruneNode(n *ssgNode, minFID vr.FrameID) bool {
 	n.state.frames.expireBefore(minFID)
-	for len(n.createdBy) > 0 && n.createdBy[0] < minFID {
-		n.createdBy = n.createdBy[1:]
-	}
+	expireCreatedBy(n, minFID)
 	if n.state.frames.len() == 0 || !n.state.frames.hasMarks() {
 		g.removeNode(n)
 		return true
@@ -498,10 +552,13 @@ func (g *SSG) removeNode(n *ssgNode) {
 		}
 	}
 	// The node struct itself may still sit on rootOrder/principals/
-	// results until their lazy compaction (all guarded by dead), but the
-	// state is unreachable from any live path and can be recycled.
+	// results/under or in another node's last until their lazy
+	// compaction (all guarded by dead), but the state is unreachable from
+	// any live path and can be recycled. Dropping last keeps a dead node
+	// from pinning a chain of older dead ones.
 	g.pool.put(n.state)
 	n.state = nil
+	n.last = nil
 }
 
 func (g *SSG) ensureRoot(n *ssgNode) {
@@ -524,23 +581,16 @@ func (g *SSG) liveRoots() []*ssgNode {
 		out = append(out, n)
 	}
 	g.rootOrder = out
-	// Return a copy (reusing the scratch buffer): traversal may promote
-	// orphans onto rootOrder mid-iteration, and those were either
-	// already visited (as children) or will be covered next frame.
-	roots := append(g.roots[:0], out...)
-	g.roots = roots[:0]
-	return roots
+	return out
 }
 
-func (g *SSG) refreshPrincipals(f vr.Frame, minFID vr.FrameID) {
+func (g *SSG) refreshPrincipals(minFID vr.FrameID) {
 	out := g.principals[:0]
 	for _, n := range g.principals {
 		if n.dead {
 			continue
 		}
-		for len(n.createdBy) > 0 && n.createdBy[0] < minFID {
-			n.createdBy = n.createdBy[1:]
-		}
+		expireCreatedBy(n, minFID)
 		if len(n.createdBy) > 0 {
 			out = append(out, n)
 		}
@@ -550,16 +600,18 @@ func (g *SSG) refreshPrincipals(f vr.Frame, minFID vr.FrameID) {
 
 // collectResults implements the result-set maintenance of §4.3.7:
 // SR_{i'} = SR'_i ∪ SR_{G'} — the still-satisfied previous results plus
-// the satisfied states touched by this frame's traversal. All buffers
-// are generator-owned and reused across frames.
+// the satisfied states this frame was folded into (a frame set only
+// grows by a fold). All buffers are generator-owned and reused across
+// frames.
 func (g *SSG) collectResults(f vr.Frame, minFID vr.FrameID) []*State {
-	mark := f.FID + 1
 	g.resultsNext = g.resultsNext[:0]
 	for _, n := range g.results {
-		g.considerResult(n, mark, minFID)
+		if n.foldedAt != f.FID+1 { // else on the folded list, below
+			g.considerResult(n, minFID)
+		}
 	}
-	for _, n := range g.touched {
-		g.considerResult(n, mark, minFID)
+	for _, n := range g.folded {
+		g.considerResult(n, minFID)
 	}
 	g.results, g.resultsNext = g.resultsNext, g.results
 
@@ -572,11 +624,9 @@ func (g *SSG) collectResults(f vr.Frame, minFID vr.FrameID) []*State {
 }
 
 // considerResult re-validates one candidate node and appends it to
-// resultsNext when it belongs in this frame's result set; resultMark
-// deduplicates nodes reachable both from the previous results and from
-// this frame's traversal.
-func (g *SSG) considerResult(n *ssgNode, mark vr.FrameID, minFID vr.FrameID) {
-	if n == nil || n.dead || n.resultMark == mark {
+// resultsNext when it belongs in this frame's result set.
+func (g *SSG) considerResult(n *ssgNode, minFID vr.FrameID) {
+	if n.dead {
 		return
 	}
 	n.state.frames.expireBefore(minFID)
@@ -585,17 +635,15 @@ func (g *SSG) considerResult(n *ssgNode, mark vr.FrameID, minFID vr.FrameID) {
 		return
 	}
 	if n.state.frames.len() >= g.cfg.Duration {
-		n.resultMark = mark
 		g.resultsNext = append(g.resultsNext, n)
 	}
 }
 
-// sweep removes dead weight graph-wide; see Process.
+// sweep expires every node and removes the invalid ones; see sweepEvery.
 func (g *SSG) sweep(minFID vr.FrameID) {
 	for _, n := range g.nodes {
-		if n == nil || n.dead {
-			continue
+		if n != nil {
+			g.pruneNode(n, minFID)
 		}
-		g.pruneNode(n, minFID)
 	}
 }

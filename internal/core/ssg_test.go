@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tvq/internal/objset"
@@ -195,33 +196,73 @@ func TestSSGSubtreePruningSavesWork(t *testing.T) {
 	}
 }
 
-// TestSSGLongRunMemoryBounded feeds many frames with rotating object
-// populations and checks that the node count stays bounded (the sweep
-// plus expiry must reclaim abandoned subtrees).
+// TestSSGLongRunMemoryBounded checks that lazy expiry stays bounded over
+// long runs: the traversal only expires the nodes a frame reaches, and
+// the sweep every sweepEvery frames must reclaim the rest.
 func TestSSGLongRunMemoryBounded(t *testing.T) {
-	g := NewSSG(Config{Window: 10, Duration: 2})
-	r := rand.New(rand.NewSource(11))
-	peak := 0
-	for i := 0; i < 2000; i++ {
-		// The population drifts: object ids come from a sliding range,
-		// so old states can never be refreshed.
-		base := objset.ID(i / 10)
-		n := 2 + r.Intn(4)
-		ids := make([]objset.ID, 0, n)
-		for j := 0; j < n; j++ {
-			ids = append(ids, base+objset.ID(r.Intn(6)))
+	// The population drifts: object ids come from a sliding range, so old
+	// states can never be refreshed and whole subtrees are abandoned.
+	t.Run("drifting population", func(t *testing.T) {
+		g := NewSSG(Config{Window: 10, Duration: 2})
+		r := rand.New(rand.NewSource(11))
+		peak := 0
+		for i := 0; i < 2000; i++ {
+			base := objset.ID(i / 10)
+			n := 2 + r.Intn(4)
+			ids := make([]objset.ID, 0, n)
+			for j := 0; j < n; j++ {
+				ids = append(ids, base+objset.ID(r.Intn(6)))
+			}
+			g.Process(vr.Frame{FID: vr.FrameID(i), Objects: objset.New(ids...)})
+			if g.StateCount() > peak {
+				peak = g.StateCount()
+			}
 		}
-		g.Process(vr.Frame{FID: vr.FrameID(i), Objects: objset.New(ids...)})
-		if g.StateCount() > peak {
-			peak = g.StateCount()
+		if peak > 2000 {
+			t.Errorf("state count peaked at %d; memory not reclaimed", peak)
 		}
-	}
-	if peak > 2000 {
-		t.Errorf("state count peaked at %d; memory not reclaimed", peak)
-	}
-	if g.StateCount() > 500 {
-		t.Errorf("final state count %d; stale subtrees not swept", g.StateCount())
-	}
+		if g.StateCount() > 500 {
+			t.Errorf("final state count %d; stale subtrees not swept", g.StateCount())
+		}
+	})
+
+	// MFS drops a state on the frame its last key frame expires; an SSG
+	// node may outlive its validity by up to sweepEvery frames and no
+	// longer. On coherent feeds of 20·w frames SSG must therefore never
+	// hold more than 1.25× (plus 8 states, for populations of a handful)
+	// what MFS held at its fullest during the last sweepEvery+1 frames,
+	// and no node's newest key frame may have left the window sweepEvery
+	// or more frames ago — which sweeping once per window lets happen for
+	// the windows above sweepEvery here.
+	t.Run("coherent feed against MFS", func(t *testing.T) {
+		r := rand.New(rand.NewSource(19))
+		for trial := 0; trial < 8; trial++ {
+			cfg := Config{Window: 10 + r.Intn(70)}
+			cfg.Duration = r.Intn(cfg.Window + 1)
+			ssg, mfs := NewSSG(cfg), NewMFS(cfg)
+			var held []int // MFS state counts, one per frame
+			for _, f := range flickerFeed(r, 20*cfg.Window, 8+r.Intn(6)) {
+				ssg.Process(f)
+				mfs.Process(f)
+				held = append(held, mfs.StateCount())
+				fullest := slices.Max(held[max(0, len(held)-sweepEvery-1):])
+				if got, limit := ssg.StateCount(), fullest+fullest/4+8; got > limit {
+					t.Fatalf("trial %d (w=%d) frame %d: SSG holds %d states, MFS at most %d over the last %d frames (limit %d)",
+						trial, cfg.Window, f.FID, got, fullest, sweepEvery+1, limit)
+				}
+				for _, n := range ssg.nodes {
+					if n == nil {
+						continue
+					}
+					marked := n.state.MarkedFrames()
+					if left := int(f.FID) - cfg.Window - int(marked[len(marked)-1]); left >= sweepEvery {
+						t.Fatalf("trial %d (w=%d) frame %d: %v still held %d frames after its last key frame left the window",
+							trial, cfg.Window, f.FID, n.state, left+1)
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestSSGEmptyFrameRuns interleaves empty frames (nothing detected) with

@@ -14,7 +14,7 @@
 //   - SSG:    the Strict State Graph of §4.3 — states are organized in a
 //     graph whose edges follow set containment (Property 1) without
 //     redundancy (Property 2); the State Traversal (ST) algorithm skips
-//     entire subtrees whose intersection with the arriving frame is empty.
+//     entire subtrees that none of the frame's arriving objects touches.
 //
 // All three generators emit identical results (this is enforced by
 // differential and oracle tests): the set of valid, satisfied states —
@@ -68,34 +68,69 @@ type frameEntry struct {
 // frameList is a state's frame set: strictly increasing frame ids, each
 // optionally marked as a key frame. Frames are appended at the tail as the
 // feed advances and expired from the head as the window slides.
+//
+// The live entries are entries[head:]. Expiry only advances head, so a
+// window slide costs the frames it expires and nothing else; the dead
+// prefix is reclaimed by push, which slides the live entries back to the
+// front of the backing array instead of growing it. The array therefore
+// never grows while it holds expired entries — re-slicing the head away
+// instead would leak capacity one window slide at a time and force a
+// steady trickle of reallocations on append.
 type frameList struct {
 	entries []frameEntry
-	marks   int // number of marked entries
+	head    int32 // 32 bits each: a wider pair moves State up a size class
+	marks   int32 // number of marked live entries
 }
 
-func (fl *frameList) len() int       { return len(fl.entries) }
+// live returns the unexpired entries, oldest first. The slice aliases the
+// list's storage and is valid until the next insert or expireBefore.
+func (fl *frameList) live() []frameEntry { return fl.entries[fl.head:] }
+
+func (fl *frameList) len() int       { return len(fl.entries) - int(fl.head) }
 func (fl *frameList) hasMarks() bool { return fl.marks > 0 }
+
+// push appends e, reusing the room of the expired prefix before growing.
+// A slide copies the live entries once per cap−len(live) appends, so
+// appending is O(1) amortised unless the live entries fill the array to
+// within a few slots, where it degrades to a copy of the list per append
+// rather than to a larger array.
+func (fl *frameList) push(e frameEntry) {
+	if fl.head > 0 && len(fl.entries) == cap(fl.entries) {
+		fl.entries = fl.entries[:copy(fl.entries, fl.entries[fl.head:])]
+		fl.head = 0
+	}
+	fl.entries = append(fl.entries, e)
+}
+
+// reserve makes room for the n entries a newly created state is about to
+// absorb from its parents, in one allocation: growing to them one append
+// at a time allocates the list twice over. It leaves room to grow as
+// much again, but no more than a frame set can hold, which is the window.
+func (fl *frameList) reserve(n, window int) {
+	if n > cap(fl.entries) {
+		fl.entries = make([]frameEntry, 0, max(n, min(2*n, window)))
+	}
+}
 
 // insert adds fid with the given mark, keeping entries sorted; it reports
 // whether the frame was newly inserted (false when already present, in
 // which case the existing mark is kept).
 func (fl *frameList) insert(fid vr.FrameID, marked bool) bool {
-	n := len(fl.entries)
-	// Fast path: appending past the tail, the overwhelmingly common case.
-	if n == 0 || fl.entries[n-1].fid < fid {
-		fl.entries = append(fl.entries, frameEntry{fid: fid, marked: marked})
-		if marked {
-			fl.marks++
+	live := fl.live()
+	n := len(live)
+	i := n // appending past the tail, the overwhelmingly common case
+	if n > 0 && live[n-1].fid >= fid {
+		i = sort.Search(n, func(i int) bool { return live[i].fid >= fid })
+		if live[i].fid == fid {
+			return false
 		}
-		return true
 	}
-	i := sort.Search(n, func(i int) bool { return fl.entries[i].fid >= fid })
-	if i < n && fl.entries[i].fid == fid {
-		return false
+	fl.push(frameEntry{fid: fid, marked: marked})
+	if i < n {
+		live = fl.live()
+		copy(live[i+1:], live[i:])
+		live[i] = frameEntry{fid: fid, marked: marked}
 	}
-	fl.entries = append(fl.entries, frameEntry{})
-	copy(fl.entries[i+1:], fl.entries[i:])
-	fl.entries[i] = frameEntry{fid: fid, marked: marked}
 	if marked {
 		fl.marks++
 	}
@@ -104,31 +139,27 @@ func (fl *frameList) insert(fid vr.FrameID, marked bool) bool {
 
 // contains reports whether fid is in the frame set.
 func (fl *frameList) contains(fid vr.FrameID) bool {
-	i := sort.Search(len(fl.entries), func(i int) bool { return fl.entries[i].fid >= fid })
-	return i < len(fl.entries) && fl.entries[i].fid == fid
+	live := fl.live()
+	i := sort.Search(len(live), func(i int) bool { return live[i].fid >= fid })
+	return i < len(live) && live[i].fid == fid
 }
 
-// expireBefore removes all entries with fid < min. Survivors are copied
-// down in place so the slice keeps its full backing capacity: re-slicing
-// the head away instead would leak capacity one window slide at a time
-// and force a steady trickle of reallocations on append.
+// expireBefore removes all entries with fid < min.
 func (fl *frameList) expireBefore(min vr.FrameID) {
-	i := 0
-	for i < len(fl.entries) && fl.entries[i].fid < min {
-		if fl.entries[i].marked {
+	for int(fl.head) < len(fl.entries) && fl.entries[fl.head].fid < min {
+		if fl.entries[fl.head].marked {
 			fl.marks--
 		}
-		i++
+		fl.head++
 	}
-	if i > 0 {
-		n := copy(fl.entries, fl.entries[i:])
-		fl.entries = fl.entries[:n]
+	if int(fl.head) == len(fl.entries) {
+		fl.entries, fl.head = fl.entries[:0], 0
 	}
 }
 
 // fids returns the frame ids as a fresh slice.
 func (fl *frameList) fids() []vr.FrameID {
-	out := make([]vr.FrameID, len(fl.entries))
+	out := make([]vr.FrameID, fl.len())
 	fl.fill(out, 0)
 	return out
 }
@@ -138,8 +169,9 @@ func (fl *frameList) fids() []vr.FrameID {
 //
 //tvq:noalloc
 func (fl *frameList) fill(dst []vr.FrameID, offset vr.FrameID) {
-	_ = dst[:len(fl.entries)]
-	for i, e := range fl.entries {
+	live := fl.live()
+	_ = dst[:len(live)]
+	for i, e := range live {
 		dst[i] = e.fid + offset
 	}
 }
@@ -154,7 +186,7 @@ func (fl *frameList) hash() uint64 {
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for _, e := range fl.entries {
+	for _, e := range fl.live() {
 		f := e.fid
 		for shift := 0; shift < 64; shift += 8 {
 			h = (h ^ uint64(byte(f>>shift))) * prime64
@@ -166,11 +198,12 @@ func (fl *frameList) hash() uint64 {
 // sameFrames reports whether two frame lists hold identical frame ids
 // (the hash fallback of the emission filter's grouping map).
 func (fl *frameList) sameFrames(other *frameList) bool {
-	if len(fl.entries) != len(other.entries) {
+	a, b := fl.live(), other.live()
+	if len(a) != len(b) {
 		return false
 	}
-	for i, e := range fl.entries {
-		if other.entries[i].fid != e.fid {
+	for i, e := range a {
+		if b[i].fid != e.fid {
 			return false
 		}
 	}
@@ -180,7 +213,7 @@ func (fl *frameList) sameFrames(other *frameList) bool {
 func (fl *frameList) String() string {
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, e := range fl.entries {
+	for i, e := range fl.live() {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
@@ -285,7 +318,7 @@ func (s *State) FillFrames(dst []vr.FrameID, offset vr.FrameID) { s.frames.fill(
 // MarkedFrames returns the marked (key) frames, oldest first.
 func (s *State) MarkedFrames() []vr.FrameID {
 	out := make([]vr.FrameID, 0, s.frames.marks)
-	for _, e := range s.frames.entries {
+	for _, e := range s.frames.live() {
 		if e.marked {
 			out = append(out, e.fid)
 		}
@@ -371,15 +404,62 @@ func retainObjects(f vr.Frame) objset.Set {
 	return f.Objects.Clone()
 }
 
+// frameWindow buffers the object set of each of the last w frames for the
+// marking rule (State.fold), which needs a frame's full object set when a
+// parent's frames merge into a new state. Frame fid lives in slot
+// fid mod w, so storing the arriving frame overwrites exactly the one
+// that left the window.
+type frameWindow struct {
+	sets []objset.Set
+	next vr.FrameID // id of the next frame; [next−w, next) is buffered
+}
+
+func newFrameWindow(w int) frameWindow { return frameWindow{sets: make([]objset.Set, w)} }
+
+// slot returns the slot of frame fid ≥ 0.
+func (fw *frameWindow) slot(fid vr.FrameID) *objset.Set {
+	return &fw.sets[fid%vr.FrameID(len(fw.sets))]
+}
+
+// push buffers the object set of f, which must be frame next, and
+// returns the buffered set: a generator retains f.Objects past its
+// Process call only through here (see retainObjects).
+//
+//tvq:noalloc
+func (fw *frameWindow) push(f vr.Frame) objset.Set {
+	s := retainObjects(f)
+	*fw.slot(fw.next) = s
+	fw.next++
+	return s
+}
+
+// at returns the object set of frame fid; ok is false outside the window.
+func (fw *frameWindow) at(fid vr.FrameID) (s objset.Set, ok bool) {
+	if fid < 0 || fid >= fw.next || fid < fw.next-vr.FrameID(len(fw.sets)) {
+		return objset.Set{}, false
+	}
+	return *fw.slot(fid), true
+}
+
 // Metrics counts the work a generator performed; used by the experiment
 // harness to explain performance differences.
+//
+// Intersections counts every object-set operation between a state and
+// the arriving frame, once each: an intersection with the frame's object
+// set, and for SSG also each test of a state against the frame's
+// arrivals (the objects the previous frame lacked), which is what decides
+// whether a subtree is entered. StatesVisited counts the states on which
+// the per-frame maintenance step ran — for Naive and MFS every live
+// state, for SSG the states the previous frame folded plus the states an
+// arrival test let through; a state an arrival test turned away is
+// counted in Intersections only.
 type Metrics struct {
 	FramesProcessed  int
 	StatesCreated    int
 	StatesPruned     int   // removed because invalid (marks expired) or empty
 	StatesTerminated int   // dropped by the §5.3 strategy
-	Intersections    int64 // object-set intersections computed
-	StatesVisited    int64 // states touched across all frames
+	Intersections    int64 // object-set operations against the frame or its arrivals
+	StatesVisited    int64 // states maintained across all frames
 }
 
 // emitter applies the duration check and the exact maximality filter
@@ -486,6 +566,7 @@ func (p *statePool) get() *State {
 func (p *statePool) put(s *State) {
 	s.Objects = objset.Set{}
 	s.frames.entries = s.frames.entries[:0]
+	s.frames.head = 0
 	s.frames.marks = 0
 	s.extra = objset.Set{}
 	s.hasExtra = false

@@ -26,9 +26,9 @@ type table struct {
 	live   int
 
 	// window buffers the object set of each live frame; the marking rule
-	// consults it when folding a parent's frames into a new state.
-	window  map[vr.FrameID]objset.Set
-	next    vr.FrameID
+	// consults it when folding a parent's frames into a new state. It also
+	// numbers the frames: window.next is the id Process expects.
+	window  frameWindow
 	metrics Metrics
 
 	// Reusable per-frame scratch.
@@ -49,7 +49,7 @@ func newTable(cfg Config, useMarks bool) *table {
 		cfg:      cfg,
 		useMarks: useMarks,
 		intern:   objset.NewInterner(),
-		window:   make(map[vr.FrameID]objset.Set),
+		window:   newFrameWindow(cfg.Window),
 		pendIdx:  make(map[objset.Handle]int32),
 	}
 }
@@ -101,17 +101,11 @@ type pending struct {
 //tvq:noalloc
 //tvq:ephemeral
 func (t *table) Process(f vr.Frame) []*State {
-	if f.FID != t.next {
+	if f.FID != t.window.next {
 		panic("core: frames must be processed in order starting at 0")
 	}
-	t.next++
 	t.metrics.FramesProcessed++
 	minFID := f.FID - vr.FrameID(t.cfg.Window) + 1
-	for fid := range t.window {
-		if fid < minFID {
-			delete(t.window, fid)
-		}
-	}
 	// The window buffer outlives this call, so a borrowed frame must be
 	// cloned: its storage belongs to the caller (a live ingest loop may
 	// reuse its buffers for the next frame). Clone also picks the
@@ -119,8 +113,7 @@ func (t *table) Process(f vr.Frame) []*State {
 	// state this frame spawns inherits it. An Owned frame transfers its
 	// storage to us, so Compact suffices — it densifies when profitable
 	// and is otherwise free.
-	fo := retainObjects(f)
-	t.window[f.FID] = fo
+	fo := t.window.push(f)
 
 	// Phase 1: slide the window — expire old frames, drop dead states.
 	// MFS additionally drops states whose marked frames all expired
@@ -191,8 +184,11 @@ func (t *table) Process(f vr.Frame) []*State {
 		s.Objects = t.intern.Of(p.h)
 		t.setState(p.h, s)
 		t.metrics.StatesCreated++
-		for _, fid := range t.unionFids(p.parents) {
-			t.fold(s, fid, t.window[fid])
+		fids := t.unionFids(p.parents)
+		s.frames.reserve(len(fids)+1, t.cfg.Window)
+		for _, fid := range fids {
+			of, _ := t.window.at(fid)
+			t.fold(s, fid, of)
 		}
 		t.fold(s, f.FID, fo)
 	}
@@ -247,14 +243,14 @@ func (t *table) fold(s *State, fid vr.FrameID, of objset.Set) {
 func (t *table) unionFids(states []*State) []vr.FrameID {
 	out := t.fidsBuf[:0]
 	if len(states) == 1 {
-		for _, e := range states[0].frames.entries {
+		for _, e := range states[0].frames.live() {
 			out = append(out, e.fid)
 		}
 		t.fidsBuf = out[:0]
 		return out
 	}
 	for _, s := range states {
-		other := s.frames.entries
+		other := s.frames.live()
 		if len(out) == 0 {
 			for _, e := range other {
 				out = append(out, e.fid)

@@ -386,6 +386,158 @@ func TestDifferentialSessionStrategies(t *testing.T) {
 	}
 }
 
+// flickerSessionTrace builds a temporally coherent trace through the
+// public API, the shape real video has and randomSessionTrace (a fifth
+// of the objects leave and a quarter enter on every frame) does not:
+// objects persist, drop out for one to three frames and return, the
+// scene holds still for stretches, and now and then a frame is empty.
+// Most frames bring no object their predecessor lacked. It also returns
+// a frame count to cut at: the end of the longest run of such frames.
+func flickerSessionTrace(t *testing.T, rng *rand.Rand) (*tvq.Trace, int64) {
+	t.Helper()
+	reg := tvq.StandardRegistry()
+	frames := 80 + rng.Intn(80)
+	nobjects := 5 + rng.Intn(6)
+	object := make([]tvq.Tuple, nobjects)
+	for id := range object {
+		object[id] = tvq.Tuple{ID: uint32(id + 1), Class: reg.Class(diffClasses[rng.Intn(len(diffClasses))])}
+	}
+	present := make([]bool, nobjects)
+	hidden := make([]int, nobjects)
+	shown := make([]bool, nobjects) // in the previous frame
+	var tuples []tvq.Tuple
+	freeze, run, best, cut := 0, 0, 0, int64(frames/2)
+	for fid := int64(0); fid < int64(frames); fid++ {
+		switch {
+		case freeze > 0:
+			freeze--
+		case rng.Intn(10) == 0:
+			freeze = 2 + rng.Intn(8)
+		default:
+			for id := range present {
+				switch {
+				case hidden[id] > 0:
+					hidden[id]--
+				case !present[id]:
+					present[id] = rng.Intn(8) == 0
+				case rng.Intn(20) == 0:
+					present[id] = false
+				case rng.Intn(10) == 0:
+					hidden[id] = 1 + rng.Intn(3)
+				}
+			}
+		}
+		blackout := rng.Intn(30) == 0
+		arrival, any := false, false
+		for id := range present {
+			show := present[id] && hidden[id] == 0 && !blackout
+			if show {
+				tuples = append(tuples, tvq.Tuple{FID: fid, ID: object[id].ID, Class: object[id].Class})
+				arrival = arrival || !shown[id]
+				any = true
+			}
+			shown[id] = show
+		}
+		if run++; arrival || !any {
+			run = 0
+		}
+		if run > best && fid+1 < int64(frames) {
+			best, cut = run, fid+1
+		}
+	}
+	tr, err := tvq.NewTraceFromTuples(tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr, min(cut, int64(tr.Len())-1)
+}
+
+// TestDifferentialSessionFlicker is the cross-strategy harness on
+// coherent feeds: Naive, MFS and SSG sessions, single-engine and on both
+// pool kinds, must write the same JSONL bytes to a subscription's sink
+// and return the same matches — and so must an SSG session snapshotted
+// and resumed at the end of the trace's longest run of frames without an
+// arrival, where the resumed generator's first frame rests entirely on
+// the list of nodes the snapshot does not carry.
+func TestDifferentialSessionFlicker(t *testing.T) {
+	methods := []tvq.Method{tvq.MethodNaive, tvq.MethodMFS, tvq.MethodSSG}
+	matched := 0
+	for i := 0; i < 10; i++ {
+		seed := int64(9100 + i)
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			tr, cut := flickerSessionTrace(t, rng)
+			base := []tvq.Query{
+				randomCondQuery(rng, 1, 2+rng.Intn(10)),
+				randomCondQuery(rng, 2, 12+rng.Intn(30)),
+			}
+			subQ := randomCondQuery(rng, 50, 5+rng.Intn(25))
+
+			// run drives one session over the trace, snapshotting and
+			// resuming at resumeAt (never, when negative).
+			run := func(method tvq.Method, opts []tvq.Option, resumeAt int64) (string, []byte) {
+				t.Helper()
+				var sink bytes.Buffer
+				s, err := tvq.Open(nil, append([]tvq.Option{tvq.WithQueries(base...), tvq.WithMethod(method)}, opts...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Subscribe(subQ, tvq.WithSink(tvq.NewJSONLSink(&sink))); err != nil {
+					t.Fatal(err)
+				}
+				got := make(map[int][]string) // per query: a pool orders a frame's matches by group
+				for _, f := range tr.Frames() {
+					if f.FID == resumeAt {
+						var snap bytes.Buffer
+						if err := s.Snapshot(&snap); err != nil {
+							t.Fatal(err)
+						}
+						s.Close()
+						s, err = tvq.Resume(nil, &snap, tvq.WithSubscriptionSinks(func(tvq.Query) tvq.Sink {
+							return tvq.NewJSONLSink(&sink)
+						}))
+						if err != nil {
+							t.Fatalf("Resume: %v", err)
+						}
+					}
+					ms, err := s.ProcessFrame(f)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, m := range ms {
+						got[m.QueryID] = append(got[m.QueryID], shiftedKey(f.FID, m, 0))
+					}
+				}
+				s.Close()
+				return fmt.Sprint(got), sink.Bytes()
+			}
+
+			refMatches, refSink := run(tvq.MethodNaive, nil, -1)
+			check := func(name string, matches string, sink []byte) {
+				t.Helper()
+				if matches != refMatches {
+					t.Errorf("%s: matches diverge from single/%s\nrepro: go test -run 'TestDifferentialSessionFlicker/seed=%d' .", name, methods[0], seed)
+				}
+				if !bytes.Equal(sink, refSink) {
+					t.Errorf("%s: sink bytes diverge from single/%s (%d vs %d bytes)", name, methods[0], len(sink), len(refSink))
+				}
+			}
+			for _, kind := range sessionKinds {
+				for _, method := range methods {
+					matches, sink := run(method, kind.opts, -1)
+					check(fmt.Sprintf("%s/%s", kind.name, method), matches, sink)
+				}
+				matches, sink := run(tvq.MethodSSG, kind.opts, cut)
+				check(fmt.Sprintf("%s/%s resumed at %d", kind.name, tvq.MethodSSG, cut), matches, sink)
+			}
+			matched += len(refSink)
+		})
+	}
+	if matched == 0 {
+		t.Fatal("no generated workload produced any match; harness is vacuous")
+	}
+}
+
 // TestSessionSubscribeFirst pins the open-session-then-Subscribe-first
 // flow, single and pooled: a session opened with no queries processes
 // frames (matching nothing, panicking nowhere), a mid-stream Subscribe
