@@ -78,13 +78,9 @@ func runPool(queries []cnf.Query, popts engine.PoolOptions, frames []engine.Feed
 		return 0, err
 	}
 	defer p.Close()
-	batch := popts.Batch
-	if batch <= 0 {
-		batch = engine.DefaultBatch
-	}
 	matches := 0
-	for lo := 0; lo < len(frames); lo += batch {
-		hi := lo + batch
+	for lo := 0; lo < len(frames); lo += engine.DefaultBatch {
+		hi := lo + engine.DefaultBatch
 		if hi > len(frames) {
 			hi = len(frames)
 		}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -283,44 +282,6 @@ func TestIdentityQueriesWithPruning(t *testing.T) {
 		if len(a) != len(b) {
 			t.Fatalf("frame %d: pruning changed results (%d vs %d)", f.FID, len(a), len(b))
 		}
-	}
-}
-
-func TestStream(t *testing.T) {
-	eng, err := New([]cnf.Query{mkQuery(t, 1, "person >= 1", 10, 5)}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames := make(chan vr.Frame)
-	go func() {
-		defer close(frames)
-		for _, f := range steadyFeed(25) {
-			frames <- f
-		}
-	}()
-	got := 0
-	for r := range eng.Stream(context.Background(), frames) {
-		if len(r.Matches) == 0 {
-			t.Fatal("empty stream result")
-		}
-		got++
-	}
-	if got == 0 {
-		t.Fatal("stream produced nothing")
-	}
-}
-
-func TestStreamCancellation(t *testing.T) {
-	eng, _ := New([]cnf.Query{mkQuery(t, 1, "person >= 1", 10, 1)}, Options{})
-	ctx, cancel := context.WithCancel(context.Background())
-	frames := make(chan vr.Frame)
-	out := eng.Stream(ctx, frames)
-	feed := steadyFeed(1000)
-	frames <- feed[0]
-	cancel()
-	// The goroutine must terminate and close the channel even though the
-	// producer stops sending.
-	for range out {
 	}
 }
 

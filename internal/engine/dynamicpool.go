@@ -9,10 +9,10 @@ import (
 
 // Pool-level dynamic query registration. Like Pool.Snapshot and
 // Pool.StateCount, these methods read and mutate worker-owned engines,
-// so they must be called only between ProcessBatch calls (or while no
-// stream is active): the dispatcher's done.Wait() on the previous batch
-// and the job send of the next one provide the happens-before edges
-// that make the mutation safe without locks.
+// so they must be called only between ProcessBatch calls: the
+// dispatcher's done.Wait() on the previous batch and the job send of
+// the next one provide the happens-before edges that make the mutation
+// safe without locks.
 
 // AddQuery registers a query on every engine of a running pool.
 //

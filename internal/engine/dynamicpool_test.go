@@ -300,12 +300,12 @@ func TestPoolSnapshotWithDynamicQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 		pool.Close()
-		restored, err := RestorePool(&buf, PoolOptions{})
+		restored, err := Restore(&buf, PoolOptions{})
 		if err != nil {
-			t.Fatalf("mode %d: RestorePool: %v", mode, err)
+			t.Fatalf("mode %d: Restore: %v", mode, err)
 		}
 		for _, f := range tr.Frames()[cut:] {
-			collect(restored.ProcessBatch([]FeedFrame{{Frame: f}}))
+			collect(restored.Process([]FeedFrame{{Frame: f}}))
 		}
 		restored.Close()
 

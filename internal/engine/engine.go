@@ -96,7 +96,6 @@ type group struct {
 // Engine evaluates a fixed set of CNF temporal queries over a video feed.
 type Engine struct {
 	opts    Options
-	reg     *vr.Registry
 	groups  []*group
 	classOf func(objset.ID) vr.Class
 	classes map[objset.ID]vr.Class
@@ -146,7 +145,6 @@ func New(queries []cnf.Query, opts Options) (*Engine, error) {
 
 	e := &Engine{
 		opts:    opts,
-		reg:     opts.Registry,
 		classes: make(map[objset.ID]vr.Class),
 	}
 	e.classOf = func(id objset.ID) vr.Class { return e.classes[id] }
@@ -307,18 +305,6 @@ type FrameResult struct {
 	Matches []query.Match
 }
 
-// Run processes an entire trace and returns the frames that produced at
-// least one match.
-func (e *Engine) Run(t *vr.Trace) []FrameResult {
-	var out []FrameResult
-	for _, f := range t.Frames() {
-		if ms := e.ProcessFrame(f); len(ms) > 0 {
-			out = append(out, FrameResult{FID: f.FID, Matches: ms})
-		}
-	}
-	return out
-}
-
 // StateCount reports the total number of live states across all window
 // groups, for instrumentation.
 func (e *Engine) StateCount() int {
@@ -334,8 +320,9 @@ func (e *Engine) Groups() int { return len(e.groups) }
 
 // NextFID returns the id of the next frame the engine expects — equal to
 // the number of feed frames processed so far. After a snapshot restore
-// it tells the caller where to resume the feed.
-func (e *Engine) NextFID() vr.FrameID { return e.next }
+// it tells the caller where to resume the feed. An engine serves one
+// feed, so the argument is ignored.
+func (e *Engine) NextFID(FeedID) vr.FrameID { return e.next }
 
 // Method returns the state maintenance strategy the engine runs.
 func (e *Engine) Method() Method { return e.opts.Method }

@@ -20,7 +20,6 @@ var (
 
 	// ErrSnapshotMismatch reports a snapshot that is internally valid but
 	// disagrees with the caller's restore options or expectations —
-	// wrong state kind, method, registry, worker count, shard mode or
-	// batch size.
+	// wrong state kind, method, registry, worker count or shard mode.
 	ErrSnapshotMismatch = errors.New("snapshot mismatch")
 )

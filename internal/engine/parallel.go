@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -25,7 +24,7 @@ type FeedFrame struct {
 
 // FeedResult couples one processed frame with its matches. Pools deliver
 // results in ingestion order (the order frames were passed to
-// ProcessBatch or arrived on the stream channel).
+// ProcessBatch).
 type FeedResult struct {
 	Feed    FeedID
 	FID     vr.FrameID
@@ -50,38 +49,39 @@ const (
 	ShardByGroup
 )
 
-// PoolOptions configures a Pool.
+// PoolOptions configures a Pool and, through Open and Restore, says
+// whether there is to be a pool at all.
 type PoolOptions struct {
 	// Workers is the number of worker goroutines (and engine shards);
-	// default runtime.GOMAXPROCS(0).
+	// default runtime.GOMAXPROCS(0). To Restore, zero means "as
+	// recorded".
 	Workers int
 	// Mode selects feed sharding (default, multi-camera) or window-group
 	// sharding (single feed, many queries).
 	Mode ShardMode
-	// Batch is the maximum number of frames Stream gathers before
-	// dispatching to the workers, amortizing channel overhead; default
-	// 64. ProcessBatch dispatches whatever it is given.
-	Batch int
+	// Sharded marks Mode as the caller's explicit choice rather than the
+	// zero value: Open then builds a pool even for a single worker, and
+	// Restore refuses a bare engine's snapshot. NewPool ignores it.
+	Sharded bool
 	// Engine configures every engine the pool creates.
 	Engine Options
 }
 
-// DefaultBatch is the stream batch size when PoolOptions.Batch is zero.
+// DefaultBatch is how many frames callers that batch on their own
+// (Session.Run, Session.Stream) hand to one Process call by default.
 const DefaultBatch = 64
 
 // Pool runs N independent engines in parallel over a multi-feed frame
 // stream. The engines stay single-writer (each is owned by exactly one
 // worker goroutine); the pool shards frames across them and merges
 // per-shard results back into ingestion order. A Pool is itself
-// single-caller: do not invoke ProcessBatch or Stream concurrently.
+// single-caller: do not invoke ProcessBatch concurrently.
 type Pool struct {
 	opts    PoolOptions
 	queries []cnf.Query
 	shared  *poolWorkerShared
 	workers []*poolWorker
 	wg      sync.WaitGroup
-	streams sync.WaitGroup
-	done    chan struct{}
 	closed  bool
 }
 
@@ -133,9 +133,6 @@ func buildPool(queries []cnf.Query, opts PoolOptions) (*Pool, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Batch <= 0 {
-		opts.Batch = DefaultBatch
-	}
 	if opts.Mode != ShardByFeed && opts.Mode != ShardByGroup {
 		return nil, fmt.Errorf("engine: unknown shard mode %d", opts.Mode)
 	}
@@ -150,7 +147,7 @@ func buildPool(queries []cnf.Query, opts PoolOptions) (*Pool, error) {
 		}
 	}
 
-	p := &Pool{opts: opts, queries: queries, done: make(chan struct{})}
+	p := &Pool{opts: opts, queries: queries}
 	shared := &poolWorkerShared{mode: opts.Mode, queries: queries, engOpts: opts.Engine}
 	p.shared = shared
 
@@ -193,7 +190,7 @@ func buildPool(queries []cnf.Query, opts PoolOptions) (*Pool, error) {
 // shard holds which groups, and dynamic registration may have placed
 // them where fresh partitioning would not.
 func newPoolShell(queries []cnf.Query, opts PoolOptions) *Pool {
-	p := &Pool{opts: opts, queries: queries, done: make(chan struct{})}
+	p := &Pool{opts: opts, queries: queries}
 	p.shared = &poolWorkerShared{mode: opts.Mode, queries: queries, engOpts: opts.Engine}
 	for i := 0; i < opts.Workers; i++ {
 		w := &poolWorker{pool: p.shared, in: make(chan *poolJob, 1)}
@@ -310,11 +307,8 @@ func (p *Pool) ProcessBatch(frames []FeedFrame) []FeedResult {
 	if len(frames) == 0 {
 		return nil
 	}
-	// No closed-pool guard here: an active Stream goroutine may be inside
-	// ProcessBatch while Close runs its first phase, and that is safe —
-	// Close only tears the workers down after the stream exits. Calling
-	// ProcessBatch after Close returns is caller error and panics on the
-	// closed worker channels.
+	// No closed-pool guard: calling ProcessBatch after Close is caller
+	// error and panics on the closed worker channels.
 	switch p.opts.Mode {
 	case ShardByFeed:
 		return p.processByFeed(frames)
@@ -392,80 +386,12 @@ func assemble(frames []FeedFrame, matches [][]query.Match) []FeedResult {
 	return out
 }
 
-// Stream consumes frames from a channel and delivers one FeedResult per
-// frame that produced matches, in ingestion order, until the input
-// closes, the context is cancelled, or the pool is closed. The returned
-// channel is closed when streaming ends. Frames are gathered into
-// batches of up to PoolOptions.Batch before dispatch: under load the
-// pool amortizes per-frame channel overhead; when the input is idle
-// each frame is processed as it arrives. The pool must not be used by
-// other goroutines while a stream is active; abandoning the output
-// channel mid-stream is safe as long as the context is eventually
-// cancelled or Close is called.
-func (p *Pool) Stream(ctx context.Context, in <-chan FeedFrame) <-chan FeedResult {
-	out := make(chan FeedResult)
-	p.streams.Add(1)
-	go func() {
-		defer p.streams.Done()
-		defer close(out)
-		emit := func(batch []FeedFrame) bool {
-			for _, r := range p.ProcessBatch(batch) {
-				select {
-				case <-ctx.Done():
-					return false
-				case <-p.done:
-					return false
-				case out <- r:
-				}
-			}
-			return true
-		}
-		batch := make([]FeedFrame, 0, p.opts.Batch)
-		for {
-			batch = batch[:0]
-			select {
-			case <-ctx.Done():
-				return
-			case <-p.done:
-				return
-			case ff, ok := <-in:
-				if !ok {
-					return
-				}
-				batch = append(batch, ff)
-			}
-			// Opportunistically top the batch up with whatever is already
-			// queued, without blocking for more input.
-		fill:
-			for len(batch) < p.opts.Batch {
-				select {
-				case <-ctx.Done():
-					return
-				case <-p.done:
-					return
-				case ff, ok := <-in:
-					if !ok {
-						emit(batch)
-						return
-					}
-					batch = append(batch, ff)
-				default:
-					break fill
-				}
-			}
-			if !emit(batch) {
-				return
-			}
-		}
-	}()
-	return out
-}
-
 // Workers returns the number of engine shards in the pool.
 func (p *Pool) Workers() int { return len(p.workers) }
 
-// Mode returns the pool's shard mode.
-func (p *Pool) Mode() ShardMode { return p.opts.Mode }
+// MultiFeed reports whether the pool accepts feeds other than 0: only
+// ShardByFeed does, ShardByGroup spreads one feed's window groups.
+func (p *Pool) MultiFeed() bool { return p.opts.Mode == ShardByFeed }
 
 // Method returns the state maintenance strategy the pool's engines run.
 func (p *Pool) Method() Method {
@@ -491,7 +417,7 @@ func (p *Pool) Queries() []cnf.Query {
 
 // StateCount reports the total number of live states across every engine
 // in the pool, for instrumentation. Call it only between ProcessBatch
-// calls (or after the stream ends); it reads worker-owned engines.
+// calls; it reads worker-owned engines.
 func (p *Pool) StateCount() int {
 	n := 0
 	for _, w := range p.workers {
@@ -505,17 +431,13 @@ func (p *Pool) StateCount() int {
 	return n
 }
 
-// Close ends any active stream, then shuts down the worker goroutines.
-// The pool must not be used afterwards; Close is idempotent.
+// Close shuts down the worker goroutines and returns once they have
+// exited. The pool must not be used afterwards; Close is idempotent.
 func (p *Pool) Close() {
 	if p.closed {
 		return
 	}
 	p.closed = true
-	// Unblock a stream goroutine parked on its output channel (or its
-	// input) and wait for it before tearing down the workers it uses.
-	close(p.done)
-	p.streams.Wait()
 	for _, w := range p.workers {
 		close(w.in)
 	}

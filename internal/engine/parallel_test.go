@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -102,7 +101,13 @@ func singleEngineResults(t *testing.T, tr *vr.Trace, qs []cnf.Query, opts Option
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng.Run(tr)
+	var out []FrameResult
+	for _, f := range tr.Frames() {
+		if ms := eng.ProcessFrame(f); len(ms) > 0 {
+			out = append(out, FrameResult{FID: f.FID, Matches: ms})
+		}
+	}
+	return out
 }
 
 func resultKeys(ms []query.Match) []string {
@@ -230,88 +235,7 @@ func TestPoolFeedModeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPoolStreamDeliversInOrder: the streaming front-end must produce the
-// same results as ProcessBatch, in order, and close its output when the
-// input closes.
-func TestPoolStreamDeliversInOrder(t *testing.T) {
-	tr := smallTrace(t, 41)
-	qs := poolQueries(t)
-	want := singleEngineResults(t, tr, qs, Options{})
-
-	p, err := NewPool(qs, PoolOptions{Workers: 3, Mode: ShardByGroup, Batch: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	in := make(chan FeedFrame)
-	go func() {
-		defer close(in)
-		for _, f := range tr.Frames() {
-			in <- FeedFrame{Frame: f}
-		}
-	}()
-
-	var got []FeedResult
-	for r := range p.Stream(context.Background(), in) {
-		got = append(got, r)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("stream produced %d matching frames, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].FID != want[i].FID {
-			t.Fatalf("stream result %d: fid %d, want %d", i, got[i].FID, want[i].FID)
-		}
-		if !reflect.DeepEqual(resultKeys(got[i].Matches), resultKeys(want[i].Matches)) {
-			t.Fatalf("stream frame %d: matches differ", got[i].FID)
-		}
-	}
-}
-
-// TestPoolStreamCancel: cancelling the context must end the stream
-// promptly — output channel closed, no worker wedged — even while the
-// producer keeps offering frames.
-func TestPoolStreamCancel(t *testing.T) {
-	tr := smallTrace(t, 43)
-	qs := poolQueries(t)
-	p, err := NewPool(qs, PoolOptions{Workers: 2, Mode: ShardByFeed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan FeedFrame)
-	producerDone := make(chan struct{})
-	go func() {
-		defer close(producerDone)
-		for i := 0; ; i++ {
-			f := tr.Frame(i % tr.Len())
-			f.FID = vr.FrameID(i)
-			select {
-			case in <- FeedFrame{Frame: f}:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	out := p.Stream(ctx, in)
-	n := 0
-	for range out {
-		n++
-		if n == 3 {
-			cancel()
-		}
-	}
-	// Output closed after cancel; producer unblocks via the same context.
-	<-producerDone
-	cancel()
-}
-
-// TestPoolGoroutineHygiene: Close must reap every worker goroutine and a
-// finished stream must not leave a merger behind.
+// TestPoolGoroutineHygiene: Close must reap every worker goroutine.
 func TestPoolGoroutineHygiene(t *testing.T) {
 	qs := poolQueries(t)
 	tr := smallTrace(t, 47)
@@ -322,14 +246,9 @@ func TestPoolGoroutineHygiene(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		in := make(chan FeedFrame)
-		go func() {
-			defer close(in)
-			for _, f := range tr.Frames() {
-				in <- FeedFrame{Frame: f}
-			}
-		}()
-		for range p.Stream(context.Background(), in) {
+		// Every worker gets a feed, so every goroutine has run a job.
+		for _, f := range tr.Frames() {
+			p.ProcessBatch([]FeedFrame{{Feed: 0, Frame: f}, {Feed: 1, Frame: f}, {Feed: 2, Frame: f}, {Feed: 3, Frame: f}})
 		}
 		p.Close()
 	}
@@ -343,44 +262,6 @@ func TestPoolGoroutineHygiene(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
-}
-
-// TestPoolCloseEndsAbandonedStream: a caller that breaks out of the
-// result loop without cancelling the context must still get a clean
-// teardown from Close — the stream goroutine parked on the unread
-// output channel is released, nothing leaks, nothing panics.
-func TestPoolCloseEndsAbandonedStream(t *testing.T) {
-	tr := smallTrace(t, 67)
-	qs := poolQueries(t)
-	before := runtime.NumGoroutine()
-
-	p, err := NewPool(qs, PoolOptions{Workers: 2, Mode: ShardByFeed, Batch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := make(chan FeedFrame, tr.Len())
-	for _, f := range tr.Frames() {
-		in <- FeedFrame{Frame: f}
-	}
-	close(in)
-	out := p.Stream(context.Background(), in)
-	n := 0
-	for range out {
-		if n++; n == 2 {
-			break // abandon the stream, context never cancelled
-		}
-	}
-	p.Close()
-
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		runtime.Gosched()
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("abandoned stream leaked goroutines: %d before, %d after", before, runtime.NumGoroutine())
 }
 
 // TestNewPoolErrorLeavesNoWorkers: a shard whose engine construction

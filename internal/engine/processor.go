@@ -7,11 +7,15 @@ import (
 	"tvq/internal/vr"
 )
 
-// Processor is the unified execution contract behind the tvq Session
-// facade: one implementation runs a single engine, the other a parallel
-// pool, and callers cannot tell them apart. All methods follow the
-// single-caller discipline of the underlying types — invoke them from
-// one goroutine, never concurrently with Process.
+// Processor is the one seam between the tvq Session facade and query
+// execution. It has exactly two implementations — *Engine, which runs
+// frames inline on the caller's goroutine, and *Pool, which shards them
+// across worker goroutines — and callers cannot tell them apart: Open
+// and Restore decide which one a configuration or a snapshot calls for,
+// and everything a caller may ask about the shape afterwards (Workers,
+// MultiFeed) is a method here. All methods follow the single-caller
+// discipline of the underlying types — invoke them from one goroutine,
+// never concurrently with Process.
 type Processor interface {
 	// Process runs one batch of frames and returns the frames that
 	// produced at least one match, in ingestion order. Results are
@@ -42,6 +46,14 @@ type Processor interface {
 	// StateCount reports live states across all shards, for
 	// instrumentation.
 	StateCount() int
+	// Workers returns the number of engine shards frames are spread
+	// over; one for a bare engine.
+	Workers() int
+	// MultiFeed reports whether Process accepts frames of feeds other
+	// than 0. When false, passing one is a caller bug the processor
+	// does not promise to catch; callers holding outside input check
+	// first.
+	MultiFeed() bool
 	// NextFID returns the id of the next frame expected for feed.
 	NextFID(feed FeedID) vr.FrameID
 	// Snapshot serializes complete processor state to w.
@@ -50,39 +62,54 @@ type Processor interface {
 	Close()
 }
 
-// Compile-time checks that both execution strategies satisfy the
-// contract.
+// Compile-time checks that both execution shapes satisfy the contract.
 var (
-	_ Processor = Single{}
+	_ Processor = (*Engine)(nil)
 	_ Processor = (*Pool)(nil)
 )
 
-// Single adapts an Engine to the Processor contract for a one-feed
-// deployment: frames must belong to feed 0 and arrive in frame-id
-// order, exactly as Engine.ProcessFrame demands.
-type Single struct{ *Engine }
+// Open builds the processor opts describes: a pool when more than one
+// worker or an explicit shard mode is asked for, a bare engine
+// otherwise.
+func Open(queries []cnf.Query, opts PoolOptions) (Processor, error) {
+	if opts.Workers > 1 || opts.Sharded {
+		p, err := NewPool(queries, opts)
+		if err != nil {
+			return nil, err
+		}
+		return p, nil
+	}
+	e, err := New(queries, opts.Engine)
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
+}
 
-// Process runs the batch through the wrapped engine, frame by frame.
-func (s Single) Process(frames []FeedFrame) []FeedResult {
+// Process runs the batch through the engine, frame by frame, on the
+// caller's goroutine: frames must belong to feed 0 and arrive in
+// frame-id order, exactly as ProcessFrame demands.
+func (e *Engine) Process(frames []FeedFrame) []FeedResult {
 	var out []FeedResult
 	for _, ff := range frames {
 		if ff.Feed != 0 {
-			panic("engine: single-engine processor serves feed 0 only")
+			panic("engine: a bare engine serves feed 0 only")
 		}
-		if ms := s.Engine.ProcessFrame(ff.Frame); len(ms) > 0 {
+		if ms := e.ProcessFrame(ff.Frame); len(ms) > 0 {
 			out = append(out, FeedResult{Feed: 0, FID: ff.Frame.FID, Matches: ms})
 		}
 	}
 	return out
 }
 
-// NextFID returns the engine's feed cursor; the feed argument exists to
-// satisfy the Processor contract and is ignored (a Single serves only
-// feed 0).
-func (s Single) NextFID(FeedID) vr.FrameID { return s.Engine.NextFID() }
+// Workers is one: the engine is its own only shard.
+func (e *Engine) Workers() int { return 1 }
+
+// MultiFeed is false: an engine serves feed 0.
+func (e *Engine) MultiFeed() bool { return false }
 
 // Close is a no-op: a bare engine owns no goroutines.
-func (s Single) Close() {}
+func (e *Engine) Close() {}
 
 // Process is ProcessBatch under the Processor contract's name.
 func (p *Pool) Process(frames []FeedFrame) []FeedResult { return p.ProcessBatch(frames) }

@@ -115,8 +115,8 @@ func TestEmptyTraceRoundTrips(t *testing.T) {
 			t.Fatal(err)
 		}
 		restored := snapshotRoundTrip(t, eng)
-		if restored.NextFID() != 0 {
-			t.Fatalf("%s: restored empty engine at frame %d", method, restored.NextFID())
+		if restored.NextFID(0) != 0 {
+			t.Fatalf("%s: restored empty engine at frame %d", method, restored.NextFID(0))
 		}
 		tr := smallTrace(t, 77)
 		want := flatRun(t, tr, qs, Options{Method: method})

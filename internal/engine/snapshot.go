@@ -30,8 +30,8 @@ const (
 )
 
 // Snapshot serializes the engine's complete state to w. The engine must
-// be quiescent (no concurrent ProcessFrame or active Stream); the engine
-// is not mutated and may continue processing afterwards.
+// be quiescent (no concurrent ProcessFrame); the engine is not mutated
+// and may continue processing afterwards.
 func (e *Engine) Snapshot(w io.Writer) error {
 	var sw snapshot.Writer
 	sw.String(payloadEngine)
@@ -41,41 +41,111 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	return snapshot.Write(w, sw.Bytes())
 }
 
-// Restore reconstructs an engine from a snapshot written by
-// Engine.Snapshot. Recorded options win; opts supplies the registry to
-// share with the caller's codecs (it must agree with the recorded class
-// names) and, when opts.Method is non-empty, a cross-check against the
-// recorded method. A corrupted, truncated or version-mismatched stream
-// returns a descriptive error.
-func Restore(r io.Reader, opts Options) (*Engine, error) {
-	payload, err := snapshot.Read(r)
+// Restore reconstructs the processor a snapshot holds — an engine from
+// Engine.Snapshot, a pool from Pool.Snapshot; the stream records which.
+// Recorded state wins; opts cross-checks it, and a disagreement is an
+// ErrSnapshotMismatch: a worker count above one or an explicit shard
+// mode against an engine snapshot, a different worker count or shard
+// mode against a pool's, a non-empty Engine.Method against the recorded
+// one. opts.Engine.Registry, when set, is shared with the restored
+// engines (its class names must agree with the recording), and
+// opts.Engine.Observe is installed on them. A corrupted, truncated or
+// version-mismatched stream returns a descriptive error.
+func Restore(r io.Reader, opts PoolOptions) (Processor, error) {
+	kind, sr, err := snapshot.ReadKind(r)
 	if err != nil {
 		return nil, err
 	}
-	sr := snapshot.NewReader(payload)
-	kind := sr.String()
+	switch kind {
+	case payloadEngine:
+		if opts.Workers > 1 {
+			return nil, fmt.Errorf("engine: %w: snapshot holds a single engine; cannot restore with %d workers", ErrSnapshotMismatch, opts.Workers)
+		}
+		if opts.Sharded {
+			return nil, fmt.Errorf("engine: %w: snapshot holds a single engine; a shard mode does not apply", ErrSnapshotMismatch)
+		}
+		e, err := decodeEngine(sr, opts.Engine)
+		if err != nil {
+			return nil, err
+		}
+		if sr.Remaining() != 0 {
+			return nil, fmt.Errorf("engine: %d trailing bytes after engine state", sr.Remaining())
+		}
+		return e, nil
+	case payloadPool:
+		p, err := decodePool(sr, opts)
+		if err != nil {
+			return nil, err
+		}
+		if sr.Remaining() != 0 {
+			return nil, fmt.Errorf("engine: %d trailing bytes after pool state", sr.Remaining())
+		}
+		p.start()
+		return p, nil
+	}
+	return nil, fmt.Errorf("engine: snapshot holds unknown state kind %q", kind)
+}
+
+// encodeOptions writes the option header engine and pool payloads share:
+// method, pruning, class filter, window mode and the registry's class
+// names. opts must have its defaults filled in.
+func encodeOptions(sw *snapshot.Writer, opts Options) {
+	sw.String(string(opts.Method))
+	sw.Bool(opts.Prune)
+	sw.Bool(opts.KeepAllClasses)
+	sw.Int(int(opts.Windows))
+	names := opts.Registry.Names()
+	sw.Uvarint(uint64(len(names)))
+	for _, n := range names {
+		sw.String(n)
+	}
+}
+
+// decodeOptions reads the header encodeOptions wrote and reconciles it
+// with the caller's options: the recorded method, pruning, class filter
+// and window mode win; want supplies a method to cross-check when
+// non-empty, the registry to share — its names must agree with the
+// recorded ones, further classes registered since are fine — and the
+// observer, which snapshots do not record.
+func decodeOptions(sr *snapshot.Reader, want Options) (Options, error) {
+	method := Method(sr.String())
+	prune := sr.Bool()
+	keepAll := sr.Bool()
+	windows := WindowMode(sr.Int())
+	n := sr.Count(1)
+	names := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		names = append(names, sr.String())
+	}
 	if err := sr.Err(); err != nil {
-		return nil, err
+		return Options{}, err
 	}
-	if kind != payloadEngine {
-		return nil, fmt.Errorf("engine: %w: snapshot holds a %q, not an engine (use RestorePool for pool snapshots)", ErrSnapshotMismatch, kind)
+	switch method {
+	case MethodNaive, MethodMFS, MethodSSG:
+	default:
+		return Options{}, fmt.Errorf("engine: snapshot records unknown method %q", method)
 	}
-	e, err := decodeEngine(sr, opts)
-	if err != nil {
-		return nil, err
+	if windows != Sliding && windows != Tumbling {
+		return Options{}, fmt.Errorf("engine: snapshot records unknown window mode %d", windows)
 	}
-	if sr.Remaining() != 0 {
-		return nil, fmt.Errorf("engine: %d trailing bytes after engine state", sr.Remaining())
+	if want.Method != "" && want.Method != method {
+		return Options{}, fmt.Errorf("engine: %w: snapshot was taken with method %q; cannot restore as %q", ErrSnapshotMismatch, method, want.Method)
 	}
-	return e, nil
+	reg := want.Registry
+	if reg == nil {
+		reg = vr.NewRegistry(names...)
+	} else {
+		for i, name := range names {
+			if got := reg.Name(vr.Class(i)); got != name {
+				return Options{}, fmt.Errorf("engine: %w: registry mismatch: snapshot class %d is %q, supplied registry has %q", ErrSnapshotMismatch, i, name, got)
+			}
+		}
+	}
+	return Options{Method: method, Prune: prune, Registry: reg, KeepAllClasses: keepAll, Windows: windows, Observe: want.Observe}, nil
 }
 
 func (e *Engine) encode(sw *snapshot.Writer) error {
-	sw.String(string(e.opts.Method))
-	sw.Bool(e.opts.Prune)
-	sw.Bool(e.opts.KeepAllClasses)
-	sw.Int(int(e.opts.Windows))
-	encodeRegistry(sw, e.reg)
+	encodeOptions(sw, e.opts)
 	sw.Varint(e.next)
 
 	ids := make([]objset.ID, 0, len(e.classes))
@@ -100,42 +170,12 @@ func (e *Engine) encode(sw *snapshot.Writer) error {
 	return nil
 }
 
-func decodeEngine(sr *snapshot.Reader, opts Options) (*Engine, error) {
-	method := Method(sr.String())
-	prune := sr.Bool()
-	keepAll := sr.Bool()
-	windows := WindowMode(sr.Int())
-	names := decodeRegistry(sr)
-	if err := sr.Err(); err != nil {
+func decodeEngine(sr *snapshot.Reader, want Options) (*Engine, error) {
+	opts, err := decodeOptions(sr, want)
+	if err != nil {
 		return nil, err
 	}
-	switch method {
-	case MethodNaive, MethodMFS, MethodSSG:
-	default:
-		return nil, fmt.Errorf("engine: snapshot records unknown method %q", method)
-	}
-	if windows != Sliding && windows != Tumbling {
-		return nil, fmt.Errorf("engine: snapshot records unknown window mode %d", windows)
-	}
-	if opts.Method != "" && opts.Method != method {
-		return nil, fmt.Errorf("engine: %w: snapshot was taken with method %q; cannot restore as %q", ErrSnapshotMismatch, method, opts.Method)
-	}
-	reg := opts.Registry
-	if reg == nil {
-		reg = vr.NewRegistry(names...)
-	} else {
-		for i, name := range names {
-			if got := reg.Name(vr.Class(i)); got != name {
-				return nil, fmt.Errorf("engine: %w: registry mismatch: snapshot class %d is %q, supplied registry has %q", ErrSnapshotMismatch, i, name, got)
-			}
-		}
-	}
-
-	e := &Engine{
-		opts:    Options{Method: method, Prune: prune, Registry: reg, KeepAllClasses: keepAll, Windows: windows, Observe: opts.Observe},
-		reg:     reg,
-		classes: make(map[objset.ID]vr.Class),
-	}
+	e := &Engine{opts: opts, classes: make(map[objset.ID]vr.Class)}
 	e.classOf = func(id objset.ID) vr.Class { return e.classes[id] }
 	e.next = sr.Varint()
 	if e.next < 0 {
@@ -163,7 +203,7 @@ func decodeEngine(sr *snapshot.Reader, opts Options) (*Engine, error) {
 		if start < 0 || start > e.next {
 			return nil, fmt.Errorf("engine: group %d start %d outside processed range [0, %d]", i, start, e.next)
 		}
-		ev, err := query.NewEvaluator(reg, queries)
+		ev, err := query.NewEvaluator(opts.Registry, queries)
 		if err != nil {
 			return nil, fmt.Errorf("engine: snapshot group %d queries invalid: %w", i, err)
 		}
@@ -175,8 +215,8 @@ func decodeEngine(sr *snapshot.Reader, opts Options) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		if want := generatorName(method); gen.Name() != want {
-			return nil, fmt.Errorf("engine: snapshot group %d holds a %s generator, method %q needs %s", i, gen.Name(), method, want)
+		if want := generatorName(opts.Method); gen.Name() != want {
+			return nil, fmt.Errorf("engine: snapshot group %d holds a %s generator, method %q needs %s", i, gen.Name(), opts.Method, want)
 		}
 		g := &group{window: ev.Window(), eval: ev, gen: gen, start: start}
 		e.setClassFilter(g)
@@ -194,23 +234,6 @@ func generatorName(m Method) string {
 	default:
 		return "SSG"
 	}
-}
-
-func encodeRegistry(sw *snapshot.Writer, reg *vr.Registry) {
-	names := reg.Names()
-	sw.Uvarint(uint64(len(names)))
-	for _, n := range names {
-		sw.String(n)
-	}
-}
-
-func decodeRegistry(sr *snapshot.Reader) []string {
-	n := sr.Count(1)
-	names := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		names = append(names, sr.String())
-	}
-	return names
 }
 
 func encodeQueries(sw *snapshot.Writer, qs []cnf.Query) {
@@ -263,15 +286,17 @@ func decodeQueries(sr *snapshot.Reader) []cnf.Query {
 
 // Snapshot serializes the pool's complete state: options, queries, and
 // every shard engine (per window-group shard, or per feed). Call it only
-// between ProcessBatch calls or after a stream has ended — like
-// StateCount it reads worker-owned engines, which is safe exactly when
-// no batch is in flight.
+// between ProcessBatch calls — like StateCount it reads worker-owned
+// engines, which is safe exactly when no batch is in flight.
 func (p *Pool) Snapshot(w io.Writer) error {
 	var sw snapshot.Writer
 	sw.String(payloadPool)
 	sw.Int(int(p.opts.Mode))
 	sw.Int(len(p.workers))
-	sw.Int(p.opts.Batch)
+	// The slot of a stream batch size pools no longer have. Older builds
+	// refuse a pool payload whose batch is below one, so it keeps a
+	// valid value.
+	sw.Int(DefaultBatch)
 	encodeQueries(&sw, p.queries)
 
 	engOpts := p.opts.Engine
@@ -281,11 +306,7 @@ func (p *Pool) Snapshot(w io.Writer) error {
 	if engOpts.Registry == nil {
 		engOpts.Registry = vr.StandardRegistry()
 	}
-	sw.String(string(engOpts.Method))
-	sw.Bool(engOpts.Prune)
-	sw.Bool(engOpts.KeepAllClasses)
-	sw.Int(int(engOpts.Windows))
-	encodeRegistry(&sw, engOpts.Registry)
+	encodeOptions(&sw, engOpts)
 
 	if p.opts.Mode == ShardByGroup {
 		for _, w := range p.workers {
@@ -316,36 +337,19 @@ func (p *Pool) Snapshot(w io.Writer) error {
 	return snapshot.Write(w, sw.Bytes())
 }
 
-// RestorePool reconstructs a pool from a snapshot written by
-// Pool.Snapshot. The recorded worker count, shard mode and batch size
-// win — they shaped the sharding the engines' state depends on — and
-// non-zero fields of opts that disagree with the recording return a
-// descriptive error. opts.Engine.Registry, when set, is shared with the
-// restored engines after a compatibility check.
-func RestorePool(r io.Reader, opts PoolOptions) (*Pool, error) {
-	payload, err := snapshot.Read(r)
-	if err != nil {
-		return nil, err
-	}
-	sr := snapshot.NewReader(payload)
-	kind := sr.String()
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	if kind != payloadPool {
-		return nil, fmt.Errorf("engine: %w: snapshot holds a %q, not a pool (use Restore for engine snapshots)", ErrSnapshotMismatch, kind)
-	}
-
+// decodePool reads a pool payload after its kind tag and returns the
+// pool with every shard engine installed and no worker running yet; the
+// caller starts it. The recorded worker count and shard mode win — they
+// shaped the sharding the engines' state depends on — and a non-zero
+// opts.Workers or opts.Mode that disagrees with the recording is an
+// ErrSnapshotMismatch.
+func decodePool(sr *snapshot.Reader, opts PoolOptions) (*Pool, error) {
 	mode := ShardMode(sr.Int())
 	workers := sr.Int()
-	batch := sr.Int()
+	batch := sr.Int() // validated like the rest of the layout, then unused
 	queries := decodeQueries(sr)
-	method := Method(sr.String())
-	prune := sr.Bool()
-	keepAll := sr.Bool()
-	windows := WindowMode(sr.Int())
-	names := decodeRegistry(sr)
-	if err := sr.Err(); err != nil {
+	engOpts, err := decodeOptions(sr, opts.Engine)
+	if err != nil {
 		return nil, err
 	}
 	if mode != ShardByFeed && mode != ShardByGroup {
@@ -357,40 +361,21 @@ func RestorePool(r io.Reader, opts PoolOptions) (*Pool, error) {
 	if opts.Workers > 0 && opts.Workers != workers {
 		return nil, fmt.Errorf("engine: %w: snapshot was taken with %d workers; cannot restore with %d", ErrSnapshotMismatch, workers, opts.Workers)
 	}
-	if opts.Batch > 0 && opts.Batch != batch {
-		return nil, fmt.Errorf("engine: %w: snapshot was taken with batch %d; cannot restore with %d", ErrSnapshotMismatch, batch, opts.Batch)
-	}
 	if opts.Mode != mode && opts.Mode != ShardByFeed {
 		return nil, fmt.Errorf("engine: %w: snapshot was taken in shard mode %d; cannot restore in mode %d", ErrSnapshotMismatch, mode, opts.Mode)
-	}
-	if opts.Engine.Method != "" && opts.Engine.Method != method {
-		return nil, fmt.Errorf("engine: %w: snapshot was taken with method %q; cannot restore as %q", ErrSnapshotMismatch, method, opts.Engine.Method)
-	}
-	reg := opts.Engine.Registry
-	if reg == nil {
-		reg = vr.NewRegistry(names...)
-	} else {
-		for i, name := range names {
-			if got := reg.Name(vr.Class(i)); got != name {
-				return nil, fmt.Errorf("engine: %w: registry mismatch: snapshot class %d is %q, supplied registry has %q", ErrSnapshotMismatch, i, name, got)
-			}
-		}
 	}
 
 	// A shell, not buildPool: the snapshot records exactly which shard
 	// holds which engines (dynamic registration can place window groups
 	// where fresh partitioning would not), so the restore installs the
 	// decoded engines into empty workers instead of re-partitioning.
-	p := newPoolShell(queries, PoolOptions{
-		Workers: workers,
-		Mode:    mode,
-		Batch:   batch,
-		Engine:  Options{Method: method, Prune: prune, Registry: reg, KeepAllClasses: keepAll, Windows: windows, Observe: opts.Engine.Observe},
-	})
-
+	p := newPoolShell(queries, PoolOptions{Workers: workers, Mode: mode, Engine: engOpts})
+	// Each shard's own header decides its options; the pool's supplies
+	// only what a header cannot hold.
+	shard := Options{Registry: engOpts.Registry, Observe: engOpts.Observe}
 	if mode == ShardByGroup {
 		for _, w := range p.workers {
-			eng, err := decodeEngine(sr, Options{Registry: reg, Observe: opts.Engine.Observe})
+			eng, err := decodeEngine(sr, shard)
 			if err != nil {
 				return nil, err
 			}
@@ -408,17 +393,13 @@ func RestorePool(r io.Reader, opts PoolOptions) (*Pool, error) {
 				return nil, fmt.Errorf("engine: snapshot records feed %d twice", feed)
 			}
 			seen[feed] = true
-			eng, err := decodeEngine(sr, Options{Registry: reg, Observe: opts.Engine.Observe})
+			eng, err := decodeEngine(sr, shard)
 			if err != nil {
 				return nil, err
 			}
 			p.workers[p.shardOf(feed)].feeds[feed] = eng
 		}
 	}
-	if sr.Remaining() != 0 {
-		return nil, fmt.Errorf("engine: %d trailing bytes after pool state", sr.Remaining())
-	}
-	p.start()
 	return p, nil
 }
 
@@ -428,10 +409,10 @@ func RestorePool(r io.Reader, opts PoolOptions) (*Pool, error) {
 // StateCount, call it only between batches.
 func (p *Pool) NextFID(feed FeedID) vr.FrameID {
 	if p.opts.Mode == ShardByGroup {
-		return p.workers[0].eng.NextFID()
+		return p.workers[0].eng.next
 	}
 	if eng, ok := p.workers[p.shardOf(feed)].feeds[feed]; ok {
-		return eng.NextFID()
+		return eng.next
 	}
 	return 0
 }

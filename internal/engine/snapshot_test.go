@@ -2,11 +2,14 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
 	"tvq/internal/cnf"
+	"tvq/internal/snapshot"
 	"tvq/internal/vr"
 )
 
@@ -58,12 +61,12 @@ func TestEngineKillAndResume(t *testing.T) {
 					if err := eng.Snapshot(&buf); err != nil {
 						t.Fatalf("cut %d: snapshot: %v", cut, err)
 					}
-					restored, err := Restore(&buf, Options{})
+					restored, err := restoreEngine(&buf, Options{})
 					if err != nil {
 						t.Fatalf("cut %d: restore: %v", cut, err)
 					}
-					if restored.NextFID() != vr.FrameID(cut) {
-						t.Fatalf("cut %d: NextFID = %d", cut, restored.NextFID())
+					if restored.NextFID(0) != vr.FrameID(cut) {
+						t.Fatalf("cut %d: NextFID = %d", cut, restored.NextFID(0))
 					}
 					if restored.StateCount() != eng.StateCount() {
 						t.Fatalf("cut %d: StateCount %d != %d", cut, restored.StateCount(), eng.StateCount())
@@ -107,7 +110,7 @@ func TestEngineDoubleResume(t *testing.T) {
 		if err := eng.Snapshot(&buf); err != nil {
 			t.Fatal(err)
 		}
-		eng, err = Restore(&buf, Options{})
+		eng, err = restoreEngine(&buf, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +168,7 @@ func TestEngineSnapshotWithDynamicQueries(t *testing.T) {
 	if err := eng.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(&buf, Options{})
+	restored, err := restoreEngine(&buf, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,6 +185,16 @@ func TestEngineSnapshotWithDynamicQueries(t *testing.T) {
 	}
 }
 
+// restoreEngine is Restore for a snapshot the test knows to hold an
+// engine, typed so the caller can go on to ProcessFrame.
+func restoreEngine(r io.Reader, opts Options) (*Engine, error) {
+	p, err := Restore(r, PoolOptions{Engine: opts})
+	if err != nil {
+		return nil, err
+	}
+	return p.(*Engine), nil
+}
+
 // snapshotRoundTrip serializes eng and restores it, failing the test on
 // any codec error.
 func snapshotRoundTrip(t *testing.T, eng *Engine) *Engine {
@@ -190,7 +203,7 @@ func snapshotRoundTrip(t *testing.T, eng *Engine) *Engine {
 	if err := eng.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(&buf, Options{})
+	restored, err := restoreEngine(&buf, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +334,7 @@ func TestPoolKillAndResume(t *testing.T) {
 				}
 				pool.Close()
 
-				restored, err := RestorePool(&buf, PoolOptions{})
+				restored, err := Restore(&buf, PoolOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -334,7 +347,7 @@ func TestPoolKillAndResume(t *testing.T) {
 						t.Fatalf("restored NextFID = %d, want %d", next, cut)
 					}
 				}
-				got = poolResults(got, restored.ProcessBatch(frames[cut:]))
+				got = poolResults(got, restored.Process(frames[cut:]))
 				if !equalStrings(got, want) {
 					t.Fatalf("pool resume diverged: %s", firstDiff(got, want))
 				}
@@ -365,14 +378,14 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 		for off := 20; off < len(valid); off += 97 {
 			b := append([]byte(nil), valid...)
 			b[off] ^= 0x20
-			if _, err := Restore(bytes.NewReader(b), Options{}); err == nil {
+			if _, err := restoreEngine(bytes.NewReader(b), Options{}); err == nil {
 				t.Errorf("bit flip at %d accepted", off)
 			}
 		}
 	})
 	t.Run("truncation", func(t *testing.T) {
 		for _, cut := range []int{0, 7, 19, 20, len(valid) / 2, len(valid) - 1} {
-			if _, err := Restore(bytes.NewReader(valid[:cut]), Options{}); err == nil {
+			if _, err := restoreEngine(bytes.NewReader(valid[:cut]), Options{}); err == nil {
 				t.Errorf("truncation at %d accepted", cut)
 			}
 		}
@@ -380,18 +393,18 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	t.Run("version mismatch", func(t *testing.T) {
 		b := append([]byte(nil), valid...)
 		b[8]++
-		if _, err := Restore(bytes.NewReader(b), Options{}); err == nil || !strings.Contains(err.Error(), "version") {
+		if _, err := restoreEngine(bytes.NewReader(b), Options{}); err == nil || !strings.Contains(err.Error(), "version") {
 			t.Errorf("err = %v", err)
 		}
 	})
 	t.Run("method mismatch", func(t *testing.T) {
-		_, err := Restore(bytes.NewReader(valid), Options{Method: MethodNaive})
+		_, err := restoreEngine(bytes.NewReader(valid), Options{Method: MethodNaive})
 		if err == nil || !strings.Contains(err.Error(), "method") {
 			t.Errorf("err = %v", err)
 		}
 	})
 	t.Run("registry mismatch", func(t *testing.T) {
-		_, err := Restore(bytes.NewReader(valid), Options{Registry: vr.NewRegistry("cat", "dog")})
+		_, err := restoreEngine(bytes.NewReader(valid), Options{Registry: vr.NewRegistry("cat", "dog")})
 		if err == nil || !strings.Contains(err.Error(), "registry") {
 			t.Errorf("err = %v", err)
 		}
@@ -399,17 +412,21 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	t.Run("registry extension ok", func(t *testing.T) {
 		reg := vr.StandardRegistry()
 		reg.Class("bicycle") // caller registered more classes since the snapshot: fine
-		if _, err := Restore(bytes.NewReader(valid), Options{Registry: reg}); err != nil {
+		if _, err := restoreEngine(bytes.NewReader(valid), Options{Registry: reg}); err != nil {
 			t.Errorf("extended registry rejected: %v", err)
 		}
 	})
-	t.Run("engine snapshot into RestorePool", func(t *testing.T) {
-		_, err := RestorePool(bytes.NewReader(valid), PoolOptions{})
-		if err == nil || !strings.Contains(err.Error(), "not a pool") {
-			t.Errorf("err = %v", err)
+	t.Run("engine snapshot with pool options", func(t *testing.T) {
+		for _, opts := range []PoolOptions{{Workers: 2}, {Sharded: true, Mode: ShardByGroup}, {Workers: 1, Sharded: true}} {
+			if _, err := Restore(bytes.NewReader(valid), opts); !errors.Is(err, ErrSnapshotMismatch) {
+				t.Errorf("%+v: err = %v, want ErrSnapshotMismatch", opts, err)
+			}
+		}
+		if _, err := Restore(bytes.NewReader(valid), PoolOptions{Workers: 1}); err != nil {
+			t.Errorf("one worker and no shard mode describe an engine: %v", err)
 		}
 	})
-	t.Run("pool snapshot into Restore", func(t *testing.T) {
+	t.Run("pool snapshot with other pool options", func(t *testing.T) {
 		pool, err := NewPool(qs, PoolOptions{Workers: 1, Mode: ShardByGroup})
 		if err != nil {
 			t.Fatal(err)
@@ -419,7 +436,25 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 		if err := pool.Snapshot(&pb); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Restore(bytes.NewReader(pb.Bytes()), Options{}); err == nil || !strings.Contains(err.Error(), "not an engine") {
+		for _, opts := range []PoolOptions{{Workers: 2}, {Engine: Options{Method: MethodMFS}}, {Engine: Options{Registry: vr.NewRegistry("cat")}}} {
+			if _, err := Restore(bytes.NewReader(pb.Bytes()), opts); !errors.Is(err, ErrSnapshotMismatch) {
+				t.Errorf("%+v: err = %v, want ErrSnapshotMismatch", opts, err)
+			}
+		}
+		restored, err := Restore(bytes.NewReader(pb.Bytes()), PoolOptions{Workers: 1, Mode: ShardByGroup, Sharded: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored.Close()
+	})
+	t.Run("unknown kind", func(t *testing.T) {
+		var sw snapshot.Writer
+		sw.String("session")
+		var b bytes.Buffer
+		if err := snapshot.Write(&b, sw.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Restore(&b, PoolOptions{}); err == nil || !strings.Contains(err.Error(), "unknown state kind") {
 			t.Errorf("err = %v", err)
 		}
 	})

@@ -304,3 +304,16 @@ func Read(r io.Reader) ([]byte, error) {
 	}
 	return payload, nil
 }
+
+// ReadKind is Read for the payloads this module writes, which all open
+// with a kind tag (a String): it returns the tag and a Reader positioned
+// after it.
+func ReadKind(r io.Reader) (string, *Reader, error) {
+	payload, err := Read(r)
+	if err != nil {
+		return "", nil, err
+	}
+	sr := NewReader(payload)
+	kind := sr.String()
+	return kind, sr, sr.Err()
+}

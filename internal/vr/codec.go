@@ -335,29 +335,6 @@ func (w *jsonlFrameWriter) WriteFrame(f Frame) error {
 
 func (w *jsonlFrameWriter) Flush() error { return w.bw.Flush() }
 
-// WriteJSONL encodes the trace as one JSON object per frame.
-//
-// Deprecated: use JSONL.WriteTrace. WriteJSONL is a thin shim kept for
-// compatibility; the output bytes are identical.
-func WriteJSONL(w io.Writer, t *Trace, reg *Registry) error {
-	return JSONL.WriteTrace(w, t, reg)
-}
-
-// DecodeFrameJSON decodes one frame in the JSONL wire format —
-// {"fid":3,"objects":[{"id":1,"class":"car"}]} — into a Frame with its
-// own freshly-allocated object set and class map, registering unknown
-// class names in reg. This is the unit codec behind the JSONL
-// FrameReader; an empty or absent objects list is a valid (empty)
-// frame. The returned frame is not marked Owned: JSONL is the borrowed
-// path, and consumers clone what they retain.
-func DecodeFrameJSON(data []byte, reg *Registry) (Frame, error) {
-	var jf jsonFrame
-	if err := json.Unmarshal(data, &jf); err != nil {
-		return Frame{}, fmt.Errorf("vr: decode frame: %w", err)
-	}
-	return frameFromJSON(jf, reg)
-}
-
 // frameFromJSON validates and converts one decoded jsonFrame.
 func frameFromJSON(jf jsonFrame, reg *Registry) (Frame, error) {
 	if jf.FID < 0 {
@@ -386,14 +363,4 @@ func frameFromJSON(jf jsonFrame, reg *Registry) (Frame, error) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	f.Objects = objset.FromSorted(ids)
 	return f, nil
-}
-
-// ReadJSONL decodes a trace written by WriteJSONL.
-//
-// Deprecated: use JSONL.ReadTrace. ReadJSONL is a thin shim kept for
-// compatibility; note that it, like the codec, buffers only the decoded
-// frames, not the input bytes — for incremental processing use
-// JSONL.NewFrameReader instead of materializing a Trace at all.
-func ReadJSONL(r io.Reader, reg *Registry) (*Trace, error) {
-	return JSONL.ReadTrace(r, reg)
 }

@@ -243,29 +243,6 @@ func TestJSONLRoundTripPreservesEmptyFrames(t *testing.T) {
 	}
 }
 
-// TestDeprecatedJSONLShims keeps the deprecated free-function codec
-// shims exercised after the rest of the tests migrated to the Codec
-// methods: they remain part of the package surface and must keep
-// delegating to JSONL. Each call is individually suppressed; the rest
-// of the module is expected to be SA1019-clean.
-func TestDeprecatedJSONLShims(t *testing.T) {
-	reg := StandardRegistry()
-	tr := randomTrace(rand.New(rand.NewSource(9)), 12, 8)
-	var buf bytes.Buffer
-	//lint:ignore SA1019 shim-coverage: the free-function writer must keep working
-	if err := WriteJSONL(&buf, tr, reg); err != nil {
-		t.Fatal(err)
-	}
-	//lint:ignore SA1019 shim-coverage: the free-function reader must keep working
-	got, err := ReadJSONL(&buf, StandardRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tracesEqual(got, tr) {
-		t.Fatal("deprecated shim round trip mismatch")
-	}
-}
-
 func TestReadCSVRejectsGarbage(t *testing.T) {
 	cases := []string{
 		"bogus,header,row\n1,2,car\n",

@@ -14,14 +14,14 @@ type Option func(*config) error
 
 // config is the assembled Session configuration.
 type config struct {
-	queries    []Query
-	eng        engine.Options
+	queries []Query
+	// proc is everything the execution layer is told: engine options,
+	// worker count (zero until WithWorkers) and shard mode (Sharded once
+	// WithShardMode chose it). Which processor that makes is
+	// internal/engine's decision.
+	proc       engine.PoolOptions
 	pruneSet   bool
 	windowsSet bool
-	workers    int
-	workersSet bool
-	mode       ShardMode
-	modeSet    bool
 	batch      int
 	ckPath     string
 	ckEvery    Cadence
@@ -63,7 +63,7 @@ func WithQuery(q Query) Option { return WithQueries(q) }
 // MethodMFS or MethodSSG); the default is MethodSSG.
 func WithMethod(m Method) Option {
 	return func(c *config) error {
-		c.eng.Method = m
+		c.proc.Engine.Method = m
 		return nil
 	}
 }
@@ -73,7 +73,7 @@ func WithMethod(m Method) Option {
 // Subscribe unavailable (see ErrPruningIncompatible).
 func WithPruning(enabled bool) Option {
 	return func(c *config) error {
-		c.eng.Prune = enabled
+		c.proc.Engine.Prune = enabled
 		c.pruneSet = true
 		return nil
 	}
@@ -84,7 +84,7 @@ func WithPruning(enabled bool) Option {
 // class values agree.
 func WithRegistry(reg *Registry) Option {
 	return func(c *config) error {
-		c.eng.Registry = reg
+		c.proc.Engine.Registry = reg
 		return nil
 	}
 }
@@ -93,7 +93,7 @@ func WithRegistry(reg *Registry) Option {
 // semantics.
 func WithWindowMode(m WindowMode) Option {
 	return func(c *config) error {
-		c.eng.Windows = m
+		c.proc.Engine.Windows = m
 		c.windowsSet = true
 		return nil
 	}
@@ -103,7 +103,7 @@ func WithWindowMode(m WindowMode) Option {
 // ablation experiments.
 func WithKeepAllClasses() Option {
 	return func(c *config) error {
-		c.eng.KeepAllClasses = true
+		c.proc.Engine.KeepAllClasses = true
 		return nil
 	}
 }
@@ -117,8 +117,7 @@ func WithWorkers(n int) Option {
 		if n < 1 {
 			return fmt.Errorf("tvq: WithWorkers(%d): worker count must be at least 1", n)
 		}
-		c.workers = n
-		c.workersSet = true
+		c.proc.Workers = n
 		return nil
 	}
 }
@@ -128,8 +127,8 @@ func WithWorkers(n int) Option {
 // ShardByGroup partitions one feed's window groups across workers.
 func WithShardMode(m ShardMode) Option {
 	return func(c *config) error {
-		c.mode = m
-		c.modeSet = true
+		c.proc.Mode = m
+		c.proc.Sharded = true
 		return nil
 	}
 }
@@ -215,7 +214,7 @@ func WithLatePolicy(p LatePolicy) Option {
 // in snapshots; pass the option again at Resume.
 func WithObserver(f func(ProcessStat)) Option {
 	return func(c *config) error {
-		c.eng.Observe = f
+		c.proc.Engine.Observe = f
 		return nil
 	}
 }

@@ -18,7 +18,8 @@ import (
 )
 
 // Session payload kinds in the snapshot container; engine and pool
-// payloads keep their own kinds so v1 snapshot files remain readable.
+// payloads keep their own kinds, so a bare engine or pool snapshot file
+// remains readable.
 // "session2" extends "session" with the reorder stage's state (bound,
 // policy, per-feed watermarks and buffered frames) and is written only
 // by disordered sessions, so snapshots of strict sessions stay
@@ -28,10 +29,11 @@ const (
 	payloadSessionV2 = "session2"
 )
 
-// Session is the v2 entry point: one long-running query-serving
-// surface over a video feed (or a bank of feeds), backed by either a
-// single engine or a parallel pool — the choice is made at Open from
-// WithWorkers/WithShardMode and is invisible afterwards.
+// Session is the entry point: one long-running query-serving surface
+// over a video feed (or a bank of feeds), backed by either a single
+// engine or a parallel pool — internal/engine makes the choice at Open
+// from WithWorkers/WithShardMode, and the session itself never learns
+// which it holds.
 //
 // A Session implements the unified processor contract — Process, Run,
 // Stream, Snapshot, Close — and adds dynamic, per-caller query
@@ -53,7 +55,6 @@ const (
 type Session struct {
 	cfg    config
 	proc   engine.Processor
-	pool   *engine.Pool // nil for single-engine sessions
 	ck     checkpointer
 	cancel func() bool // stops the context watcher
 
@@ -117,23 +118,8 @@ func Open(ctx context.Context, opts ...Option) (*Session, error) {
 	if cfg.disorderSet {
 		s.reorder = make(map[FeedID]*reorder.Buffer)
 	}
-	if cfg.workersSet && cfg.workers > 1 || cfg.modeSet {
-		pool, err := engine.NewPool(cfg.queries, engine.PoolOptions{
-			Workers: cfg.workers,
-			Mode:    cfg.mode,
-			Batch:   cfg.batch,
-			Engine:  cfg.eng,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.proc, s.pool = pool, pool
-	} else {
-		eng, err := engine.New(cfg.queries, cfg.eng)
-		if err != nil {
-			return nil, err
-		}
-		s.proc = engine.Single{Engine: eng}
+	if s.proc, err = engine.Open(cfg.queries, cfg.proc); err != nil {
+		return nil, err
 	}
 	s.initCheckpointer()
 	s.watchContext(ctx)
@@ -173,9 +159,9 @@ func (s *Session) watchContext(ctx context.Context) {
 // Process runs one batch of frames through the session and returns the
 // frames that produced at least one match, in ingestion order. Matches
 // of subscribed queries are additionally delivered to their sinks
-// before Process returns. Single-engine sessions accept only feed 0
-// with consecutive frame ids; pooled sessions follow their shard mode's
-// input contract (see ShardByFeed / ShardByGroup).
+// before Process returns. Each feed's frames carry consecutive ids;
+// only a ShardByFeed session accepts feeds other than 0 (see MultiFeed),
+// every other shape returns an error for them.
 func (s *Session) Process(frames []FeedFrame) ([]FeedResult, error) {
 	_, results, err := s.processDispatched(frames)
 	return results, err
@@ -196,10 +182,10 @@ func (s *Session) processLocked(frames []FeedFrame) ([]FeedFrame, []FeedResult, 
 	if s.isClosed() {
 		return nil, nil, ErrSessionClosed
 	}
-	if s.pool == nil {
+	if !s.proc.MultiFeed() {
 		for _, ff := range frames {
 			if ff.Feed != 0 {
-				return nil, nil, fmt.Errorf("tvq: single-engine session serves feed 0 only, got feed %d; open with WithWorkers/WithShardMode(ShardByFeed) for multi-feed input", ff.Feed)
+				return nil, nil, fmt.Errorf("tvq: session serves feed 0 only, got feed %d; open with WithShardMode(ShardByFeed) for multi-feed input", ff.Feed)
 			}
 		}
 	}
@@ -567,15 +553,16 @@ func (body sessionBody) encode(sw *snapshot.Writer) {
 }
 
 // Resume rebuilds a session from a snapshot written by
-// Session.Snapshot (or by a v1 Engine.Snapshot / Pool.Snapshot — the
-// stream records which it holds). The session continues exactly where
-// the original stopped: NextFID reports where to resume the feed, and
-// feeding the remaining frames emits the matches an uninterrupted run
-// would have. Recorded state wins; options supply the registry to share
-// with the caller's codecs, cross-checks (WithMethod, WithWorkers — a
-// disagreement is an ErrSnapshotMismatch), checkpointing for the
-// resumed run, and sinks for restored subscriptions
-// (WithSubscriptionSinks, or Subscription.Attach afterwards).
+// Session.Snapshot (or a bare engine or pool snapshot, as builds before
+// the Session API wrote — the stream records which it holds). The
+// session continues exactly where the original stopped: NextFID reports
+// where to resume the feed, and feeding the remaining frames emits the
+// matches an uninterrupted run would have. Recorded state wins; options
+// supply the registry to share with the caller's codecs, cross-checks
+// (WithMethod, WithWorkers, WithShardMode — a disagreement is an
+// ErrSnapshotMismatch), checkpointing for the resumed run, and sinks
+// for restored subscriptions (WithSubscriptionSinks, or
+// Subscription.Attach afterwards).
 func Resume(ctx context.Context, r io.Reader, opts ...Option) (*Session, error) {
 	cfg, err := buildConfig(opts)
 	if err != nil {
@@ -588,16 +575,12 @@ func Resume(ctx context.Context, r io.Reader, opts ...Option) (*Session, error) 
 	if err != nil {
 		return nil, err
 	}
-	// One outer parse decides the kind and, for session snapshots,
-	// yields the subscription ids and the embedded processor snapshot;
-	// only the embedded container is parsed again, by its restorer.
-	payload, err := snapshot.Read(bytes.NewReader(data))
+	// The outer parse tells a session snapshot, which wraps subscription
+	// ids and reorder state around an embedded processor snapshot, from a
+	// bare processor snapshot; engine.Restore reads the processor
+	// container either way and routes on the kind it records.
+	kind, sr, err := snapshot.ReadKind(bytes.NewReader(data))
 	if err != nil {
-		return nil, err
-	}
-	sr := snapshot.NewReader(payload)
-	kind := sr.String()
-	if err := sr.Err(); err != nil {
 		return nil, err
 	}
 
@@ -608,11 +591,7 @@ func Resume(ctx context.Context, r io.Reader, opts ...Option) (*Session, error) 
 		if err != nil {
 			return nil, err
 		}
-		if kind, err = sniffKind(bytes.NewReader(body.procData)); err != nil {
-			return nil, err
-		}
 	}
-	subIDs, procData := body.subIDs, body.procData
 
 	// Reconcile the recorded reorder stage with the Resume options:
 	// recorded state wins, explicit disagreement is a mismatch. A legacy
@@ -640,57 +619,22 @@ func Resume(ctx context.Context, r io.Reader, opts ...Option) (*Session, error) 
 			s.reorder = make(map[FeedID]*reorder.Buffer)
 		}
 	}
-	switch kind {
-	case "engine":
-		if cfg.workersSet && cfg.workers > 1 {
-			return nil, fmt.Errorf("tvq: %w: snapshot holds a single engine; cannot restore with %d workers",
-				ErrSnapshotMismatch, cfg.workers)
-		}
-		if cfg.modeSet {
-			return nil, fmt.Errorf("tvq: %w: snapshot holds a single engine; WithShardMode does not apply", ErrSnapshotMismatch)
-		}
-		eng, err := engine.Restore(bytes.NewReader(procData), engine.Options{
-			Method:   cfg.eng.Method,
-			Registry: cfg.eng.Registry,
-			Observe:  cfg.eng.Observe,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.proc = engine.Single{Engine: eng}
-	case "pool":
-		popts := engine.PoolOptions{Engine: engine.Options{
-			Method:   cfg.eng.Method,
-			Registry: cfg.eng.Registry,
-			Observe:  cfg.eng.Observe,
-		}}
-		if cfg.workersSet {
-			popts.Workers = cfg.workers
-		}
-		if cfg.modeSet {
-			popts.Mode = cfg.mode
-		}
-		pool, err := engine.RestorePool(bytes.NewReader(procData), popts)
-		if err != nil {
-			return nil, err
-		}
-		s.proc, s.pool = pool, pool
-	default:
-		return nil, fmt.Errorf("tvq: snapshot holds unknown state kind %q", kind)
+	if s.proc, err = engine.Restore(bytes.NewReader(body.procData), cfg.proc); err != nil {
+		return nil, err
 	}
 
 	// Cross-check the remaining explicit options against what the
 	// snapshot recorded — recorded state wins, silent disagreement is
 	// worse than an error.
-	if cfg.pruneSet && cfg.eng.Prune != s.proc.Pruned() {
+	if cfg.pruneSet && cfg.proc.Engine.Prune != s.proc.Pruned() {
 		s.proc.Close()
 		return nil, fmt.Errorf("tvq: %w: snapshot was taken with pruning=%v; cannot restore with pruning=%v",
-			ErrSnapshotMismatch, s.proc.Pruned(), cfg.eng.Prune)
+			ErrSnapshotMismatch, s.proc.Pruned(), cfg.proc.Engine.Prune)
 	}
-	if cfg.windowsSet && cfg.eng.Windows != s.proc.WindowMode() {
+	if cfg.windowsSet && cfg.proc.Engine.Windows != s.proc.WindowMode() {
 		s.proc.Close()
 		return nil, fmt.Errorf("tvq: %w: snapshot was taken with window mode %d; cannot restore with %d",
-			ErrSnapshotMismatch, s.proc.WindowMode(), cfg.eng.Windows)
+			ErrSnapshotMismatch, s.proc.WindowMode(), cfg.proc.Engine.Windows)
 	}
 	// A restored buffer's cursor must equal the processor's cursor for
 	// its feed: the stage releases eagerly, so between batches the two
@@ -710,7 +654,7 @@ func Resume(ctx context.Context, r io.Reader, opts ...Option) (*Session, error) 
 	for _, q := range s.proc.Queries() {
 		byID[q.ID] = q
 	}
-	for _, id := range subIDs {
+	for _, id := range body.subIDs {
 		q, ok := byID[id]
 		if !ok {
 			s.proc.Close()
@@ -731,18 +675,6 @@ func Resume(ctx context.Context, r io.Reader, opts ...Option) (*Session, error) 
 	s.initCheckpointer()
 	s.watchContext(ctx)
 	return s, nil
-}
-
-// sniffKind reads the payload kind of the snapshot container in r,
-// verifying its framing (magic, version, checksum); it consumes r.
-func sniffKind(r io.Reader) (string, error) {
-	payload, err := snapshot.Read(r)
-	if err != nil {
-		return "", err
-	}
-	sr := snapshot.NewReader(payload)
-	kind := sr.String()
-	return kind, sr.Err()
 }
 
 // sessionBody is the decoded payload of a session snapshot: the
@@ -893,22 +825,18 @@ func (s *Session) Method() Method {
 
 // Workers returns the number of parallel engine shards (one for a
 // single-engine session).
-func (s *Session) Workers() int {
-	if s.pool != nil {
-		return s.pool.Workers()
-	}
-	return 1
-}
+func (s *Session) Workers() int { return s.proc.Workers() }
 
 // Pooled reports whether the session runs a parallel pool.
-func (s *Session) Pooled() bool { return s.pool != nil }
+func (s *Session) Pooled() bool {
+	_, pooled := s.proc.(*engine.Pool)
+	return pooled
+}
 
 // MultiFeed reports whether the session accepts frames of feeds other
 // than 0 — true only for pooled ShardByFeed sessions. Single-engine and
 // group-sharded pooled sessions serve exactly one feed.
-func (s *Session) MultiFeed() bool {
-	return s.pool != nil && s.pool.Mode() == ShardByFeed
-}
+func (s *Session) MultiFeed() bool { return s.proc.MultiFeed() }
 
 // StateCount reports live MCOS states across all shards, for
 // instrumentation.

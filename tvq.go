@@ -14,11 +14,11 @@
 // frames". The engine maintains, incrementally, every maximum
 // co-occurrence object set (MCOS) of the window using one of three
 // strategies from the paper (the NAIVE baseline, Marked Frame Sets, or
-// the Strict State Graph), evaluates the CNF conditions with an
-// inverted-index evaluator, and optionally feeds evaluation results back
-// into state maintenance (the ≥-only pruning strategy).
+// the Strict State Graph), evaluates the CNF conditions of all queries
+// of a window with one shared plan, and optionally feeds evaluation
+// results back into state maintenance (the ≥-only pruning strategy).
 //
-// # Quick start (API v2)
+// # Quick start
 //
 // A Session is the serving surface: open one with functional options,
 // then stream frames through it and range over the matches:
@@ -45,9 +45,6 @@
 //	...
 //	sub.Cancel()
 //
-// The v1 Engine/Pool constructors remain as thin deprecated shims; see
-// the README's migration table.
-//
 // Traces come from the CSV/JSONL codecs (ReadTraceCSV, ReadTraceJSONL),
 // or from the built-in synthetic video generator (GenerateDataset), which
 // reproduces the statistical shape of the paper's six evaluation videos.
@@ -60,6 +57,7 @@ import (
 	"tvq/internal/cnf"
 	"tvq/internal/engine"
 	"tvq/internal/query"
+	"tvq/internal/snapshot"
 	"tvq/internal/track"
 	"tvq/internal/video"
 	"tvq/internal/vr"
@@ -89,28 +87,24 @@ type (
 	Profile = video.Profile
 	// Noise configures the simulated detector/tracker.
 	Noise = track.Noise
-	// Options configures an Engine.
-	Options = engine.Options
 	// Method selects the MCOS maintenance strategy.
 	Method = engine.Method
 	// WindowMode selects sliding or tumbling window semantics.
 	WindowMode = engine.WindowMode
 	// FrameResult pairs a frame with its matches in batch runs.
 	FrameResult = engine.FrameResult
-	// StreamResult is one frame's matches on a streaming run.
-	StreamResult = engine.StreamResult
-	// FeedID identifies one feed (camera) in a multi-feed Pool.
+	// FeedID identifies one feed (camera) of a multi-feed session.
 	FeedID = engine.FeedID
-	// FeedFrame is one frame of one feed, the Pool's unit of ingestion.
+	// FeedFrame is one frame of one feed, Process's unit of ingestion.
 	FeedFrame = engine.FeedFrame
-	// FeedResult is one matching frame of a Pool run, in ingestion order.
+	// FeedResult is one matching frame of a Process call, in ingestion
+	// order.
 	FeedResult = engine.FeedResult
 	// ProcessStat is one window group's share of one processed frame,
 	// delivered to WithObserver hooks.
 	ProcessStat = engine.ProcessStat
-	// PoolOptions configures a parallel Pool.
-	PoolOptions = engine.PoolOptions
-	// ShardMode selects how a Pool distributes work across engines.
+	// ShardMode selects how a pooled session distributes work across
+	// engines.
 	ShardMode = engine.ShardMode
 )
 
@@ -135,72 +129,22 @@ const (
 	ShardByGroup = engine.ShardByGroup
 )
 
-// Engine evaluates a fixed set of temporal queries over a video feed.
-type Engine = engine.Engine
-
-// Pool runs N independent engines in parallel over a multi-feed frame
-// stream, sharding frames across them and merging results back into
-// ingestion order. See engine.Pool for the full contract.
-type Pool = engine.Pool
-
-// NewPool builds a parallel executor over the given queries. The zero
-// PoolOptions uses one worker per CPU in multi-camera (ShardByFeed)
-// mode with default engine options.
-//
-// Deprecated: use Open with WithWorkers/WithShardMode; the returned
-// Session subsumes Pool (including dynamic queries via Subscribe).
-func NewPool(queries []Query, opts PoolOptions) (*Pool, error) {
-	return engine.NewPool(queries, opts)
-}
-
-// NewEngine builds an engine for the given queries. See Options for the
-// strategy, registry and pruning knobs; the zero Options selects the SSG
-// strategy with the standard person/car/truck/bus registry.
-//
-// Deprecated: use Open; the returned Session subsumes Engine and works
-// identically for pooled execution.
-func NewEngine(queries []Query, opts Options) (*Engine, error) {
-	return engine.New(queries, opts)
-}
-
-// RestoreEngine reconstructs an engine from a snapshot written by
-// Engine.Snapshot. A restored engine continues exactly where the
-// original stopped: feeding it the remaining frames of the feed emits
-// the same matches an uninterrupted run would. Recorded options win;
-// opts supplies the Registry to share with the caller's codecs (its
-// class names must agree with the recording) and, when opts.Method is
-// set, a cross-check against the recorded method. Corrupted, truncated
-// or version-mismatched snapshots return a descriptive error.
-//
-// Deprecated: use Resume, which restores engine, pool and session
-// snapshots alike (including live subscriptions).
-func RestoreEngine(r io.Reader, opts Options) (*Engine, error) {
-	return engine.Restore(r, opts)
-}
-
-// RestorePool reconstructs a parallel pool from a snapshot written by
-// Pool.Snapshot, restoring every shard engine (per window group, or per
-// feed) so the pool resumes exactly where it stopped. See RestoreEngine
-// for how opts is interpreted.
-//
-// Deprecated: use Resume, which restores engine, pool and session
-// snapshots alike (including live subscriptions).
-func RestorePool(r io.Reader, opts PoolOptions) (*Pool, error) {
-	return engine.RestorePool(r, opts)
-}
-
 // SnapshotKind reports whether the snapshot in r holds an "engine", a
 // "pool" or a "session", so callers with a bare file can tell what a
 // snapshot holds without restoring it (Resume accepts all three). It
 // consumes r and verifies the file framing (magic, version, checksum).
 func SnapshotKind(r io.Reader) (string, error) {
-	kind, err := sniffKind(r)
+	kind, _, err := snapshot.ReadKind(r)
 	if err != nil {
 		return "", err
 	}
 	switch kind {
-	case "engine", "pool", payloadSession:
+	case "engine", "pool":
 		return kind, nil
+	case payloadSession, payloadSessionV2:
+		// One kind, two layouts: a disordered session appends its reorder
+		// stage under its own tag.
+		return payloadSession, nil
 	}
 	return "", fmt.Errorf("tvq: snapshot holds unknown state kind %q", kind)
 }

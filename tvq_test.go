@@ -140,80 +140,6 @@ func TestPoolFacade(t *testing.T) {
 	}
 }
 
-// TestDeprecatedV1Shims keeps the deprecated v1 constructors exercised
-// after the rest of the tests migrated to Open/Resume: the shims remain
-// part of the public surface and must keep delegating correctly. Each
-// deprecated call is individually suppressed; everything else in the
-// module is expected to be SA1019-clean.
-func TestDeprecatedV1Shims(t *testing.T) {
-	reg := tvq.StandardRegistry()
-	p, _ := tvq.DatasetByName("M1")
-	p.Frames = 60
-	p.Objects = 20
-	trace, err := tvq.GenerateDataset(p, 7, tvq.Noise{}, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := []tvq.Query{tvq.MustQuery(1, "person >= 1", 30, 15)}
-
-	//lint:ignore SA1019 shim-coverage: the v1 constructor must keep working
-	eng, err := tvq.NewEngine(queries, tvq.Options{Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, f := range trace.Frames() {
-		total += len(eng.ProcessFrame(f))
-	}
-	if total == 0 {
-		t.Fatal("v1 engine shim produced no matches")
-	}
-	var snap bytes.Buffer
-	if err := eng.Snapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	//lint:ignore SA1019 shim-coverage: v1 snapshot restore must keep working
-	if _, err := tvq.RestoreEngine(&snap, tvq.Options{Registry: reg}); err != nil {
-		t.Fatal(err)
-	}
-
-	//lint:ignore SA1019 shim-coverage: the v1 pool constructor must keep working
-	pool, err := tvq.NewPool(queries, tvq.PoolOptions{
-		Workers: 2,
-		Mode:    tvq.ShardByFeed,
-		Engine:  tvq.Options{Registry: reg},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var batch []tvq.FeedFrame
-	for _, f := range trace.Frames() {
-		batch = append(batch, tvq.FeedFrame{Feed: 0, Frame: f})
-	}
-	pooled := 0
-	for _, r := range pool.ProcessBatch(batch) {
-		pooled += len(r.Matches)
-	}
-	if pooled != total {
-		t.Fatalf("v1 pool shim found %d matches, engine %d", pooled, total)
-	}
-	var psnap bytes.Buffer
-	if err := pool.Snapshot(&psnap); err != nil {
-		t.Fatal(err)
-	}
-	pool.Close()
-	//lint:ignore SA1019 shim-coverage: v1 pool restore must keep working
-	restored, err := tvq.RestorePool(&psnap, tvq.PoolOptions{
-		Workers: 2,
-		Mode:    tvq.ShardByFeed,
-		Engine:  tvq.Options{Registry: reg},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored.Close()
-}
-
 func TestTraceRoundTripThroughFacade(t *testing.T) {
 	reg := tvq.StandardRegistry()
 	p, _ := tvq.DatasetByName("V1")
