@@ -1,9 +1,12 @@
 // Benchmarks regenerating the paper's evaluation (§6): one benchmark per
-// table/figure, each delegating to the same harness code that
-// cmd/tvqbench runs at full scale. Benchmarks run at reduced scale
-// (fewer frames, proportionally smaller windows) so `go test -bench=.`
-// finishes in minutes; run `go run ./cmd/tvqbench -exp all` for the
-// paper-scale numbers recorded in EXPERIMENTS.md.
+// table/figure over the datasets and workloads of internal/bench, plus
+// the wire, egress and query-scaling panels CI's benchstat gate runs.
+// They run at reduced scale (fewer frames, proportionally smaller
+// windows) so `go test -bench=.` finishes in minutes;
+// BenchmarkSSGCoherentFeed is the one full-scale panel. The end-to-end
+// workloads, with repetitions and per-layer attribution, are
+// benchmark/'s (`bash benchmark/run.sh`); the op-count shape tests in
+// internal/bench assert the paper's qualitative findings.
 package tvq_test
 
 import (

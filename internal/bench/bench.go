@@ -1,39 +1,28 @@
-// Package bench is the experiment harness: it regenerates every table and
-// figure of the paper's evaluation (§6) on the synthetic dataset profiles
-// of package video. Each experiment returns structured rows/series and
-// can render itself as text, so the cmd/tvqbench tool and the Go
-// benchmarks in the repository root drive the same code.
+// Package bench holds the inputs of the paper's evaluation (§6): the
+// Table 6 datasets rendered from package video's synthetic profiles, the
+// query workloads of Figures 8–10 and of the query-scaling sweep, and the
+// multi-feed stream of the pool scaling experiment. The Go benchmarks in
+// the repository root and this package's op-count shape tests drive
+// them; the end-to-end workloads live in benchmark/.
 package bench
 
 import (
 	"fmt"
-	"io"
-	"sort"
-	"strings"
-	"time"
 
-	"tvq/internal/cnf"
-	"tvq/internal/core"
-	"tvq/internal/engine"
 	"tvq/internal/track"
 	"tvq/internal/video"
 	"tvq/internal/vr"
 )
 
-// Config scales the harness. The paper's parameters are the defaults;
+// Config scales the datasets. The paper's parameters are the defaults;
 // Scale divides frame counts for quick runs (benchmarks use Scale > 1 to
-// keep -bench wall time reasonable; cmd/tvqbench defaults to full scale).
+// keep -bench wall time reasonable).
 type Config struct {
-	// Seed drives scene generation and noise; experiments are
-	// deterministic in it.
+	// Seed drives scene generation; datasets are deterministic in it.
 	Seed int64
 	// Scale divides every dataset's frame count, window and duration
 	// (minimum 1). Scale 1 reproduces the paper's parameters exactly.
 	Scale int
-	// Noise configures the simulated detector/tracker; zero means
-	// perfect tracking, which the MCOS experiments use so that dataset
-	// statistics stay at their Table 6 values.
-	Noise track.Noise
 }
 
 func (c Config) scale(v int) int {
@@ -62,7 +51,9 @@ type Dataset struct {
 	Reg     *vr.Registry
 }
 
-// LoadDataset generates the named Table 6 dataset at the harness scale.
+// LoadDataset generates the named Table 6 dataset at the configured
+// scale. Tracking is perfect (zero noise), so that dataset statistics
+// stay at their Table 6 values.
 func (c Config) LoadDataset(name string) (*Dataset, error) {
 	p, ok := video.ProfileByName(name)
 	if !ok {
@@ -71,421 +62,22 @@ func (c Config) LoadDataset(name string) (*Dataset, error) {
 	p.Frames = c.scale(p.Frames)
 	if c.Scale > 1 {
 		// Preserve density: scale object population with frame count.
-		p.Objects = maxInt(2, p.Objects/c.Scale)
+		p.Objects = max(2, p.Objects/c.Scale)
 	}
 	sc, err := video.Generate(p, c.Seed)
 	if err != nil {
 		return nil, err
 	}
 	reg := vr.StandardRegistry()
-	tr, err := track.Detect(sc, reg, c.Noise)
+	tr, err := track.Detect(sc, reg, track.Noise{})
 	if err != nil {
 		return nil, err
 	}
 	return &Dataset{Profile: p, Trace: tr, Reg: reg}, nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // DatasetNames lists the Table 6 datasets in the paper's order.
 func DatasetNames() []string { return []string{"V1", "V2", "D1", "D2", "M1", "M2"} }
 
-// Point is one measurement: x is the swept parameter value, Seconds the
-// measured wall time.
-type Point struct {
-	X       float64
-	Seconds float64
-}
-
-// Series is one curve of a figure (one method).
-type Series struct {
-	Label  string
-	Points []Point
-}
-
-// Subfigure is one panel, e.g. Figure 4a.
-type Subfigure struct {
-	Name   string // e.g. "V1"
-	XLabel string
-	Series []Series
-}
-
-// Figure is a full experiment result.
-type Figure struct {
-	ID         string
-	Title      string
-	Subfigures []Subfigure
-}
-
-// Render writes the figure as aligned text tables, one per subfigure.
-func (f Figure) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "== %s: %s ==\n", f.ID, f.Title); err != nil {
-		return err
-	}
-	for _, sf := range f.Subfigures {
-		fmt.Fprintf(w, "\n-- %s (x = %s, y = seconds) --\n", sf.Name, sf.XLabel)
-		fmt.Fprintf(w, "%-10s", sf.XLabel)
-		for _, s := range sf.Series {
-			fmt.Fprintf(w, "%12s", s.Label)
-		}
-		fmt.Fprintln(w)
-		if len(sf.Series) == 0 {
-			continue
-		}
-		for i := range sf.Series[0].Points {
-			fmt.Fprintf(w, "%-10.0f", sf.Series[0].Points[i].X)
-			for _, s := range sf.Series {
-				if i < len(s.Points) {
-					fmt.Fprintf(w, "%12.4f", s.Points[i].Seconds)
-				} else {
-					fmt.Fprintf(w, "%12s", "-")
-				}
-			}
-			fmt.Fprintln(w)
-		}
-	}
-	return nil
-}
-
-// newGenerator builds the named MCOS generator.
-func newGenerator(method string, cfg core.Config) core.Generator {
-	switch method {
-	case "NAIVE":
-		return core.NewNaive(cfg)
-	case "MFS":
-		return core.NewMFS(cfg)
-	case "SSG":
-		return core.NewSSG(cfg)
-	}
-	panic("bench: unknown method " + method)
-}
-
 // MCOSMethods are the §6.2 subjects.
 var MCOSMethods = []string{"NAIVE", "MFS", "SSG"}
-
-// timeMCOS measures MCOS generation only: feed frames through the
-// generator and discard results (§6.2: "experiments that measure only the
-// MCOS generation time").
-func timeMCOS(gen core.Generator, tr *vr.Trace, frames int) float64 {
-	if frames > tr.Len() {
-		frames = tr.Len()
-	}
-	start := time.Now()
-	for i := 0; i < frames; i++ {
-		gen.Process(tr.Frame(i))
-	}
-	return time.Since(start).Seconds()
-}
-
-// Table6Row is one dataset's statistics row.
-type Table6Row struct {
-	Dataset string
-	Stats   vr.Stats
-}
-
-// Table6 regenerates the dataset statistics table from rendered traces.
-func (c Config) Table6() ([]Table6Row, error) {
-	var rows []Table6Row
-	for _, name := range DatasetNames() {
-		ds, err := c.LoadDataset(name)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Table6Row{Dataset: name, Stats: vr.ComputeStats(ds.Trace)})
-	}
-	return rows, nil
-}
-
-// RenderTable6 writes the statistics rows in the paper's layout.
-func RenderTable6(w io.Writer, rows []Table6Row) {
-	fmt.Fprintf(w, "== Table 6: Dataset Statistics ==\n")
-	fmt.Fprintf(w, "%-10s", "Dataset")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%10s", r.Dataset)
-	}
-	fmt.Fprintln(w)
-	line := func(label string, get func(vr.Stats) string) {
-		fmt.Fprintf(w, "%-10s", label)
-		for _, r := range rows {
-			fmt.Fprintf(w, "%10s", get(r.Stats))
-		}
-		fmt.Fprintln(w)
-	}
-	line("Frames", func(s vr.Stats) string { return fmt.Sprint(s.Frames) })
-	line("Objects", func(s vr.Stats) string { return fmt.Sprint(s.Objects) })
-	line("Obj/F", func(s vr.Stats) string { return fmt.Sprintf("%.2f", s.ObjPerFrame) })
-	line("Occ/Obj", func(s vr.Stats) string { return fmt.Sprintf("%.2f", s.OccPerObj) })
-	line("F/Obj", func(s vr.Stats) string { return fmt.Sprintf("%.2f", s.FramesPerObj) })
-}
-
-// Figure4 varies the number of frames processed (w=300, d=240) and times
-// the three MCOS generators on each dataset.
-func (c Config) Figure4(datasets []string) (Figure, error) {
-	fig := Figure{ID: "Figure 4", Title: "MCOS generation time vs number of frames"}
-	for _, name := range datasets {
-		ds, err := c.LoadDataset(name)
-		if err != nil {
-			return Figure{}, err
-		}
-		steps := frameSteps(ds.Trace.Len())
-		sf := Subfigure{Name: name, XLabel: "frames"}
-		for _, m := range MCOSMethods {
-			s := Series{Label: m}
-			for _, n := range steps {
-				gen := newGenerator(m, core.Config{
-					Window:   c.scale(DefaultWindow),
-					Duration: c.scale(DefaultDuration),
-				})
-				s.Points = append(s.Points, Point{X: float64(n), Seconds: timeMCOS(gen, ds.Trace, n)})
-			}
-			sf.Series = append(sf.Series, s)
-		}
-		fig.Subfigures = append(fig.Subfigures, sf)
-	}
-	return fig, nil
-}
-
-// frameSteps picks 4-5 prefix lengths like the paper's x axes.
-func frameSteps(total int) []int {
-	if total < 8 {
-		return []int{total}
-	}
-	steps := []int{total * 2 / 5, total * 3 / 5, total * 4 / 5, total}
-	sort.Ints(steps)
-	return steps
-}
-
-// Figure5 varies the duration parameter d with w=300.
-func (c Config) Figure5(datasets []string) (Figure, error) {
-	fig := Figure{ID: "Figure 5", Title: "MCOS generation time vs duration d"}
-	durations := []int{180, 210, 240, 270}
-	return c.sweep(fig, datasets, "duration", durations, func(d int) core.Config {
-		return core.Config{Window: c.scale(DefaultWindow), Duration: c.scale(d)}
-	})
-}
-
-// Figure6 varies the window size w with d=240.
-func (c Config) Figure6(datasets []string) (Figure, error) {
-	fig := Figure{ID: "Figure 6", Title: "MCOS generation time vs window size w"}
-	windows := []int{300, 400, 500, 600}
-	return c.sweep(fig, datasets, "window", windows, func(w int) core.Config {
-		return core.Config{Window: c.scale(w), Duration: c.scale(DefaultDuration)}
-	})
-}
-
-func (c Config) sweep(fig Figure, datasets []string, xlabel string, xs []int, mk func(int) core.Config) (Figure, error) {
-	for _, name := range datasets {
-		ds, err := c.LoadDataset(name)
-		if err != nil {
-			return Figure{}, err
-		}
-		sf := Subfigure{Name: name, XLabel: xlabel}
-		for _, m := range MCOSMethods {
-			s := Series{Label: m}
-			for _, x := range xs {
-				gen := newGenerator(m, mk(x))
-				s.Points = append(s.Points, Point{X: float64(x), Seconds: timeMCOS(gen, ds.Trace, ds.Trace.Len())})
-			}
-			sf.Series = append(sf.Series, s)
-		}
-		fig.Subfigures = append(fig.Subfigures, sf)
-	}
-	return fig, nil
-}
-
-// Figure7 varies the occlusion parameter po (id reuse, §6.2).
-func (c Config) Figure7(datasets []string) (Figure, error) {
-	fig := Figure{ID: "Figure 7", Title: "MCOS generation time vs occlusions po"}
-	pos := []int{0, 1, 2, 3}
-	for _, name := range datasets {
-		ds, err := c.LoadDataset(name)
-		if err != nil {
-			return Figure{}, err
-		}
-		sf := Subfigure{Name: name, XLabel: "po"}
-		traces := make([]*vr.Trace, len(pos))
-		for i, po := range pos {
-			traces[i] = video.ReuseIDs(ds.Trace, po, c.Seed+int64(po))
-		}
-		for _, m := range MCOSMethods {
-			s := Series{Label: m}
-			for i, po := range pos {
-				gen := newGenerator(m, core.Config{
-					Window:   c.scale(DefaultWindow),
-					Duration: c.scale(DefaultDuration),
-				})
-				s.Points = append(s.Points, Point{X: float64(po), Seconds: timeMCOS(gen, traces[i], traces[i].Len())})
-			}
-			sf.Series = append(sf.Series, s)
-		}
-		fig.Subfigures = append(fig.Subfigures, sf)
-	}
-	return fig, nil
-}
-
-// Figure8 varies the number of queries (10..50) and measures MCOS
-// generation plus query evaluation, on V1 and M2 as in the paper.
-func (c Config) Figure8(datasets []string) (Figure, error) {
-	fig := Figure{ID: "Figure 8", Title: "total time vs number of queries"}
-	if datasets == nil {
-		datasets = []string{"V1", "M2"}
-	}
-	counts := []int{10, 20, 30, 40, 50}
-	for _, name := range datasets {
-		ds, err := c.LoadDataset(name)
-		if err != nil {
-			return Figure{}, err
-		}
-		sf := Subfigure{Name: name, XLabel: "queries"}
-		for _, m := range MCOSMethods {
-			s := Series{Label: m}
-			for _, n := range counts {
-				queries := MixedWorkload(n, c.scale(DefaultWindow), c.scale(DefaultDuration), c.Seed)
-				secs, err := timeEngine(ds, queries, engine.Method(strings.ToLower(m)), false)
-				if err != nil {
-					return Figure{}, err
-				}
-				s.Points = append(s.Points, Point{X: float64(n), Seconds: secs})
-			}
-			sf.Series = append(sf.Series, s)
-		}
-		fig.Subfigures = append(fig.Subfigures, sf)
-	}
-	return fig, nil
-}
-
-func timeEngine(ds *Dataset, queries []cnf.Query, method engine.Method, prune bool) (float64, error) {
-	eng, err := engine.New(queries, engine.Options{
-		Method:   method,
-		Prune:    prune,
-		Registry: cloneRegistry(ds.Reg),
-	})
-	if err != nil {
-		return 0, err
-	}
-	start := time.Now()
-	for _, f := range ds.Trace.Frames() {
-		eng.ProcessFrame(f)
-	}
-	return time.Since(start).Seconds(), nil
-}
-
-func cloneRegistry(reg *vr.Registry) *vr.Registry {
-	return vr.NewRegistry(reg.Names()...)
-}
-
-// Figure9 evaluates the §5.3 pruning strategy: 100 ≥-only queries whose
-// minimum threshold n_min varies from 1 to 9, with the five methods
-// NAIVE_E, MFS_E, SSG_E (no pruning) and MFS_O, SSG_O (pruning).
-func (c Config) Figure9(datasets []string) (Figure, error) {
-	fig := Figure{ID: "Figure 9", Title: "total time vs n_min for >=-only queries"}
-	if datasets == nil {
-		datasets = []string{"D1", "D2", "M1", "M2"}
-	}
-	type method struct {
-		label  string
-		method engine.Method
-		prune  bool
-	}
-	methods := []method{
-		{"NAIVE_E", engine.MethodNaive, false},
-		{"MFS_E", engine.MethodMFS, false},
-		{"SSG_E", engine.MethodSSG, false},
-		{"MFS_O", engine.MethodMFS, true},
-		{"SSG_O", engine.MethodSSG, true},
-	}
-	nmins := []int{1, 3, 5, 7, 9}
-	for _, name := range datasets {
-		ds, err := c.LoadDataset(name)
-		if err != nil {
-			return Figure{}, err
-		}
-		sf := Subfigure{Name: name, XLabel: "nmin"}
-		series := make([]Series, len(methods))
-		for i, m := range methods {
-			series[i] = Series{Label: m.label}
-		}
-		for _, nmin := range nmins {
-			queries := GEWorkload(100, nmin, c.scale(DefaultWindow), c.scale(DefaultDuration), c.Seed)
-			for i, m := range methods {
-				secs, err := timeEngine(ds, queries, m.method, m.prune)
-				if err != nil {
-					return Figure{}, err
-				}
-				series[i].Points = append(series[i].Points, Point{X: float64(nmin), Seconds: secs})
-			}
-		}
-		sf.Series = series
-		fig.Subfigures = append(fig.Subfigures, sf)
-	}
-	return fig, nil
-}
-
-// Figure10 measures end-to-end time per query for 50 queries on each
-// dataset, including the (simulated) detection and tracking stage.
-func (c Config) Figure10() (Figure, error) {
-	fig := Figure{ID: "Figure 10", Title: "end-to-end average time per query (50 queries)"}
-	sf := Subfigure{Name: "all datasets", XLabel: "dataset#"}
-	series := make([]Series, len(MCOSMethods))
-	for i, m := range MCOSMethods {
-		series[i] = Series{Label: m}
-	}
-	for di, name := range DatasetNames() {
-		p, _ := video.ProfileByName(name)
-		p.Frames = c.scale(p.Frames)
-		if c.Scale > 1 {
-			p.Objects = maxInt(2, p.Objects/c.Scale)
-		}
-		for i, m := range MCOSMethods {
-			start := time.Now()
-			// Detection/tracking stage (simulated substitute for Faster
-			// R-CNN + Deep SORT).
-			sc, err := video.Generate(p, c.Seed)
-			if err != nil {
-				return Figure{}, err
-			}
-			reg := vr.StandardRegistry()
-			tr, err := track.Detect(sc, reg, c.Noise)
-			if err != nil {
-				return Figure{}, err
-			}
-			ds := &Dataset{Profile: p, Trace: tr, Reg: reg}
-			queries := MixedWorkload(50, c.scale(DefaultWindow), c.scale(DefaultDuration), c.Seed)
-			if _, err := timeEngine(ds, queries, engine.Method(strings.ToLower(m)), false); err != nil {
-				return Figure{}, err
-			}
-			perQuery := time.Since(start).Seconds() / 50
-			series[i].Points = append(series[i].Points, Point{X: float64(di), Seconds: perQuery})
-		}
-	}
-	sf.Series = series
-	fig.Subfigures = []Subfigure{sf}
-	return fig, nil
-}
-
-// Speedup returns series[a]/series[b] at the last point of a subfigure,
-// for assertions on experiment shape.
-func Speedup(sf Subfigure, a, b string) float64 {
-	var pa, pb float64
-	for _, s := range sf.Series {
-		if len(s.Points) == 0 {
-			continue
-		}
-		last := s.Points[len(s.Points)-1].Seconds
-		switch s.Label {
-		case a:
-			pa = last
-		case b:
-			pb = last
-		}
-	}
-	if pb == 0 {
-		return 0
-	}
-	return pa / pb
-}

@@ -1,15 +1,12 @@
 package bench
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"tvq/internal/cnf"
 )
 
-// quick returns a heavily scaled-down config so harness tests stay fast;
-// the experiment *machinery* is under test here, not the timings.
+// quick returns a heavily scaled-down config so tests stay fast.
 func quick() Config { return Config{Seed: 1, Scale: 8} }
 
 func TestLoadDataset(t *testing.T) {
@@ -34,137 +31,6 @@ func TestLoadDatasetDeterministic(t *testing.T) {
 	for i := 0; i < a.Trace.Len(); i++ {
 		if !a.Trace.Frame(i).Objects.Equal(b.Trace.Frame(i).Objects) {
 			t.Fatalf("frame %d differs", i)
-		}
-	}
-}
-
-func TestTable6(t *testing.T) {
-	rows, err := quick().Table6()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	var buf bytes.Buffer
-	RenderTable6(&buf, rows)
-	out := buf.String()
-	for _, want := range []string{"Table 6", "V1", "M2", "Obj/F", "Occ/Obj", "F/Obj"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFigure4Machinery(t *testing.T) {
-	fig, err := quick().Figure4([]string{"M1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Subfigures) != 1 {
-		t.Fatalf("subfigures = %d", len(fig.Subfigures))
-	}
-	sf := fig.Subfigures[0]
-	if len(sf.Series) != 3 {
-		t.Fatalf("series = %d", len(sf.Series))
-	}
-	for _, s := range sf.Series {
-		if len(s.Points) != 4 {
-			t.Fatalf("series %s has %d points", s.Label, len(s.Points))
-		}
-		for _, p := range s.Points {
-			if p.Seconds < 0 {
-				t.Fatalf("negative time in %s", s.Label)
-			}
-		}
-		// x must be increasing frame counts.
-		for i := 1; i < len(s.Points); i++ {
-			if s.Points[i].X <= s.Points[i-1].X {
-				t.Fatalf("non-increasing x in %s", s.Label)
-			}
-		}
-	}
-	var buf bytes.Buffer
-	if err := fig.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Figure 4") {
-		t.Error("render missing title")
-	}
-}
-
-func TestFigure5And6Machinery(t *testing.T) {
-	fig5, err := quick().Figure5([]string{"M1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fig5.Subfigures[0].Series[0].Points; len(got) != 4 {
-		t.Fatalf("fig5 points = %d", len(got))
-	}
-	fig6, err := quick().Figure6([]string{"M1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fig6.Subfigures[0].Series[0].Points; len(got) != 4 {
-		t.Fatalf("fig6 points = %d", len(got))
-	}
-}
-
-func TestFigure7Machinery(t *testing.T) {
-	fig, err := quick().Figure7([]string{"M1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := fig.Subfigures[0].Series[0].Points
-	if len(pts) != 4 || pts[0].X != 0 || pts[3].X != 3 {
-		t.Fatalf("po sweep = %+v", pts)
-	}
-}
-
-func TestFigure8Machinery(t *testing.T) {
-	fig, err := quick().Figure8([]string{"M1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Subfigures[0].Series) != 3 {
-		t.Fatalf("series = %d", len(fig.Subfigures[0].Series))
-	}
-	if len(fig.Subfigures[0].Series[0].Points) != 5 {
-		t.Fatalf("points = %d", len(fig.Subfigures[0].Series[0].Points))
-	}
-}
-
-func TestFigure9Machinery(t *testing.T) {
-	fig, err := quick().Figure9([]string{"M1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf := fig.Subfigures[0]
-	labels := map[string]bool{}
-	for _, s := range sf.Series {
-		labels[s.Label] = true
-		if len(s.Points) != 5 {
-			t.Fatalf("series %s points = %d", s.Label, len(s.Points))
-		}
-	}
-	for _, want := range []string{"NAIVE_E", "MFS_E", "SSG_E", "MFS_O", "SSG_O"} {
-		if !labels[want] {
-			t.Errorf("missing series %s", want)
-		}
-	}
-}
-
-func TestFigure10Machinery(t *testing.T) {
-	fig, err := quick().Figure10()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Subfigures) != 1 {
-		t.Fatalf("subfigures = %d", len(fig.Subfigures))
-	}
-	for _, s := range fig.Subfigures[0].Series {
-		if len(s.Points) != 6 {
-			t.Fatalf("series %s covers %d datasets", s.Label, len(s.Points))
 		}
 	}
 }
@@ -218,19 +84,6 @@ func TestGEWorkload(t *testing.T) {
 		if min != nmin {
 			t.Errorf("nmin = %d, want %d", min, nmin)
 		}
-	}
-}
-
-func TestSpeedupHelper(t *testing.T) {
-	sf := Subfigure{Series: []Series{
-		{Label: "A", Points: []Point{{X: 1, Seconds: 4}}},
-		{Label: "B", Points: []Point{{X: 1, Seconds: 2}}},
-	}}
-	if got := Speedup(sf, "A", "B"); got != 2 {
-		t.Errorf("Speedup = %v", got)
-	}
-	if got := Speedup(sf, "A", "missing"); got != 0 {
-		t.Errorf("Speedup vs missing = %v", got)
 	}
 }
 

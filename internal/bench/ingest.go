@@ -2,25 +2,14 @@ package bench
 
 import (
 	"bytes"
-	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"runtime"
-	"time"
 
-	"tvq/internal/server"
 	"tvq/internal/vr"
 )
 
-// IngestBatchFrames is the batch size of the ingest measurement — large
-// enough that per-request HTTP overhead amortizes away and the codec's
-// per-frame decode cost dominates the wall clock.
+// IngestBatchFrames is the batch size of the daemon ingest benchmark —
+// large enough that per-request HTTP overhead amortizes away and the
+// codec's per-frame decode cost dominates the wall clock.
 const IngestBatchFrames = 2048
-
-// ingestReps is how many times MeasureIngest re-ingests the trace per
-// codec; the fastest rep is recorded.
-const ingestReps = 5
 
 // EncodeBatches pre-encodes a trace into self-contained wire batches of
 // up to batch frames each, exactly as tvqclient ships them. It returns
@@ -45,107 +34,4 @@ func EncodeBatches(t *vr.Trace, codec vr.Codec, reg *vr.Registry, batch int) ([]
 		total += int64(buf.Len())
 	}
 	return out, total, nil
-}
-
-// MeasureIngest measures daemon-side ingest throughput on one dataset,
-// once per codec: the trace is pre-encoded into IngestBatchFrames-sized
-// batches outside the timed region, then POSTed to an in-process tvqd
-// serving stack over a loopback HTTP connection. The session carries
-// one cheap query (a rare four-of-a-kind, so registration is realistic
-// but evaluation is not the bottleneck) — the timed work is HTTP
-// dispatch plus wire decode plus the engine's retain path, which is
-// where the binary codec's ownership transfer pays off. Allocation
-// deltas span client and server since both live in this process; the
-// comparison between codecs holds because the client side is identical
-// encoded-bytes shipping in both runs.
-func (c Config) MeasureIngest(name string) ([]PerfEntry, error) {
-	ds, err := c.LoadDataset(name)
-	if err != nil {
-		return nil, err
-	}
-	window, duration := c.scale(DefaultWindow), c.scale(DefaultDuration)
-
-	var entries []PerfEntry
-	for _, codec := range vr.Codecs() {
-		batches, wireBytes, err := EncodeBatches(ds.Trace, codec, ds.Reg, IngestBatchFrames)
-		if err != nil {
-			return nil, err
-		}
-
-		srv := server.New(server.Config{
-			Registry:       cloneRegistry(ds.Reg),
-			MaxBatchFrames: IngestBatchFrames,
-		})
-		ts := httptest.NewServer(srv.Handler())
-
-		// One rep ingests the whole trace into a fresh session (the feed
-		// cursor only moves forward, so frames cannot replay into an old
-		// one). Scaled-down traces make a single rep only a handful of
-		// HTTP round trips, so run several and keep the fastest — the
-		// rep least disturbed by GC and connection setup.
-		rep := func(session string) (secs float64, allocs, heap uint64, err error) {
-			create := fmt.Sprintf(
-				`{"name":%q,"queries":[{"id":1,"query":"bus >= 4","window":%d,"duration":%d}]}`,
-				session, window, duration)
-			if err := post(ts.URL+"/v1/sessions", "application/json", []byte(create)); err != nil {
-				return 0, 0, 0, err
-			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			start := time.Now()
-			for _, batch := range batches {
-				if err := post(ts.URL+"/v1/feeds/0/frames?session="+session, codec.ContentType(), batch); err != nil {
-					return 0, 0, 0, err
-				}
-			}
-			secs = time.Since(start).Seconds()
-			runtime.ReadMemStats(&after)
-			return secs, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, nil
-		}
-
-		var secs float64
-		var allocs, heap uint64
-		for i := 0; i < ingestReps; i++ {
-			s, a, h, err := rep(fmt.Sprintf("ingest-%s-%d", codec.Name(), i))
-			if err != nil {
-				ts.Close()
-				srv.Shutdown()
-				return nil, err
-			}
-			if i == 0 || s < secs {
-				secs, allocs, heap = s, a, h
-			}
-		}
-		ts.Close()
-		srv.Shutdown()
-
-		frames := ds.Trace.Len()
-		entries = append(entries, PerfEntry{
-			Dataset: name, Method: "INGEST", Window: window, Duration: duration,
-			Queries: 1, Frames: frames, Seconds: secs,
-			FramesPerSec:   float64(frames) / secs,
-			Allocs:         allocs,
-			AllocsPerFr:    float64(allocs) / float64(frames),
-			Bytes:          heap,
-			BytesPerFr:     float64(heap) / float64(frames),
-			Codec:          codec.Name(),
-			WireBytes:      uint64(wireBytes),
-			WireBytesPerFr: float64(wireBytes) / float64(frames),
-		})
-	}
-	return entries, nil
-}
-
-// post sends one request and drains the response, failing on non-2xx.
-func post(url, contentType string, body []byte) error {
-	resp, err := http.Post(url, contentType, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		return fmt.Errorf("POST %s: %d %s", url, resp.StatusCode, bytes.TrimSpace(data))
-	}
-	return nil
 }

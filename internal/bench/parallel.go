@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"tvq/internal/cnf"
@@ -93,79 +92,50 @@ func runPool(queries []cnf.Query, popts engine.PoolOptions, frames []engine.Feed
 
 // ParallelRow is one measured configuration of the scaling experiment.
 type ParallelRow struct {
-	Label     string  // "serial" or "pool/N"
-	Workers   int     // 0 for the serial baseline
-	Seconds   float64 // wall time over the whole interleaved stream
-	FramesSec float64 // total frames / Seconds
-	Speedup   float64 // serial Seconds / this row's Seconds
-	Matches   int     // total matches, for cross-checking row agreement
+	Label   string  // "serial" or "pool/N"
+	Workers int     // 0 for the serial baseline
+	Seconds float64 // wall time over the whole interleaved stream
+	Speedup float64 // serial Seconds / this row's Seconds
+	Matches int     // total matches, for cross-checking row agreement
 }
 
-// ParallelReport is the multi-feed scaling experiment: the serial
-// baseline plus the pool at increasing worker counts, all over the same
-// interleaved multi-camera stream.
-type ParallelReport struct {
-	Dataset string
-	Feeds   int
-	Queries int
-	Frames  int // total frames across all feeds
-	Rows    []ParallelRow
-}
-
-// ParallelScaling measures multi-feed throughput on the named dataset:
-// `feeds` synthetic cameras, `queries` mixed CNF queries each, serial
-// versus pool at worker counts 1, 2, 4, ... up to maxWorkers. Every row
+// ParallelScaling is the multi-feed scaling experiment on the named
+// dataset: `feeds` synthetic cameras, `queries` mixed CNF queries each,
+// the serial baseline first and then the pool at worker counts 1, 2, 4,
+// ... up to maxWorkers, all over the same interleaved stream. Every row
 // must agree on the total match count; a disagreement is reported as an
 // error because it would mean sharding changed results.
-func (c Config) ParallelScaling(name string, feeds, queries, maxWorkers int) (ParallelReport, error) {
+func (c Config) ParallelScaling(name string, feeds, queries, maxWorkers int) ([]ParallelRow, error) {
 	traces, err := c.MultiFeed(name, feeds)
 	if err != nil {
-		return ParallelReport{}, err
+		return nil, err
 	}
 	qs := MixedWorkload(queries, c.scale(DefaultWindow), c.scale(DefaultDuration), c.Seed)
 	frames := InterleaveFeeds(traces)
-	rep := ParallelReport{Dataset: name, Feeds: feeds, Queries: queries, Frames: len(frames)}
 
 	start := time.Now()
 	serialMatches, err := runSerial(qs, engine.Options{}, frames)
 	if err != nil {
-		return ParallelReport{}, err
+		return nil, err
 	}
 	serial := time.Since(start).Seconds()
-	rep.Rows = append(rep.Rows, ParallelRow{
-		Label: "serial", Seconds: serial,
-		FramesSec: float64(len(frames)) / serial, Speedup: 1, Matches: serialMatches,
-	})
+	rows := []ParallelRow{{Label: "serial", Seconds: serial, Speedup: 1, Matches: serialMatches}}
 
 	for workers := 1; workers <= maxWorkers; workers *= 2 {
 		start := time.Now()
 		matches, err := runPool(qs, engine.PoolOptions{Workers: workers, Mode: engine.ShardByFeed}, frames)
 		if err != nil {
-			return ParallelReport{}, err
+			return nil, err
 		}
 		secs := time.Since(start).Seconds()
 		if matches != serialMatches {
-			return ParallelReport{}, fmt.Errorf(
+			return nil, fmt.Errorf(
 				"bench: pool with %d workers found %d matches, serial found %d", workers, matches, serialMatches)
 		}
-		rep.Rows = append(rep.Rows, ParallelRow{
+		rows = append(rows, ParallelRow{
 			Label: fmt.Sprintf("pool/%d", workers), Workers: workers, Seconds: secs,
-			FramesSec: float64(len(frames)) / secs, Speedup: serial / secs, Matches: matches,
+			Speedup: serial / secs, Matches: matches,
 		})
 	}
-	return rep, nil
-}
-
-// Render writes the scaling report as an aligned text table.
-func (r ParallelReport) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "== Parallel scaling: %s x %d feeds, %d queries, %d frames ==\n",
-		r.Dataset, r.Feeds, r.Queries, r.Frames); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-10s%12s%14s%10s%10s\n", "config", "seconds", "frames/sec", "speedup", "matches")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-10s%12.4f%14.0f%10.2f%10d\n",
-			row.Label, row.Seconds, row.FramesSec, row.Speedup, row.Matches)
-	}
-	return nil
+	return rows, nil
 }

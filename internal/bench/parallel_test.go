@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 
 	"tvq/internal/engine"
@@ -61,24 +59,17 @@ func TestInterleaveFeeds(t *testing.T) {
 // ParallelScaling itself fails if any pool row's match count deviates
 // from the serial baseline, so this doubles as the correctness gate.
 func TestParallelScalingAgrees(t *testing.T) {
-	rep, err := quick().ParallelScaling("M2", 2, 10, 2)
+	rows, err := quick().ParallelScaling("M2", 2, 10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != 3 { // serial, pool/1, pool/2
-		t.Fatalf("got %d rows, want 3", len(rep.Rows))
+	if len(rows) != 3 { // serial, pool/1, pool/2
+		t.Fatalf("got %d rows, want 3", len(rows))
 	}
-	for _, row := range rep.Rows[1:] {
-		if row.Matches != rep.Rows[0].Matches {
-			t.Fatalf("%s: %d matches, serial %d", row.Label, row.Matches, rep.Rows[0].Matches)
+	for _, row := range rows[1:] {
+		if row.Matches != rows[0].Matches {
+			t.Fatalf("%s: %d matches, serial %d", row.Label, row.Matches, rows[0].Matches)
 		}
-	}
-	var buf bytes.Buffer
-	if err := rep.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "pool/2") {
-		t.Errorf("render missing pool/2 row:\n%s", buf.String())
 	}
 }
 
@@ -101,14 +92,14 @@ func TestPoolBeatsSerial(t *testing.T) {
 		t.Skipf("need 4 CPUs for a 4-worker speedup, have %d", runtime.GOMAXPROCS(0))
 	}
 	cfg := Config{Seed: 1, Scale: 4}
-	rep, err := cfg.ParallelScaling("M2", 4, 30, 4)
+	rows, err := cfg.ParallelScaling("M2", 4, 30, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var pool4 *ParallelRow
-	for i := range rep.Rows {
-		if rep.Rows[i].Workers == 4 {
-			pool4 = &rep.Rows[i]
+	for i := range rows {
+		if rows[i].Workers == 4 {
+			pool4 = &rows[i]
 		}
 	}
 	if pool4 == nil {
@@ -116,7 +107,7 @@ func TestPoolBeatsSerial(t *testing.T) {
 	}
 	if pool4.Speedup < 2 {
 		t.Errorf("pool/4 speedup %.2fx, want >= 2x (serial %.3fs, pool %.3fs)",
-			pool4.Speedup, rep.Rows[0].Seconds, pool4.Seconds)
+			pool4.Speedup, rows[0].Seconds, pool4.Seconds)
 	}
 }
 

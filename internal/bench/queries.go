@@ -76,7 +76,7 @@ func ScalingWorkload(n, shapes, window, duration int, seed int64) []cnf.Query {
 const ScalingShapes = 64
 
 // ScalingQueryCounts are the subscription counts the query-scaling
-// experiment sweeps (Benchmark/MeasureScaling).
+// benchmark sweeps (BenchmarkQueryScaling).
 var ScalingQueryCounts = []int{10, 100, 1000, 10000}
 
 // GEWorkload generates n ≥-only queries whose smallest threshold is

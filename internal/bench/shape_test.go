@@ -241,3 +241,7 @@ func cnfQuery(t *testing.T, id int, text string, w, d int) []cnf.Query {
 	q.ID, q.Window, q.Duration = id, w, d
 	return []cnf.Query{q}
 }
+
+func cloneRegistry(reg *vr.Registry) *vr.Registry {
+	return vr.NewRegistry(reg.Names()...)
+}

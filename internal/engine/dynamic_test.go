@@ -77,8 +77,8 @@ func TestAddQuerySameWindow(t *testing.T) {
 	if err := eng.AddQuery(mkQuery(t, 2, "person >= 1", 10, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if eng.Groups() != 1 {
-		t.Fatalf("Groups = %d, want 1 (shared window)", eng.Groups())
+	if len(eng.groups) != 1 {
+		t.Fatalf("groups = %d, want 1 (shared window)", len(eng.groups))
 	}
 	// The new query references a class the old filter dropped, so the
 	// group restarts; both queries match once d=5 frames re-accumulate.
@@ -128,8 +128,8 @@ func TestAddQueryNewWindow(t *testing.T) {
 	if err := eng.AddQuery(mkQuery(t, 2, "person >= 1", 6, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if eng.Groups() != 2 {
-		t.Fatalf("Groups = %d, want 2", eng.Groups())
+	if len(eng.groups) != 2 {
+		t.Fatalf("groups = %d, want 2", len(eng.groups))
 	}
 	var q2frames []vr.FrameID
 	for _, f := range feed[20:] {
@@ -209,15 +209,15 @@ func TestRemoveQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Groups() != 2 {
-		t.Fatalf("Groups = %d", eng.Groups())
+	if len(eng.groups) != 2 {
+		t.Fatalf("groups = %d", len(eng.groups))
 	}
 	ok, err := eng.RemoveQuery(3)
 	if err != nil || !ok {
 		t.Fatalf("RemoveQuery(3) = %v, %v", ok, err)
 	}
-	if eng.Groups() != 1 {
-		t.Errorf("empty group not dropped: %d", eng.Groups())
+	if len(eng.groups) != 1 {
+		t.Errorf("empty group not dropped: %d", len(eng.groups))
 	}
 	ok, _ = eng.RemoveQuery(3)
 	if ok {
@@ -318,8 +318,8 @@ func TestAddedGroupSharedBodyFrameIDs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if live.Groups() != 2 {
-		t.Fatalf("Groups = %d, want 2: the twins must share one added group", live.Groups())
+	if len(live.groups) != 2 {
+		t.Fatalf("groups = %d, want 2: the twins must share one added group", len(live.groups))
 	}
 	var got []string
 	for _, f := range frames[cut:] {

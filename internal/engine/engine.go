@@ -315,9 +315,6 @@ func (e *Engine) StateCount() int {
 	return n
 }
 
-// Groups returns the number of window groups.
-func (e *Engine) Groups() int { return len(e.groups) }
-
 // NextFID returns the id of the next frame the engine expects — equal to
 // the number of feed frames processed so far. After a snapshot restore
 // it tells the caller where to resume the feed. An engine serves one

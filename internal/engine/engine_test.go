@@ -71,8 +71,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Groups() != 1 {
-		t.Errorf("Groups = %d", e.Groups())
+	if len(e.groups) != 1 {
+		t.Errorf("groups = %d", len(e.groups))
 	}
 }
 
@@ -86,8 +86,8 @@ func TestGroupsByWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Groups() != 2 {
-		t.Errorf("Groups = %d, want 2", e.Groups())
+	if len(e.groups) != 2 {
+		t.Errorf("groups = %d, want 2", len(e.groups))
 	}
 }
 

@@ -127,8 +127,10 @@ func NewPool(queries []cnf.Query, opts PoolOptions) (*Pool, error) {
 }
 
 // buildPool constructs the pool and its workers without launching any
-// goroutine, so snapshot restore can install restored engines into the
-// workers before they start running; start launches the worker loops.
+// goroutine; start launches the worker loops. In ShardByGroup mode it
+// partitions the window groups across the shards and builds every shard
+// engine before returning, so an engine error for a later shard cannot
+// strand earlier workers blocked on their job channels.
 func buildPool(queries []cnf.Query, opts PoolOptions) (*Pool, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
@@ -146,49 +148,34 @@ func buildPool(queries []cnf.Query, opts PoolOptions) (*Pool, error) {
 			return nil, err
 		}
 	}
-
-	p := &Pool{opts: opts, queries: queries}
-	shared := &poolWorkerShared{mode: opts.Mode, queries: queries, engOpts: opts.Engine}
-	p.shared = shared
-
-	var parts [][]cnf.Query
-	if opts.Mode == ShardByGroup {
-		parts = partitionByWindow(queries, opts.Workers)
-		if len(queries) == 0 {
-			// No window groups yet: keep every requested shard, each with
-			// an idle engine, so dynamic queries can spread across them.
-			parts = make([][]cnf.Query, opts.Workers)
-		}
-		if len(parts) < opts.Workers {
-			opts.Workers = len(parts) // fewer window groups than workers
-			p.opts.Workers = opts.Workers
-		}
+	if opts.Mode == ShardByFeed {
+		return newPoolShell(queries, opts), nil
 	}
-	// Construct every shard before spawning any goroutine, so an engine
-	// error for a later shard cannot strand earlier workers blocked on
-	// their job channels.
-	for i := 0; i < opts.Workers; i++ {
-		w := &poolWorker{pool: shared, in: make(chan *poolJob, 1)}
-		if opts.Mode == ShardByGroup {
-			eng, err := New(parts[i], opts.Engine)
-			if err != nil {
-				return nil, err
-			}
-			w.eng = eng
-		} else {
-			w.feeds = make(map[FeedID]*Engine)
+
+	parts := partitionByWindow(queries, opts.Workers)
+	if len(queries) == 0 {
+		// No window groups yet: keep every requested shard, each with an
+		// idle engine, so dynamic queries can spread across them.
+		parts = make([][]cnf.Query, opts.Workers)
+	}
+	opts.Workers = len(parts) // fewer window groups than workers
+	p := newPoolShell(queries, opts)
+	for i, w := range p.workers {
+		eng, err := New(parts[i], opts.Engine)
+		if err != nil {
+			return nil, err
 		}
-		p.workers = append(p.workers, w)
+		w.eng = eng
 	}
 	return p, nil
 }
 
-// newPoolShell constructs a pool with the recorded worker count and no
-// engines, for snapshot restore: the caller installs decoded engines
-// into the workers and then calls start. It deliberately skips
-// buildPool's window-group partitioning — the snapshot records which
-// shard holds which groups, and dynamic registration may have placed
-// them where fresh partitioning would not.
+// newPoolShell constructs a pool with opts.Workers workers and no
+// engines: buildPool installs freshly built shard engines into it,
+// snapshot restore the decoded ones, and then the caller calls start.
+// Restore deliberately skips buildPool's window-group partitioning — the
+// snapshot records which shard holds which groups, and dynamic
+// registration may have placed them where fresh partitioning would not.
 func newPoolShell(queries []cnf.Query, opts PoolOptions) *Pool {
 	p := &Pool{opts: opts, queries: queries}
 	p.shared = &poolWorkerShared{mode: opts.Mode, queries: queries, engOpts: opts.Engine}

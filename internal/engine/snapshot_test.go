@@ -172,8 +172,8 @@ func TestEngineSnapshotWithDynamicQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Groups() != 2 {
-		t.Fatalf("restored Groups = %d, want 2", restored.Groups())
+	if len(restored.groups) != 2 {
+		t.Fatalf("restored groups = %d, want 2", len(restored.groups))
 	}
 	for _, f := range tr.Frames()[cut:] {
 		for _, m := range restored.ProcessFrame(f) {
