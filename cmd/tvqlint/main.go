@@ -1,8 +1,8 @@
 // Command tvqlint is the project's invariant multichecker: it runs the
 // internal/analysis suite — retainset, resultlife, snapshotdrift,
-// noalloc, sinkcontract, wraperr, lockorder — over the given packages
-// and reports violations of the engine's ownership, lifetime, snapshot
-// and hot-path contracts as compile-time diagnostics.
+// noalloc, wraperr, lockorder — over the given packages and reports
+// violations of the engine's ownership, lifetime, snapshot and
+// hot-path contracts as compile-time diagnostics.
 //
 // Usage:
 //
@@ -40,7 +40,6 @@ import (
 	"tvq/internal/analysis/noalloc"
 	"tvq/internal/analysis/resultlife"
 	"tvq/internal/analysis/retainset"
-	"tvq/internal/analysis/sinkcontract"
 	"tvq/internal/analysis/snapshotdrift"
 	"tvq/internal/analysis/wraperr"
 )
@@ -53,7 +52,6 @@ var suite = []*analysis.Analyzer{
 	resultlife.Analyzer,
 	snapshotdrift.Analyzer,
 	noalloc.Analyzer,
-	sinkcontract.Analyzer,
 	wraperr.Analyzer,
 	lockorder.Analyzer,
 }

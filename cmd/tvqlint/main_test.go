@@ -85,7 +85,7 @@ func TestRunAnalyzersListsSuite(t *testing.T) {
 	if code := run([]string{"-analyzers"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	for _, name := range []string{"retainset", "resultlife", "snapshotdrift", "noalloc", "sinkcontract", "wraperr", "lockorder"} {
+	for _, name := range []string{"retainset", "resultlife", "snapshotdrift", "noalloc", "wraperr", "lockorder"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-analyzers output missing %s:\n%s", name, stdout.String())
 		}

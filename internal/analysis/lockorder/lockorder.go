@@ -15,7 +15,7 @@
 // end of the function (that is the point of the idiom). Sends inside a
 // select that has a default clause are exempt — they cannot block.
 // close() is not a send and is never flagged; closing a subscription
-// channel under the sink mutex is legitimate (ChanSink.closeSink).
+// channel under the sink mutex is legitimate (sinkchan.Chan.Close).
 package lockorder
 
 import (

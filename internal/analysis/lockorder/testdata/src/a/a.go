@@ -76,7 +76,7 @@ func (h *hub) tryPush(d delivery) bool {
 }
 
 // Clean: closing a channel under the lock does not block
-// (ChanSink.closeSink does exactly this).
+// (sinkchan.Chan.Close does exactly this).
 func (h *hub) shutdown() {
 	h.mu.Lock()
 	defer h.mu.Unlock()

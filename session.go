@@ -242,9 +242,7 @@ func (s *Session) applyPendingLocked() {
 	s.mu.Unlock()
 	for _, sub := range pending {
 		_, _ = s.proc.RemoveQuery(sub.q.ID)
-		if b, ok := sub.sink.(sessionBound); ok {
-			b.closeSink()
-		}
+		endSink(sub.sink)
 	}
 }
 
@@ -355,9 +353,7 @@ func (s *Session) Subscribe(q Query, opts ...SubOption) (*Subscription, error) {
 		return nil, err
 	}
 	sub := &Subscription{s: s, q: q, sink: sc.sink, done: make(chan struct{})}
-	if b, ok := sc.sink.(sessionBound); ok {
-		b.bind(sub.done, s.done)
-	}
+	s.bindSink(sub, sc.sink)
 	s.mu.Lock()
 	s.subs[q.ID] = sub
 	s.subGen.Add(1)
@@ -449,24 +445,44 @@ func (sub *Subscription) Cancel() error {
 	// to pick up this very cancellation.
 	// sub.done is already closed, so a parked Deliver cannot stay
 	// parked. applyPendingLocked's later closeSink is a no-op.
-	if b, ok := sink.(sessionBound); ok {
-		b.closeSink()
-	}
+	endSink(sink)
 	return nil
 }
 
 // Attach sets the subscription's sink — how a Resume caller reconnects
 // delivery for a restored subscription when WithSubscriptionSinks was
 // not used. Attach replaces any previous sink; it does not close it.
+// Attaching to a cancelled subscription or a closed session closes the
+// new sink's channel (if any) at once, so a consumer ranging over it
+// ends instead of waiting for deliveries that will never come.
 func (sub *Subscription) Attach(sink Sink) {
 	s := sub.s
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	if sub.cancelled || s.closed {
+		s.mu.Unlock()
+		endSink(sink) // outside s.mu, as in Cancel
+		return
+	}
+	s.bindSink(sub, sink)
+	sub.sink = sink
+	s.subGen.Add(1)
+	s.mu.Unlock()
+}
+
+// bindSink wires a session-bound sink into sub's lifecycle; other sinks
+// need no wiring.
+func (s *Session) bindSink(sub *Subscription, sink Sink) {
 	if b, ok := sink.(sessionBound); ok {
 		b.bind(sub.done, s.done)
 	}
-	sub.sink = sink
-	s.subGen.Add(1)
+}
+
+// endSink closes a session-bound sink; other sinks have nothing to
+// close.
+func endSink(sink Sink) {
+	if b, ok := sink.(sessionBound); ok {
+		b.closeSink()
+	}
 }
 
 // Snapshot serializes the complete session state — processor, queries
@@ -663,9 +679,7 @@ func Resume(ctx context.Context, r io.Reader, opts ...Option) (*Session, error) 
 		sub := &Subscription{s: s, q: q, done: make(chan struct{})}
 		if cfg.subSinks != nil {
 			if sink := cfg.subSinks(q); sink != nil {
-				if b, ok := sink.(sessionBound); ok {
-					b.bind(sub.done, s.done)
-				}
+				s.bindSink(sub, sink)
 				sub.sink = sink
 			}
 		}
@@ -781,9 +795,7 @@ func (s *Session) Close() error {
 	s.pending = nil
 	s.mu.Unlock()
 	for _, sub := range subs {
-		if b, ok := sub.sink.(sessionBound); ok {
-			b.closeSink()
-		}
+		endSink(sub.sink)
 	}
 	return err
 }

@@ -212,6 +212,46 @@ func TestChanSinkDelivery(t *testing.T) {
 	}
 }
 
+// TestAttachAfterEndClosesSink: a ChanSink attached to a subscription
+// that can no longer deliver — cancelled, or on a closed session — must
+// have its channel closed, or a consumer ranging over it waits forever.
+func TestAttachAfterEndClosesSink(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		end  func(*tvq.Session, *tvq.Subscription)
+	}{
+		{"cancel", func(_ *tvq.Session, sub *tvq.Subscription) { sub.Cancel() }},
+		{"session close", func(s *tvq.Session, _ *tvq.Subscription) { s.Close() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := tvq.Open(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			sub, err := s.Subscribe(tvq.MustQuery(0, "car >= 1", 10, 5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.end(s, sub)
+
+			cs := tvq.NewChanSink(1)
+			sub.Attach(cs)
+			ended := make(chan struct{})
+			go func() {
+				for range cs.C() {
+				}
+				close(ended)
+			}()
+			select {
+			case <-ended:
+			case <-time.After(2 * time.Second):
+				t.Fatal("range over the attached sink never ended")
+			}
+		})
+	}
+}
+
 func TestJSONLSink(t *testing.T) {
 	tr := sessionTrace(t)
 	var buf bytes.Buffer

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"tvq/internal/objset"
+	"tvq/internal/sinkchan"
 )
 
 // Delivery is one match handed to a subscription's sink: which feed and
@@ -61,88 +62,27 @@ type sessionBound interface {
 // with that subscription, so unlike a SinkFunc or JSONLSink it cannot
 // be shared or reused. Deliveries after the channel closes are dropped.
 type ChanSink struct {
-	ch      chan Delivery
-	subDone <-chan struct{}
-	sesDone <-chan struct{}
-
-	mu       sync.Mutex
-	closed   bool // no further Deliver may start
-	chClosed bool // ch itself has been closed
-	inflight int  // Delivers currently parked in the select
+	c *sinkchan.Chan[Delivery]
 }
 
 // NewChanSink builds a channel sink with the given buffer capacity.
 func NewChanSink(buffer int) *ChanSink {
-	if buffer < 0 {
-		buffer = 0
-	}
-	return &ChanSink{ch: make(chan Delivery, buffer)}
+	return &ChanSink{c: sinkchan.New[Delivery](buffer)}
 }
 
 // C is the delivery channel; it is closed when the subscription is
 // cancelled or the session closes.
-func (c *ChanSink) C() <-chan Delivery { return c.ch }
+func (c *ChanSink) C() <-chan Delivery { return c.c.C() }
 
 // Deliver sends d, blocking while the buffer is full.
 func (c *ChanSink) Deliver(d Delivery) error {
-	c.mu.Lock()
-	if c.closed {
-		// Turns misuse (a sink reattached after its subscription ended)
-		// into dropped deliveries instead of a send-on-closed panic.
-		c.mu.Unlock()
-		return nil
-	}
-	// Register as in flight before parking in the send: closeSink may
-	// run concurrently (Subscription.Cancel closes the sink from the
-	// consumer's goroutine while this Deliver is blocked on a full
-	// buffer) and must not close ch under a pending send. It defers the
-	// close to this goroutine instead; the cancel path has already
-	// closed subDone, so the select cannot stay parked. The unbound
-	// path (used outside a session) rides the same accounting: it used
-	// to send without registering, so a closeSink racing a parked
-	// Deliver saw inflight == 0 and closed the channel under the
-	// pending send — a send-on-closed-channel panic instead of the
-	// documented dropped delivery.
-	c.inflight++
-	c.mu.Unlock()
-	if c.subDone == nil {
-		// Unbound: plain blocking send, no cancellation channels to
-		// select on.
-		c.ch <- d
-	} else {
-		select {
-		case c.ch <- d:
-		case <-c.subDone:
-		case <-c.sesDone:
-		}
-	}
-	c.mu.Lock()
-	c.inflight--
-	if c.closed && c.inflight == 0 && !c.chClosed {
-		c.chClosed = true
-		close(c.ch)
-	}
-	c.mu.Unlock()
+	c.c.Send(d)
 	return nil
 }
 
-func (c *ChanSink) bind(subDone, sessionDone <-chan struct{}) {
-	c.subDone, c.sesDone = subDone, sessionDone
-}
+func (c *ChanSink) bind(subDone, sessionDone <-chan struct{}) { c.c.Bind(subDone, sessionDone) }
 
-// closeSink ends delivery and closes the channel — immediately when no
-// Deliver is parked in its select, otherwise as soon as the last parked
-// Deliver returns (its subDone/sesDone case is already unblocked by the
-// time closeSink is called). Idempotent and safe from any goroutine.
-func (c *ChanSink) closeSink() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-	if c.inflight == 0 && !c.chClosed {
-		c.chClosed = true
-		close(c.ch)
-	}
-}
+func (c *ChanSink) closeSink() { c.c.Close() }
 
 // JSONLSink writes one JSON object per delivery to w, one per line:
 //
