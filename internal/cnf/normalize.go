@@ -32,7 +32,7 @@ func CompareConditions(a, b Condition) int {
 // AppendNormalized appends the clause's canonical form — conditions in
 // CompareConditions order, duplicates removed — to dst and returns the
 // extended slice. Callers on zero-allocation paths reuse dst across
-// calls; Normalized is the convenience form.
+// calls.
 func (d Disjunction) AppendNormalized(dst Disjunction) Disjunction {
 	start := len(dst)
 	dst = append(dst, d...)
@@ -46,11 +46,6 @@ func (d Disjunction) AppendNormalized(dst Disjunction) Disjunction {
 		w++
 	}
 	return dst[:w]
-}
-
-// Normalized returns the clause's canonical form as a fresh slice.
-func (d Disjunction) Normalized() Disjunction {
-	return d.AppendNormalized(make(Disjunction, 0, len(d)))
 }
 
 // FNV-1a, the hash used for clause content hashing.

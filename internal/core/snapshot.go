@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"tvq/internal/objset"
@@ -15,8 +16,8 @@ import (
 // goes on to emit exactly what the original would have. States are
 // written in sorted order so the encoding is deterministic; decoding
 // validates structural invariants (sorted sets, in-range graph indices,
-// reciprocal edges) and returns errors, never panics, on malformed
-// input.
+// reciprocal edges, a key frame in the window for every SSG node) and
+// returns errors, never panics, on malformed input.
 
 // Generator kind tags in the wire format.
 const (
@@ -106,12 +107,18 @@ func decodeSet(r *snapshot.Reader) objset.Set {
 	return s
 }
 
-// encodeState writes one state: object set, frame entries with marks,
-// rest-closure blockers, termination flag.
-func encodeState(w *snapshot.Writer, s *State) {
+// encodeState writes one state: object set, the frame entries with marks
+// from minFID on (older ones have left the window but may not have been
+// expired yet), rest-closure blockers, and a false byte where a
+// termination flag used to be.
+func encodeState(w *snapshot.Writer, s *State, minFID vr.FrameID) {
 	encodeSet(w, s.Objects)
-	w.Uvarint(uint64(s.frames.len()))
-	for _, e := range s.frames.live() {
+	live := s.frames.live()
+	for len(live) > 0 && live[0].fid < minFID {
+		live = live[1:]
+	}
+	w.Uvarint(uint64(len(live)))
+	for _, e := range live {
 		w.Varint(e.fid)
 		w.Bool(e.marked)
 	}
@@ -119,7 +126,7 @@ func encodeState(w *snapshot.Writer, s *State) {
 	if s.hasExtra {
 		encodeSet(w, s.extra)
 	}
-	w.Bool(s.terminated)
+	w.Bool(false)
 }
 
 func decodeState(r *snapshot.Reader) *State {
@@ -142,7 +149,9 @@ func decodeState(r *snapshot.Reader) *State {
 	if s.hasExtra {
 		s.extra = decodeSet(r)
 	}
-	s.terminated = r.Bool()
+	if r.Bool() {
+		r.Fail("state carries a termination flag")
+	}
 	return s
 }
 
@@ -221,7 +230,7 @@ func (t *table) encode(w *snapshot.Writer) {
 	})
 	w.Uvarint(uint64(len(states)))
 	for _, s := range states {
-		encodeState(w, s)
+		encodeState(w, s, t.window.next-vr.FrameID(t.cfg.Window))
 	}
 }
 
@@ -252,15 +261,16 @@ func (t *table) decode(r *snapshot.Reader) error {
 
 // encode writes the strict state graph: every live node (in canonical
 // object-set-key order) with its edges by node index, then the traversal
-// root order, the principal-state order, and the previous result set.
-// Entries of rootOrder and principals that the lazy compaction would
-// drop anyway (dead or re-parented nodes, expired principals) are
-// skipped, which is exactly the state liveRoots/refreshPrincipals would
-// leave behind.
+// root order, an empty principal-state list, and the previous result
+// set. Entries of rootOrder that the lazy compaction would drop anyway
+// (dead or re-parented nodes) are skipped, which is exactly the state
+// liveRoots would leave behind. Encoding only reads the generator: frame
+// ids that left the window are skipped rather than expired. Nodes no
+// longer record principal frames, but the per-node count and the list
+// stay in the layout, empty, so snapshots written before and after that
+// change decode on either side of it.
 func (g *SSG) encode(w *snapshot.Writer) error {
-	// Expiry is lazy between sweeps; a snapshot carries no expired frame
-	// id and no node the next sweep would remove.
-	g.sweep(g.window.next - vr.FrameID(g.cfg.Window))
+	minFID := g.window.next - vr.FrameID(g.cfg.Window)
 	w.Varint(g.window.next)
 	encodeMetrics(w, g.metrics)
 	encodeWindow(w, &g.window)
@@ -292,13 +302,10 @@ func (g *SSG) encode(w *snapshot.Writer) error {
 
 	w.Uvarint(uint64(len(live)))
 	for _, n := range live {
-		encodeState(w, n.state)
+		encodeState(w, n.state, minFID)
 		w.Varint(n.visited)
 		w.Varint(n.createdAt)
-		w.Uvarint(uint64(len(n.createdBy)))
-		for _, fid := range n.createdBy {
-			w.Varint(fid)
-		}
+		w.Uvarint(0) // principal frames
 		if err := writeEdges(n.children); err != nil {
 			return err
 		}
@@ -316,25 +323,10 @@ func (g *SSG) encode(w *snapshot.Writer) error {
 	if err := writeEdges(roots); err != nil {
 		return err
 	}
-	var principals []*ssgNode
-	for _, n := range g.principals {
-		if !n.dead && len(n.createdBy) > 0 {
-			principals = append(principals, n)
-		}
-	}
-	if err := writeEdges(principals); err != nil {
-		return err
-	}
-	// The result set is kept as an ordered slice in memory; entries
-	// removed since they were collected are filtered like the lazy
-	// compaction would. Canonical node order keeps the bytes
-	// deterministic.
-	results := make([]*ssgNode, 0, len(g.results))
-	for _, n := range g.results {
-		if !n.dead {
-			results = append(results, n)
-		}
-	}
+	w.Uvarint(0) // principal states
+	// Canonical node order keeps the bytes deterministic; results are
+	// collected after the frame's removals, so every entry is live.
+	results := slices.Clone(g.results)
 	sort.Slice(results, func(i, j int) bool { return idx[results[i]] < idx[results[j]] })
 	return writeEdges(results)
 }
@@ -365,19 +357,13 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 		return out
 	}
 
+	minFID := g.window.next - vr.FrameID(g.cfg.Window)
 	for i := 0; i < count; i++ {
-		n := &ssgNode{state: decodeState(r)}
+		n := &ssgNode{state: decodeState(r), lastMark: -1}
 		n.visited = r.Varint()
 		n.createdAt = r.Varint()
-		nc := r.Count(1)
-		n.createdBy = make([]vr.FrameID, 0, nc)
-		for j := 0; j < nc; j++ {
-			fid := r.Varint()
-			if j > 0 && n.createdBy[j-1] >= fid {
-				r.Fail("principal frames not strictly increasing: %d then %d", n.createdBy[j-1], fid)
-				return r.Err()
-			}
-			n.createdBy = append(n.createdBy, fid)
+		for j, nc := 0, r.Count(1); j < nc; j++ {
+			r.Varint() // a principal frame: written by older encoders, unused
 		}
 		children[i] = readEdges()
 		parents[i] = readEdges()
@@ -386,6 +372,15 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 		}
 		if n.state.Objects.IsEmpty() {
 			r.Fail("ssg node with empty object set")
+			return r.Err()
+		}
+		for _, e := range n.state.frames.live() {
+			if e.marked {
+				n.lastMark = e.fid
+			}
+		}
+		if n.lastMark < minFID || n.lastMark >= g.window.next {
+			r.Fail("ssg node %s has no key frame in the window", n.state.Objects)
 			return r.Err()
 		}
 		h, created := g.intern.Intern(n.state.Objects)
@@ -433,11 +428,12 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 		n.onRootList = true
 		g.rootOrder = append(g.rootOrder, n)
 	}
-	for _, i := range readEdges() {
-		g.principals = append(g.principals, nodes[i])
-	}
+	readEdges() // principal states: written by older encoders, unused
 	for _, i := range readEdges() {
 		g.results = append(g.results, nodes[i])
+	}
+	for _, n := range nodes {
+		g.file(n, minFID)
 	}
 	g.relistFolded()
 	return r.Err()

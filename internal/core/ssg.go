@@ -35,6 +35,11 @@ import (
 // On the first frame and after an empty frame the under-list is empty
 // and A = F: that case is the paper's ST.
 //
+// Expiry is exact (DESIGN.md "Exact expiry"): a node is valid while its
+// newest key frame is in the window (Theorem 1), so it is filed on a ring
+// of w slots under that frame and removed on the frame that frame leaves
+// the window, the frame on which MFS drops the same state.
+//
 // Node lookup is by interned object-set handle (one hash of the id
 // stream plus an integer compare, no key strings), traversal
 // intersections go into a reusable scratch buffer, and dead states
@@ -53,10 +58,10 @@ type SSG struct {
 	// states expire but their subtrees remain live.
 	rootOrder []*ssgNode
 
-	// principals lists nodes that are principal states (some window frame
-	// has exactly their object set), in arrival order; used by the State
-	// Marking Procedure rule 4.
-	principals []*ssgNode
+	// due is the expiry ring: a filed node sits in slot lastMark mod w,
+	// and slot f mod w is popped at frame f, when frame f−w leaves the
+	// window.
+	due [][]*ssgNode
 
 	// results is the previous frame's result node set (§4.3.7);
 	// resultsNext is the double buffer the next set is built into.
@@ -115,20 +120,14 @@ type ssgNode struct {
 	// exact and skip that merge.
 	createdAt vr.FrameID
 
-	// createdBy holds the window frames whose object set equals this
-	// node's object set: while non-empty the node is a principal state
-	// (Definition 5). Sorted ascending.
-	createdBy []vr.FrameID
+	// lastMark is the newest key frame folded into the node, −1 before
+	// the first: the node is valid while it is in the window.
+	lastMark vr.FrameID
 
 	onRootList bool
+	filed      bool // on the expiry ring
 	dead       bool
 }
-
-// sweepEvery bounds lazy expiry: the traversal only expires the nodes it
-// reaches, so every sweepEvery frames (every w, for a shorter window) all
-// nodes are expired and the invalid ones removed. A node no frame reaches
-// therefore outlives its last key frame by fewer than sweepEvery frames.
-const sweepEvery = 32
 
 // NewSSG returns a Strict State Graph generator for the given window
 // parameters. It panics if cfg is invalid.
@@ -139,6 +138,7 @@ func NewSSG(cfg Config) *SSG {
 	return &SSG{
 		cfg:    cfg,
 		intern: objset.NewInterner(),
+		due:    make([][]*ssgNode, cfg.Window),
 		window: newFrameWindow(cfg.Window),
 	}
 }
@@ -175,14 +175,15 @@ func (g *SSG) newNode(objects objset.Set, createdAt vr.FrameID) *ssgNode {
 	h, _ := g.intern.Intern(objects)
 	s := g.pool.get()
 	s.Objects = g.intern.Of(h)
-	n := &ssgNode{state: s, handle: h, createdAt: createdAt}
+	n := &ssgNode{state: s, handle: h, createdAt: createdAt, lastMark: -1}
 	g.setNode(h, n)
 	g.metrics.StatesCreated++
 	return n
 }
 
-// Process implements Generator: one round of the ST algorithm followed by
-// CNPS and result-set maintenance (§4.3.7).
+// Process implements Generator: expiry, one round of the ST algorithm
+// followed by CNPS, filing of the nodes the frame created, and
+// result-set maintenance (§4.3.7).
 //
 //tvq:noalloc
 //tvq:ephemeral
@@ -201,39 +202,71 @@ func (g *SSG) Process(f vr.Frame) []*State {
 	f.Objects = g.window.push(f)
 	g.under, g.folded = g.folded, g.under[:0]
 
-	if f.FID%vr.FrameID(min(g.cfg.Window, sweepEvery)) == 0 {
-		g.sweep(minFID)
-	}
+	g.expire(f.FID, minFID)
 	if !f.Objects.IsEmpty() {
-		g.traverse(f, prev, minFID)
+		g.traverse(f, prev)
+	}
+	// Every node this frame created was folded into, so the folded list
+	// holds all the nodes not yet on the ring.
+	for _, n := range g.folded {
+		if !n.filed {
+			g.file(n, minFID)
+		}
 	}
 	return g.collectResults(f, minFID)
 }
 
+// expire pops the ring slot of frame fid−w, the frame leaving the window:
+// a node whose newest key frame that was is removed, and any other node
+// there is refiled under its newer one. Refiling never targets the slot
+// being popped, because no frame of that slot is in the window.
+func (g *SSG) expire(fid, minFID vr.FrameID) {
+	i := fid % vr.FrameID(len(g.due))
+	slot := g.due[i]
+	for _, n := range slot {
+		g.file(n, minFID)
+	}
+	clear(slot)
+	g.due[i] = slot[:0]
+}
+
+// file puts n on the expiry ring under its newest key frame, or removes
+// it when it has none in the window that starts at minFID. It is the one
+// place SSG removes a node: when the ring pops it, or at the end of the
+// frame that created it without a key frame.
+func (g *SSG) file(n *ssgNode, minFID vr.FrameID) {
+	if n.lastMark < minFID {
+		g.removeNode(n)
+		return
+	}
+	i := n.lastMark % vr.FrameID(len(g.due))
+	g.due[i] = append(g.due[i], n)
+	n.filed = true
+}
+
 // traverse runs ST on the frame's change, then creates/updates the
 // frame's own principal state and connects it via CNPS.
-func (g *SSG) traverse(f vr.Frame, prev objset.Set, minFID vr.FrameID) {
+func (g *SSG) traverse(f vr.Frame, prev objset.Set) {
 	created := g.metrics.StatesCreated
 
 	// Step 1: the states the previous frame folded. The list is closed
 	// under descendants (a subset of a state ⊆ F′ is ⊆ F′), so there is
 	// nothing to recurse into, and none of its members meets an arrival,
-	// so step 2 visits none of them again.
+	// so step 2 visits none of them again. Entries that expire removed at
+	// the start of the frame are skipped.
 	for _, n := range g.under {
 		if n.dead {
 			continue
 		}
 		g.metrics.StatesVisited++
-		g.maintain(n, f, minFID)
+		g.maintain(n, f)
 	}
 
 	// Step 2: Algorithm 1 from the roots, entering only subtrees an
-	// arrival touches. Orphans promoted onto rootOrder meanwhile are
-	// appended past the range; they were children of a node removed by
-	// its own visit, which visited them.
+	// arrival touches.
 	if arrivals := g.arrivals(f.Objects, prev); !arrivals.IsEmpty() {
 		for _, r := range g.liveRoots() {
-			g.visit(r, f, arrivals, minFID)
+			g.visit(r, f, arrivals)
 		}
 	}
 
@@ -243,7 +276,6 @@ func (g *SSG) traverse(f vr.Frame, prev objset.Set, minFID vr.FrameID) {
 	if ns := g.ensurePrincipal(f); ns != nil && g.metrics.StatesCreated != created {
 		g.connectPrincipal(ns)
 	}
-	g.refreshPrincipals(minFID)
 }
 
 // arrivals returns F ∖ F′ in generator-owned scratch; the result is valid
@@ -263,7 +295,7 @@ func (g *SSG) arrivals(cur, prev objset.Set) objset.Set {
 // visit implements one step of the ST algorithm on a live node not yet
 // visited this frame: a node no arrival touches is skipped together with
 // its subtree — the SSG pruning step, on A instead of F.
-func (g *SSG) visit(n *ssgNode, f vr.Frame, arrivals objset.Set, minFID vr.FrameID) {
+func (g *SSG) visit(n *ssgNode, f vr.Frame, arrivals objset.Set) {
 	n.visited = f.FID
 	g.metrics.Intersections++
 	if !n.state.Objects.Intersects(arrivals) {
@@ -272,33 +304,28 @@ func (g *SSG) visit(n *ssgNode, f vr.Frame, arrivals objset.Set, minFID vr.Frame
 	g.metrics.StatesVisited++
 
 	// Snapshot the children onto the shared scratch stack: maintaining n
-	// may re-home or remove entries of n.children, but the snapshot keeps
-	// this node's iteration stable without allocating. When n is removed
-	// as invalid its former children may still meet an arrival, so they
-	// are visited from here even though the node itself is gone.
+	// may re-home entries of n.children under a new child, but the
+	// snapshot keeps this node's iteration stable without allocating.
 	base := len(g.stack)
 	g.stack = append(g.stack, n.children...)
 	end := len(g.stack)
-	g.maintain(n, f, minFID)
+	g.maintain(n, f)
 
 	// A target just attached under n needs no visit of its own (its
 	// bookkeeping happened at creation); any children it acquired were
 	// re-homed siblings already present in the snapshot.
 	for i := base; i < end; i++ {
-		if c := g.stack[i]; !c.dead && c.visited != f.FID {
-			g.visit(c, f, arrivals, minFID)
+		if c := g.stack[i]; c.visited != f.FID {
+			g.visit(c, f, arrivals)
 		}
 	}
 	g.stack = g.stack[:base]
 }
 
 // maintain is what a frame does to one node (Algorithm 1 lines 3-5):
-// expire old frames, removing the node if that leaves it empty or
-// invalid, then materialize IDn ∩ F and fold the frame into it.
-func (g *SSG) maintain(n *ssgNode, f vr.Frame, minFID vr.FrameID) {
-	if g.pruneNode(n, minFID) {
-		return
-	}
+// materialize IDn ∩ F and fold the frame into it. Invalid nodes were
+// removed before the traversal started (see expire).
+func (g *SSG) maintain(n *ssgNode, f vr.Frame) {
 	g.metrics.Intersections++
 	inter := n.state.Objects.IntersectInto(f.Objects, &g.buf)
 	if inter.IsEmpty() {
@@ -352,7 +379,8 @@ func (g *SSG) foldInto(t, parent *ssgNode, f vr.Frame) {
 
 // foldFrame folds the arriving frame into n and lists n among this
 // frame's folded nodes, once however many parents lead to it; key-frame
-// marks are decided by the rest-closure rule in State.fold.
+// marks are decided by the rest-closure rule in State.fold, and a marked
+// arriving frame is the node's newest key frame.
 func (g *SSG) foldFrame(n *ssgNode, f vr.Frame) {
 	if n.foldedAt == f.FID+1 {
 		return
@@ -362,7 +390,9 @@ func (g *SSG) foldFrame(n *ssgNode, f vr.Frame) {
 	// since a frame last reached it; dropping them first lets the append
 	// reuse their room instead of growing the list past the window.
 	n.state.frames.expireBefore(f.FID - vr.FrameID(g.cfg.Window) + 1)
-	n.state.fold(f.FID, f.Objects)
+	if n.state.fold(f.FID, f.Objects) {
+		n.lastMark = f.FID
+	}
 	g.folded = append(g.folded, n)
 }
 
@@ -380,7 +410,9 @@ func (g *SSG) foldMissing(target, parent *ssgNode) {
 			continue
 		}
 		if of, ok := g.window.at(e.fid); ok {
-			target.state.fold(e.fid, of)
+			if target.state.fold(e.fid, of) {
+				target.lastMark = max(target.lastMark, e.fid)
+			}
 			te = target.state.frames.live() // insertion may move the entries
 		}
 	}
@@ -449,10 +481,6 @@ func (g *SSG) ensurePrincipal(f vr.Frame) *ssgNode {
 	// The creating frame is always a key frame of its principal state:
 	// its object set equals the state's, so fold marks it.
 	g.foldFrame(ns, f)
-	ns.createdBy = append(ns.createdBy, f.FID)
-	if wasPrincipal := len(ns.createdBy) > 1; !wasPrincipal {
-		g.principals = append(g.principals, ns)
-	}
 	g.ensureRoot(ns)
 	return ns
 }
@@ -465,9 +493,7 @@ func (g *SSG) ensurePrincipal(f vr.Frame) *ssgNode {
 func (g *SSG) connectPrincipal(ns *ssgNode) {
 	cands := g.cands[:0]
 	for _, c := range g.folded {
-		// A folded node can have been removed by its own visit later in
-		// the traversal; its state is gone.
-		if c != ns && !c.dead {
+		if c != ns {
 			cands = append(cands, c)
 		}
 	}
@@ -498,37 +524,10 @@ next:
 	g.cands = cands[:0]
 }
 
-// expireCreatedBy drops the principal frames of n that left the window.
-// Survivors are copied down so the slice keeps its backing capacity.
-func expireCreatedBy(n *ssgNode, minFID vr.FrameID) {
-	i := 0
-	for i < len(n.createdBy) && n.createdBy[i] < minFID {
-		i++
-	}
-	if i > 0 {
-		n.createdBy = n.createdBy[:copy(n.createdBy, n.createdBy[i:])]
-	}
-}
-
-// pruneNode expires old frames on n and removes it from the graph when it
-// became empty or invalid; it reports whether the node was removed.
-func (g *SSG) pruneNode(n *ssgNode, minFID vr.FrameID) bool {
-	n.state.frames.expireBefore(minFID)
-	expireCreatedBy(n, minFID)
-	if n.state.frames.len() == 0 || !n.state.frames.hasMarks() {
-		g.removeNode(n)
-		return true
-	}
-	return false
-}
-
 // removeNode detaches n from the graph, releasing its interned handle
 // and recycling its state storage. Children that lose their last parent
 // are promoted to traversal roots so their subtrees stay reachable.
 func (g *SSG) removeNode(n *ssgNode) {
-	if n.dead {
-		return
-	}
 	n.dead = true
 	g.metrics.StatesPruned++
 	g.nodes[n.handle] = nil
@@ -547,22 +546,22 @@ func (g *SSG) removeNode(n *ssgNode) {
 	n.children = nil
 	for _, c := range children {
 		detachParent(c, n)
-		if len(c.parents) == 0 && !c.dead {
+		if len(c.parents) == 0 {
 			g.ensureRoot(c)
 		}
 	}
-	// The node struct itself may still sit on rootOrder/principals/
-	// results/under or in another node's last until their lazy
-	// compaction (all guarded by dead), but the state is unreachable from
-	// any live path and can be recycled. Dropping last keeps a dead node
-	// from pinning a chain of older dead ones.
+	// The node struct itself may still sit on rootOrder, results, the
+	// folded lists or in another node's last until they are next walked
+	// (all guarded by dead), but the state is unreachable from any live
+	// path and can be recycled. Dropping last keeps a dead node from
+	// pinning a chain of older dead ones.
 	g.pool.put(n.state)
 	n.state = nil
 	n.last = nil
 }
 
 func (g *SSG) ensureRoot(n *ssgNode) {
-	if n.onRootList || n.dead || len(n.parents) > 0 {
+	if n.onRootList || len(n.parents) > 0 {
 		return
 	}
 	n.onRootList = true
@@ -582,20 +581,6 @@ func (g *SSG) liveRoots() []*ssgNode {
 	}
 	g.rootOrder = out
 	return out
-}
-
-func (g *SSG) refreshPrincipals(minFID vr.FrameID) {
-	out := g.principals[:0]
-	for _, n := range g.principals {
-		if n.dead {
-			continue
-		}
-		expireCreatedBy(n, minFID)
-		if len(n.createdBy) > 0 {
-			out = append(out, n)
-		}
-	}
-	g.principals = out
 }
 
 // collectResults implements the result-set maintenance of §4.3.7:
@@ -623,27 +608,16 @@ func (g *SSG) collectResults(f vr.Frame, minFID vr.FrameID) []*State {
 	return g.em.emit(states, g.cfg.Duration, true)
 }
 
-// considerResult re-validates one candidate node and appends it to
-// resultsNext when it belongs in this frame's result set.
+// considerResult expires one candidate node's old frames and appends it
+// to resultsNext when it belongs in this frame's result set. A candidate
+// removed this frame is skipped; every other one has a key frame in the
+// window.
 func (g *SSG) considerResult(n *ssgNode, minFID vr.FrameID) {
 	if n.dead {
 		return
 	}
 	n.state.frames.expireBefore(minFID)
-	if n.state.frames.len() == 0 || !n.state.frames.hasMarks() {
-		g.removeNode(n)
-		return
-	}
 	if n.state.frames.len() >= g.cfg.Duration {
 		g.resultsNext = append(g.resultsNext, n)
-	}
-}
-
-// sweep expires every node and removes the invalid ones; see sweepEvery.
-func (g *SSG) sweep(minFID vr.FrameID) {
-	for _, n := range g.nodes {
-		if n != nil {
-			g.pruneNode(n, minFID)
-		}
 	}
 }

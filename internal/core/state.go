@@ -247,10 +247,6 @@ type State struct {
 	extra    objset.Set
 	hasExtra bool
 
-	// terminated marks states dropped by the §5.3 result-driven pruning
-	// strategy; they are never emitted or extended.
-	terminated bool
-
 	// agg caches per-class object counts; it is computed lazily by the
 	// query-evaluation layer (see Aggregate).
 	agg []int
@@ -261,7 +257,8 @@ type State struct {
 // the rest-closure rule: fid is marked iff of kills every current
 // blocker; otherwise the blocker set shrinks to its intersection with of
 // and fid stays unmarked. Frames may arrive out of order during merges;
-// folding an already-present frame is a no-op.
+// folding an already-present frame is a no-op. fold reports whether fid
+// became a key frame.
 //
 // Marks produced this way always form a key frame set (Definition 4,
 // Theorem 1): the blocker set is, by construction, a subset of the
@@ -270,7 +267,7 @@ type State struct {
 // ones). Consequently a state that loses all marked frames to expiry has
 // a surviving blocker in every remaining frame and is invalid, which
 // makes pruning on mark-exhaustion safe (Theorem 4).
-func (s *State) fold(fid vr.FrameID, of objset.Set) {
+func (s *State) fold(fid vr.FrameID, of objset.Set) bool {
 	var kills bool
 	if !s.hasExtra {
 		// Rest-closure is the universe: only a frame whose object set is
@@ -281,11 +278,10 @@ func (s *State) fold(fid vr.FrameID, of objset.Set) {
 		kills = !s.extra.Intersects(of)
 	}
 	if kills {
-		s.frames.insert(fid, true)
-		return
+		return s.frames.insert(fid, true)
 	}
 	if !s.frames.insert(fid, false) {
-		return // already present; blockers unchanged
+		return false // already present; blockers unchanged
 	}
 	if !s.hasExtra {
 		s.extra = of.Minus(s.Objects)
@@ -296,6 +292,7 @@ func (s *State) fold(fid vr.FrameID, of objset.Set) {
 		// intersection is safe.
 		s.extra.IntersectWith(of)
 	}
+	return false
 }
 
 // FrameCount returns |Fs|, the number of window frames in which the
@@ -329,10 +326,6 @@ func (s *State) MarkedFrames() []vr.FrameID {
 // Valid reports whether the state still holds at least one marked frame —
 // the incremental validity test of Theorem 1 / Theorem 4.
 func (s *State) Valid() bool { return s.frames.hasMarks() }
-
-// Terminated reports whether the state was dropped by the §5.3 pruning
-// strategy.
-func (s *State) Terminated() bool { return s.terminated }
 
 // String renders the state like the paper's tables: ({1 2}, {*3 4}).
 func (s *State) String() string {
@@ -499,7 +492,7 @@ func (e *emitter) emit(states []*State, duration int, checkMarks bool) []*State 
 	clear(e.byHash)
 	e.groups = e.groups[:0]
 	for _, s := range states {
-		if s.terminated || s.FrameCount() < duration || s.FrameCount() == 0 {
+		if s.FrameCount() < duration || s.FrameCount() == 0 {
 			continue
 		}
 		if checkMarks && !s.Valid() {
@@ -570,7 +563,6 @@ func (p *statePool) put(s *State) {
 	s.frames.marks = 0
 	s.extra = objset.Set{}
 	s.hasExtra = false
-	s.terminated = false
 	s.agg = nil
 	p.free = append(p.free, s)
 }

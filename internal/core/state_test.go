@@ -149,11 +149,19 @@ func TestFoldInvariant(t *testing.T) {
 
 // TestFoldMarksFramesEqualToObjects: a frame whose object set equals the
 // state's kills everything and must always be marked (the principal-state
-// rule of §4.3.1).
+// rule of §4.3.1). fold reports the marking, and a repeated fold marks
+// nothing new.
 func TestFoldMarksFramesEqualToObjects(t *testing.T) {
 	s := &State{Objects: objset.New(1, 2)}
-	s.fold(0, objset.New(1, 2, 3)) // superset: unmarked, blockers {3}
-	s.fold(1, objset.New(1, 2))    // exact: marked
+	if s.fold(0, objset.New(1, 2, 3)) { // superset: unmarked, blockers {3}
+		t.Error("fold of a superset frame reported a key frame")
+	}
+	if !s.fold(1, objset.New(1, 2)) { // exact: marked
+		t.Error("fold of an exact frame reported no key frame")
+	}
+	if s.fold(1, objset.New(1, 2)) {
+		t.Error("repeated fold reported a new key frame")
+	}
 	marks := s.MarkedFrames()
 	if len(marks) != 1 || marks[0] != 1 {
 		t.Fatalf("marks = %v, want [1]", marks)
@@ -199,17 +207,13 @@ func TestEmitDurationAndValidity(t *testing.T) {
 	unmarked.frames.insert(0, false)
 	unmarked.frames.insert(2, false)
 
-	terminated := &State{Objects: objset.New(4), terminated: true}
-	terminated.frames.insert(0, true)
-	terminated.frames.insert(1, true)
-
 	em := &emitter{}
-	out := em.emit([]*State{ok, short, unmarked, terminated}, 2, true)
+	out := em.emit([]*State{ok, short, unmarked}, 2, true)
 	if len(out) != 1 || !out[0].Objects.Equal(objset.New(1)) {
 		t.Fatalf("emit = %v", out)
 	}
 	// Without the marks requirement the unmarked state qualifies too.
-	out = em.emit([]*State{ok, short, unmarked, terminated}, 2, false)
+	out = em.emit([]*State{ok, short, unmarked}, 2, false)
 	if len(out) != 2 {
 		t.Fatalf("emit without marks = %v", out)
 	}

@@ -53,10 +53,6 @@ func (in *Interner) Len() int { return in.n }
 // owner-only mutations, and must not use h after releasing it.
 func (in *Interner) Of(h Handle) Set { return in.sets[h] }
 
-// Cap returns the highest handle ever issued plus one; generator state
-// tables indexed by handle size themselves with it.
-func (in *Interner) Cap() int { return len(in.sets) }
-
 // Lookup returns the handle of s if it is interned. It never allocates.
 //
 //tvq:noalloc

@@ -10,7 +10,6 @@ package vr
 
 import (
 	"fmt"
-	"sort"
 
 	"tvq/internal/objset"
 )
@@ -210,28 +209,6 @@ func (t *Trace) Prefix(n int) *Trace {
 	return &Trace{frames: t.frames[:n], classes: t.classes}
 }
 
-// FilterClasses returns a new trace in which every object whose class is
-// not in keep has been dropped. This is the push-down the MCOS Generation
-// module applies when queries reference only a subset of classes (§3).
-func (t *Trace) FilterClasses(keep map[Class]bool) *Trace {
-	out := &Trace{classes: t.classes}
-	for _, f := range t.frames {
-		ids := f.Objects.IDs()
-		kept := make([]objset.ID, 0, len(ids))
-		for _, id := range ids {
-			if keep[t.classes[id]] {
-				kept = append(kept, id)
-			}
-		}
-		out.frames = append(out.frames, Frame{
-			FID:     f.FID,
-			Objects: objset.FromSorted(kept),
-			Classes: t.classes,
-		})
-	}
-	return out
-}
-
 // Tuples flattens the trace back into relation rows, ordered by (fid, id).
 func (t *Trace) Tuples() []Tuple {
 	var out []Tuple
@@ -302,15 +279,4 @@ func UniqueObjectSets(t *Trace) int {
 		seen[f.Objects.Key()] = true
 	}
 	return len(seen)
-}
-
-// SortTuples orders rows by (fid, id); codecs emit rows in this order so
-// traces round-trip deterministically.
-func SortTuples(ts []Tuple) {
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].FID != ts[j].FID {
-			return ts[i].FID < ts[j].FID
-		}
-		return ts[i].ID < ts[j].ID
-	})
 }

@@ -95,18 +95,6 @@ func TestNewTraceRejectsNegativeFID(t *testing.T) {
 	}
 }
 
-func TestFilterClasses(t *testing.T) {
-	classes := map[objset.ID]Class{1: 0, 2: 1, 3: 0}
-	tr := NewTraceFromFrames([]objset.Set{objset.New(1, 2, 3), objset.New(2)}, classes)
-	got := tr.FilterClasses(map[Class]bool{0: true})
-	if !got.Frame(0).Objects.Equal(objset.New(1, 3)) {
-		t.Errorf("frame 0 = %v", got.Frame(0).Objects)
-	}
-	if !got.Frame(1).Objects.IsEmpty() {
-		t.Errorf("frame 1 = %v", got.Frame(1).Objects)
-	}
-}
-
 func TestPrefix(t *testing.T) {
 	tr := NewTraceFromFrames(
 		[]objset.Set{objset.New(1), objset.New(2), objset.New(3)},
@@ -288,13 +276,5 @@ func TestTuplesOrdering(t *testing.T) {
 		if tups[i] != want[i] {
 			t.Fatalf("tuples = %v, want %v", tups, want)
 		}
-	}
-}
-
-func TestSortTuples(t *testing.T) {
-	ts := []Tuple{{2, 1, 0}, {0, 9, 0}, {0, 3, 0}}
-	SortTuples(ts)
-	if ts[0] != (Tuple{0, 3, 0}) || ts[1] != (Tuple{0, 9, 0}) || ts[2] != (Tuple{2, 1, 0}) {
-		t.Fatalf("sorted = %v", ts)
 	}
 }
