@@ -16,7 +16,7 @@ import (
 // goes on to emit exactly what the original would have. States are
 // written in sorted order so the encoding is deterministic; decoding
 // validates structural invariants (sorted sets, in-range graph indices,
-// reciprocal edges, a key frame in the window for every SSG node) and
+// reciprocal edges, a processed key frame for every SSG node) and
 // returns errors, never panics, on malformed input.
 
 // Generator kind tags in the wire format.
@@ -379,8 +379,8 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 				n.lastMark = e.fid
 			}
 		}
-		if n.lastMark < minFID || n.lastMark >= g.window.next {
-			r.Fail("ssg node %s has no key frame in the window", n.state.Objects)
+		if n.lastMark < 0 || n.lastMark >= g.window.next {
+			r.Fail("ssg node %s has no key frame before frame %d", n.state.Objects, g.window.next)
 			return r.Err()
 		}
 		h, created := g.intern.Intern(n.state.Objects)
@@ -432,9 +432,13 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 	for _, i := range readEdges() {
 		g.results = append(g.results, nodes[i])
 	}
+	// A node whose key frames have all left the window, which an encoder
+	// that did not expire before writing may have kept, is removed here as
+	// the ring would have removed it, and leaves the result set with it.
 	for _, n := range nodes {
 		g.file(n, minFID)
 	}
+	g.results = slices.DeleteFunc(g.results, func(n *ssgNode) bool { return n.dead })
 	g.relistFolded()
 	return r.Err()
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -265,56 +266,135 @@ func TestSSGSnapshotHoldsNoExpiredFrames(t *testing.T) {
 
 // TestSSGDecodeRejectsNodeWithoutKeyFrame: a node is valid while it has
 // a key frame in the window (Theorem 1), and the expiry ring files every
-// node under its newest one, so a snapshot node with none is malformed.
-// No generator produces such a node, so the test unmarks one in a live
-// generator before encoding it.
+// node under its newest one, so a snapshot node with no key frame, or
+// with one not yet processed, is malformed.
+// No generator produces such a node, so the test rewrites the frames of
+// one in a live generator before encoding it: marks cleared, a marked
+// frame id below zero, and one not yet processed. A cut before w frames
+// leaves the window reaching below frame 0, which no mark may index.
 func TestSSGDecodeRejectsNodeWithoutKeyFrame(t *testing.T) {
-	cfg := Config{Window: 6, Duration: 2}
-	g := NewSSG(cfg)
-	for _, f := range flickerFeed(rand.New(rand.NewSource(37)), 40, 6) {
-		g.Process(f)
+	cases := []struct {
+		name           string
+		window, frames int
+		entries        func(live []frameEntry, next vr.FrameID) []frameEntry
+	}{
+		{"unmarked", 6, 40, unmarked},
+		{"unmarked before w frames", 20, 5, unmarked},
+		{"negative mark", 20, 5, func([]frameEntry, vr.FrameID) []frameEntry {
+			return []frameEntry{{fid: -3, marked: true}}
+		}},
+		{"mark not yet processed", 6, 40, func(_ []frameEntry, next vr.FrameID) []frameEntry {
+			return []frameEntry{{fid: next, marked: true}}
+		}},
 	}
-	var victim *State
-	for _, n := range g.nodes {
-		if n != nil {
-			victim = n.state
-			break
+	for _, tc := range cases {
+		cfg := Config{Window: tc.window, Duration: 2}
+		g := NewSSG(cfg)
+		for _, f := range flickerFeed(rand.New(rand.NewSource(37)), tc.frames, 6) {
+			g.Process(f)
 		}
-	}
-	if victim == nil {
-		t.Fatal("feed left no states")
-	}
-	for i := range victim.frames.entries {
-		victim.frames.entries[i].marked = false
-	}
-	victim.frames.marks = 0
-	var w snapshot.Writer
-	if err := EncodeGenerator(&w, g); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeGenerator(snapshot.NewReader(w.Bytes()), cfg); err == nil || !strings.Contains(err.Error(), "no key frame") {
-		t.Fatalf("decoded a node without a key frame: err = %v", err)
+		var victim *State
+		for _, n := range g.nodes {
+			if n != nil {
+				victim = n.state
+				break
+			}
+		}
+		if victim == nil {
+			t.Fatalf("%s: feed left no states", tc.name)
+		}
+		victim.frames.entries = tc.entries(victim.frames.live(), g.window.next)
+		victim.frames.head, victim.frames.marks = 0, 0
+		for _, e := range victim.frames.entries {
+			if e.marked {
+				victim.frames.marks++
+			}
+		}
+		var w snapshot.Writer
+		if err := EncodeGenerator(&w, g); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeGenerator(snapshot.NewReader(w.Bytes()), cfg); err == nil || !strings.Contains(err.Error(), "no key frame") {
+			t.Errorf("%s: decoded a node without a key frame: err = %v", tc.name, err)
+		}
 	}
 }
 
-// TestSSGResumesOlderSnapshot decodes an SSG snapshot written by commit
-// 1adda11, whose nodes carried principal frames and whose encoder swept
-// expired nodes first, and checks that it continues exactly like an
-// uninterrupted run. The same layout is written today, with the
-// principal fields empty.
-func TestSSGResumesOlderSnapshot(t *testing.T) {
-	cfg := Config{Window: 20, Duration: 5}
-	feed := flickerFeed(rand.New(rand.NewSource(41)), 160, 9)
-	const cut = 100
-	data, err := os.ReadFile("testdata/ssg-w20-d5-flicker41-cut100.snap")
+func unmarked(live []frameEntry, _ vr.FrameID) []frameEntry {
+	out := slices.Clone(live)
+	for i := range out {
+		out[i].marked = false
+	}
+	return out
+}
+
+// TestSSGDecodeDropsExpiredNode: a node whose key frames have all left
+// the window is not malformed, only expired; an encoder that did not
+// expire nodes first may have written one. Decode removes it, as the
+// ring would have, and the restored generator encodes and goes on.
+func TestSSGDecodeDropsExpiredNode(t *testing.T) {
+	cfg := Config{Window: 6, Duration: 1}
+	var w snapshot.Writer
+	w.String(genKindSSG)
+	w.Varint(30) // next frame
+	encodeMetrics(&w, Metrics{})
+	w.Uvarint(0) // window frames
+	w.Uvarint(1) // nodes
+	s := &State{Objects: objset.New(1, 2)}
+	s.frames.entries = []frameEntry{{fid: 10, marked: true}, {fid: 11}}
+	encodeState(&w, s, 0)
+	w.Varint(11) // visited
+	w.Varint(10) // createdAt
+	w.Uvarint(0) // principal frames
+	w.Uvarint(0) // children
+	w.Uvarint(0) // parents
+	w.Uvarint(1) // root order
+	w.Uvarint(0) //   node 0
+	w.Uvarint(0) // principal states
+	w.Uvarint(1) // results
+	w.Uvarint(0) //   node 0
+	g, err := DecodeGenerator(snapshot.NewReader(w.Bytes()), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := NewSSG(cfg)
-	for _, f := range feed[:cut] {
-		full.Process(f)
+	if n := g.StateCount(); n != 0 {
+		t.Fatalf("decode kept %d states, want 0", n)
 	}
-	resumeFrom(t, cfg, feed, cut, full, data)
+	var again snapshot.Writer
+	if err := EncodeGenerator(&again, g); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Process(vr.Frame{FID: 30, Objects: objset.New(1)}); len(got) != 1 || !got[0].Objects.Equal(objset.New(1)) {
+		t.Errorf("first frame after decode emitted %s, want {1}", statesString(got))
+	}
+}
+
+// TestSSGResumesOlderSnapshot decodes SSG snapshots written by older
+// encoders, whose nodes carried principal frames, and checks that each
+// continues exactly like an uninterrupted run. The same layout is written
+// today, with the principal fields empty. Commit 1adda11 swept expired
+// nodes before encoding; commit 52d8c55, before ΔST, did not, and its
+// snapshot holds node {4}, whose key frames had all left the window.
+func TestSSGResumesOlderSnapshot(t *testing.T) {
+	for _, c := range []struct {
+		file string
+		cfg  Config
+		feed []vr.Frame
+		cut  int
+	}{
+		{"ssg-w20-d5-flicker41-cut100.snap", Config{Window: 20, Duration: 5}, flickerFeed(rand.New(rand.NewSource(41)), 160, 9), 100},
+		{"ssg-w12-d4-random53-cut70.snap", Config{Window: 12, Duration: 4}, randomCoreFrames(rand.New(rand.NewSource(53)), 140, 10), 70},
+	} {
+		data, err := os.ReadFile("testdata/" + c.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := NewSSG(c.cfg)
+		for _, f := range c.feed[:c.cut] {
+			full.Process(f)
+		}
+		resumeFrom(t, c.cfg, c.feed, c.cut, full, data)
+	}
 }
 
 // TestEncodeGeneratorDeterministic verifies the encoding is stable: two
