@@ -410,39 +410,61 @@ func BenchmarkAblationClassFilter(b *testing.B) {
 
 // BenchmarkJSONLSinkDeliver measures the match encoder on the shape the
 // sparse-fanout workload produces — a few objects, a window's worth of
-// consecutive frame ids — for a sparse and a bitmap object set. One op
-// is 10000 deliveries, so that the CI gate's -benchtime=2x measures
-// milliseconds; a warm sink must report 0 allocs/op.
+// consecutive frame ids. sparse and dense (a bitmap object set) give
+// every delivery of a frame its own frame list, so each one is encoded
+// in full; shared delivers one state to 64 query ids per frame, so the
+// sink encodes its objects and frames once and the other 63 lines reuse
+// them. One op is 10000 deliveries, so that the CI gate's
+// -benchtime=2x measures milliseconds; a warm sink must report 0
+// allocs/op.
 func BenchmarkJSONLSinkDeliver(b *testing.B) {
-	const deliveries = 10000
-	frames := make([]tvq.FrameID, 48)
-	for i := range frames {
-		frames[i] = tvq.FrameID(967 + i) // crosses 999→1000
+	const (
+		deliveries = 10000
+		perFrame   = 64
+	)
+	// perFrame copies of one list: the same ids in distinct blocks.
+	lists := make([][]tvq.FrameID, perFrame)
+	for k := range lists {
+		lists[k] = make([]tvq.FrameID, 48)
+		for i := range lists[k] {
+			lists[k][i] = tvq.FrameID(967 + i) // crosses 999→1000
+		}
 	}
 	dense := make([]objset.ID, 24)
 	for i := range dense {
 		dense[i] = objset.ID(640 + i)
 	}
+	sparse := objset.New(412, 436, 3077)
 	for _, c := range []struct {
-		name string
-		objs objset.Set
+		name   string
+		objs   objset.Set
+		shared bool
 	}{
-		{"sparse", objset.New(412, 436, 3077)},
-		{"dense", objset.New(dense...)},
+		{"sparse", sparse, false},
+		{"dense", objset.New(dense...), false},
+		{"shared", sparse, true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			sink := tvq.NewJSONLSink(io.Discard)
-			d := tvq.Delivery{FID: 1014, Match: tvq.Match{QueryID: 731, Objects: c.objs, Frames: frames}}
-			if err := sink.Deliver(d); err != nil { // the buffers reach their size
-				b.Fatal(err)
+			d := tvq.Delivery{FID: 1014, Match: tvq.Match{QueryID: 731, Objects: c.objs, Frames: lists[0]}}
+			deliver := func(k int) {
+				d.FID = tvq.FrameID(1014 + k/perFrame)
+				d.Match.QueryID = 731 + k%perFrame
+				if !c.shared {
+					d.Match.Frames = lists[k%perFrame]
+				}
+				if err := sink.Deliver(d); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for k := range perFrame { // the buffers reach their size
+				deliver(k)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for range deliveries {
-					if err := sink.Deliver(d); err != nil {
-						b.Fatal(err)
-					}
+				for k := range deliveries {
+					deliver(k)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*deliveries), "ns/delivery")

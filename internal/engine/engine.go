@@ -277,7 +277,14 @@ func (e *Engine) ProcessFrame(f vr.Frame) []query.Match {
 				Elapsed: time.Since(began),
 			})
 		}
-		out = append(out, matches...)
+		// The evaluator's slice is fresh, exactly sized and the caller's:
+		// with one contributing group it is the result as it stands, and
+		// a second group's append cannot write into it.
+		if len(out) == 0 {
+			out = matches
+		} else {
+			out = append(out, matches...)
+		}
 	}
 	return out
 }

@@ -250,3 +250,59 @@ func TestSurveillanceScenario(t *testing.T) {
 		t.Fatal("surveillance scenario never matched")
 	}
 }
+
+// TestProcessFrameKeepsEvaluatorSlice pins that a frame one window group
+// matched costs what the group's generator allocates plus the
+// evaluator's two blocks (its matches and their frame ids) and nothing
+// more: the engine returns the evaluator's slice instead of copying it.
+// A twin engine fed the same frames runs only its generator, which
+// prices the generator's share; the class filter is off in both, so the
+// filtered copy of a frame's set is not counted.
+func TestProcessFrameKeepsEvaluatorSlice(t *testing.T) {
+	qs := []cnf.Query{
+		mkQuery(t, 1, "person >= 1", 10, 2),
+		mkQuery(t, 2, "person >= 2", 10, 2),
+		mkQuery(t, 3, "(car >= 1 OR person >= 3)", 10, 2),
+	}
+	person := vr.StandardRegistry().Class("person")
+	const warm, runs = 40, 50
+	frames := make([]vr.Frame, warm+runs+1)
+	for i := range frames {
+		frames[i] = vr.Frame{
+			FID:     vr.FrameID(i),
+			Objects: objset.New(1, 2, 3),
+			Classes: map[objset.ID]vr.Class{1: person, 2: person, 3: person},
+		}
+	}
+	eng, err := New(qs, Options{KeepAllClasses: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := New(qs, Options{KeepAllClasses: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(eng.groups) != 1 {
+		t.Fatalf("%d window groups, want 1", len(eng.groups))
+	}
+	for _, f := range frames[:warm] {
+		eng.ProcessFrame(f)
+		twin.ProcessFrame(f)
+	}
+	next, matched := warm, 0
+	full := testing.AllocsPerRun(runs, func() {
+		matched += len(eng.ProcessFrame(frames[next]))
+		next++
+	})
+	next = warm
+	gen := testing.AllocsPerRun(runs, func() {
+		twin.groups[0].gen.Process(frames[next])
+		next++
+	})
+	if matched != 3*(runs+1) {
+		t.Fatalf("%d matches over %d frames, want 3 per frame", matched, runs+1)
+	}
+	if full > gen+2 {
+		t.Errorf("ProcessFrame allocates %.0f times per frame, the generator alone %.0f: want at most 2 more (the evaluator's blocks)", full, gen)
+	}
+}

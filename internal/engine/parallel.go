@@ -349,13 +349,17 @@ func (p *Pool) processByGroup(frames []FeedFrame) []FeedResult {
 	}
 	done.Wait()
 
-	merged := make([][]query.Match, len(frames))
+	// A shard's column entry is its engine's caller-owned result, so a
+	// frame only one shard matched keeps that slice without a copy.
+	merged := cols[0]
 	for i := range frames {
-		var ms []query.Match
-		for s := range cols {
-			ms = append(ms, cols[s][i]...)
+		for s := 1; s < len(cols); s++ {
+			if len(merged[i]) == 0 {
+				merged[i] = cols[s][i]
+			} else {
+				merged[i] = append(merged[i], cols[s][i]...)
+			}
 		}
-		merged[i] = ms
 	}
 	return assemble(frames, merged)
 }

@@ -318,3 +318,71 @@ func TestPoolStateCount(t *testing.T) {
 		p.Close()
 	}
 }
+
+// TestMatchesConcatenateInGroupOrder: when more than one window group
+// (or group shard) matches a frame, the frame's matches are the groups'
+// matches back to back in ascending window order, exactly as engines
+// holding one group each return them; when one contributes, they are
+// its matches alone.
+func TestMatchesConcatenateInGroupOrder(t *testing.T) {
+	tr := smallTrace(t, 29)
+	narrow := []cnf.Query{mkQuery(t, 1, "car >= 1", 10, 4), mkQuery(t, 2, "person >= 1", 10, 4)}
+	wide := []cnf.Query{mkQuery(t, 3, "car >= 1", 24, 8), mkQuery(t, 4, "person >= 1 AND car >= 1", 24, 6)}
+	qs := append(append([]cnf.Query(nil), narrow...), wide...)
+	parts := make([]*Engine, 2)
+	for i, part := range [][]cnf.Query{narrow, wide} {
+		eng, err := New(part, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts[i] = eng
+	}
+	eng, err := New(qs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPool(qs, PoolOptions{Workers: 2, Mode: ShardByGroup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if p.Workers() != 2 {
+		t.Fatalf("pool has %d shards, want 2", p.Workers())
+	}
+
+	var both, one int
+	want := make(map[vr.FrameID][]string)
+	for _, f := range tr.Frames() {
+		a, b := parts[0].ProcessFrame(f), parts[1].ProcessFrame(f)
+		if len(a) > 0 && len(b) > 0 {
+			both++
+		} else if len(a)+len(b) > 0 {
+			one++
+		}
+		keys := resultKeys(append(append([]query.Match(nil), a...), b...))
+		if got := resultKeys(eng.ProcessFrame(f)); !reflect.DeepEqual(got, keys) {
+			t.Fatalf("engine, frame %d:\n got %v\nwant %v", f.FID, got, keys)
+		}
+		if len(keys) > 0 {
+			want[f.FID] = keys
+		}
+	}
+	if both == 0 || one == 0 {
+		t.Fatalf("%d frames matched by both groups and %d by one: want some of each", both, one)
+	}
+
+	got := make(map[vr.FrameID][]string)
+	frames := tr.Frames()
+	for lo := 0; lo < len(frames); lo += 7 {
+		ffs := make([]FeedFrame, 0, 7)
+		for _, f := range frames[lo:min(lo+7, len(frames))] {
+			ffs = append(ffs, FeedFrame{Frame: f})
+		}
+		for _, r := range p.ProcessBatch(ffs) {
+			got[r.FID] = resultKeys(r.Matches)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pool matches differ from the groups' concatenation:\n got %v\nwant %v", got, want)
+	}
+}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -139,26 +140,54 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				flusher.Flush()
 			}
 		case d, open := <-tap.C():
-			if !open {
-				// Subscription cancelled (or sink closed): report drops,
-				// then end the stream cleanly.
-				if format == "sse" {
-					fmt.Fprintf(w, "event: end\ndata: {\"dropped\":%d}\n\n", tap.Dropped())
-					flusher.Flush()
+			// Write the burst the tap holds — at most one buffer's worth,
+			// so the other cases stay live — and flush once.
+		burst:
+			for n := cap(tap.C()); open; n-- {
+				if writeMatch(w, &buf, enc, d, format == "sse") != nil {
+					return
 				}
-				return
+				if n == 1 {
+					break
+				}
+				select {
+				case d, open = <-tap.C():
+				default:
+					break burst
+				}
 			}
 			reportDrops()
-			buf.Reset()
-			if err := enc.Deliver(d); err != nil {
-				return
-			}
-			if format == "sse" {
-				fmt.Fprintf(w, "event: match\ndata: %s\n\n", bytes.TrimRight(buf.Bytes(), "\n"))
-			} else if _, err := w.Write(buf.Bytes()); err != nil {
+			if !open {
+				// Subscription cancelled (or sink closed): end the stream
+				// cleanly, with the drop count.
+				if format == "sse" {
+					fmt.Fprintf(w, "event: end\ndata: {\"dropped\":%d}\n\n", tap.Dropped())
+				}
+				flusher.Flush()
 				return
 			}
 			flusher.Flush()
 		}
 	}
+}
+
+// writeMatch writes one delivery as a JSONL line, or as an SSE match
+// event carrying that line.
+func writeMatch(w io.Writer, buf *bytes.Buffer, enc *tvq.JSONLSink, d tvq.Delivery, sse bool) error {
+	buf.Reset()
+	if err := enc.Deliver(d); err != nil {
+		return err
+	}
+	if !sse {
+		_, err := w.Write(buf.Bytes())
+		return err
+	}
+	if _, err := io.WriteString(w, "event: match\ndata: "); err != nil {
+		return err
+	}
+	if _, err := w.Write(buf.Bytes()[:buf.Len()-1]); err != nil { // the line without its newline
+		return err
+	}
+	_, err := io.WriteString(w, "\n\n")
+	return err
 }

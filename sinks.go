@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"unsafe"
 
 	"tvq/internal/objset"
 	"tvq/internal/sinkchan"
@@ -98,11 +99,53 @@ func (c *ChanSink) closeSink() { c.c.Close() }
 // sink allocates nothing. It only reads the delivery (Match.Frames is
 // shared between matches) and is safe for use from multiple
 // subscriptions at once.
+//
+// All matches of one state in one frame share its object set and its
+// frame list, so the sink formats the objects and frames of a line once
+// per state and frame and reuses those bytes for the state's other
+// matches: a delivery whose Match.Frames is the same slice (same first
+// element, same length) as an earlier delivery of the same feed and
+// frame, with equal objects, is written from that earlier encoding.
+// That relies on the read-only contract of Delivery: a caller building
+// its own deliveries must not change a Frames slice it has delivered
+// until it delivers another feed or frame.
 type JSONLSink struct {
 	mu  sync.Mutex
 	w   io.Writer
 	buf []byte      // the line being built; reused
 	ids []objset.ID // members of a dense object set; reused
+
+	// The tail memo, scoped to one (feed, fid). buf[:head] holds that
+	// scope's `{"feed":…,"fid":…,"query":`; head is 0 before the first
+	// delivery.
+	feed  FeedID
+	fid   FrameID
+	head  int
+	tails []byte // the scope's encoded tails, back to back; reused
+	slots [tailSlots]tailEntry
+	used  []uint8 // indices of the filled slots, at most maxTails
+}
+
+// tailSlots is the size of the tail memo's table, an open-addressed
+// hash on the address of a frame list. A frame's matches rarely come
+// from more distinct states than maxTails; when they do, or when the
+// scope has encoded maxTailBytes of tails, the memo starts over, so a
+// caller that never changes feed or frame does not grow the sink
+// without bound.
+const (
+	tailSlots    = 64
+	maxTails     = tailSlots * 3 / 4
+	maxTailBytes = 64 << 10
+)
+
+// tailEntry is one encoded `,"objects":[…],"frames":[…]}` + newline.
+// Holding the frame list's first element keeps its block alive, so no
+// other list can be allocated at that address while the entry exists.
+type tailEntry struct {
+	frames   *FrameID
+	n        int
+	objects  objset.Set
+	from, to int // the tail's bytes in JSONLSink.tails
 }
 
 // NewJSONLSink builds a JSONL writer sink over w. The sink does not
@@ -120,19 +163,91 @@ func (s *JSONLSink) Deliver(d Delivery) error {
 	return err
 }
 
-// encode leaves d's line in s.buf.
+// encode leaves d's line in s.buf: the scope's head, the query id, and
+// the tail, from the memo when d's state was already encoded in this
+// scope. Empty object sets and frame lists always take the plain path,
+// so null and [] stay apart.
 //
 //tvq:noalloc
 func (s *JSONLSink) encode(d Delivery) {
-	b := s.buf[:0]
-	b = append(b, `{"feed":`...)
-	b = strconv.AppendInt(b, int64(d.Feed), 10)
+	if s.head == 0 || d.Feed != s.feed || d.FID != s.fid {
+		s.rescope(d.Feed, d.FID)
+	}
+	m := d.Match
+	b := strconv.AppendInt(s.buf[:s.head], int64(m.QueryID), 10)
+	if len(m.Frames) == 0 || m.Objects.IsEmpty() {
+		s.buf = s.appendTail(b, m)
+		return
+	}
+	first := &m.Frames[0]
+	i := s.lookup(first, len(m.Frames))
+	if e := &s.slots[i]; e.frames == nil || !e.objects.Equal(m.Objects) {
+		if len(s.used) == maxTails || len(s.tails) >= maxTailBytes {
+			s.forget()
+			i = tailSlot(first)
+		}
+		if s.slots[i].frames == nil {
+			s.used = append(s.used, i)
+		}
+		from := len(s.tails)
+		s.tails = s.appendTail(s.tails, m)
+		//lint:ignore retainset a delivered Match is read-only (see Delivery), and the entry lives until the scope ends
+		s.slots[i] = tailEntry{frames: first, n: len(m.Frames), objects: m.Objects, from: from, to: len(s.tails)}
+	}
+	e := &s.slots[i]
+	b = append(b, s.tails[e.from:e.to]...)
+	s.buf = b
+}
+
+// lookup returns the slot of the memo entry for the frame list of n
+// ids that starts at first, or the empty slot where it goes. The table
+// always has an empty slot: it holds at most maxTails entries.
+func (s *JSONLSink) lookup(first *FrameID, n int) uint8 {
+	for i := tailSlot(first); ; i = (i + 1) % tailSlots {
+		if e := &s.slots[i]; e.frames == nil || e.frames == first && e.n == n {
+			return i
+		}
+	}
+}
+
+// tailSlot is where the probe for a frame list starts: a mix of its
+// first element's address. The address only chooses the slot; a hit
+// compares the pointer itself.
+func tailSlot(first *FrameID) uint8 {
+	x := uint64(uintptr(unsafe.Pointer(first)))
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	return uint8(x % tailSlots)
+}
+
+// rescope starts the memo of a new (feed, fid) and writes its head.
+func (s *JSONLSink) rescope(feed FeedID, fid FrameID) {
+	s.forget()
+	s.feed, s.fid = feed, fid
+	b := append(s.buf[:0], `{"feed":`...)
+	b = strconv.AppendInt(b, int64(feed), 10)
 	b = append(b, `,"fid":`...)
-	b = strconv.AppendInt(b, d.FID, 10)
+	b = strconv.AppendInt(b, fid, 10)
 	b = append(b, `,"query":`...)
-	b = strconv.AppendInt(b, int64(d.Match.QueryID), 10)
+	s.buf, s.head = b, len(b)
+}
+
+// forget empties the memo, releasing the frame lists it holds.
+func (s *JSONLSink) forget() {
+	for _, i := range s.used {
+		s.slots[i] = tailEntry{}
+	}
+	s.used = s.used[:0]
+	s.tails = s.tails[:0]
+}
+
+// appendTail appends m's `,"objects":[…],"frames":[…]}` and the newline.
+//
+//tvq:noalloc
+func (s *JSONLSink) appendTail(b []byte, m Match) []byte {
 	b = append(b, `,"objects":`...)
-	if objs := d.Match.Objects; objs.Len() == 0 {
+	if objs := m.Objects; objs.Len() == 0 {
 		// No members, so not the bitmap form: IDs is the stored slice,
 		// and whether that is nil decides null or [].
 		b = appendEmpty(b, objs.IDs() == nil)
@@ -148,15 +263,15 @@ func (s *JSONLSink) encode(d Delivery) {
 		b = append(b, ']')
 	}
 	b = append(b, `,"frames":`...)
-	if len(d.Match.Frames) == 0 {
-		b = appendEmpty(b, d.Match.Frames == nil)
+	if len(m.Frames) == 0 {
+		b = appendEmpty(b, m.Frames == nil)
 	} else {
 		b = append(b, '[')
-		b = appendFrameIDs(b, d.Match.Frames)
+		b = appendFrameIDs(b, m.Frames)
 		b = append(b, ']')
 	}
 	b = append(b, "}\n"...)
-	s.buf = b
+	return b
 }
 
 func appendEmpty(b []byte, isNil bool) []byte {

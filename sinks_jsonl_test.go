@@ -145,34 +145,122 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// TestJSONLSinkDeliverWarmAllocsAndWrites: a warm sink allocates
+// nothing and writes each line whole, whether the line's objects and
+// frames come from the memo (hit), are encoded anew in the same frame
+// (miss: the list alternates between two lengths of one block), or a
+// new frame begins with every delivery (frame change).
 func TestJSONLSinkDeliverWarmAllocsAndWrites(t *testing.T) {
+	const runs = 200
+	frames := seq(983, 60)
+	paths := map[string]func(d *tvq.Delivery, i int){
+		"hit": func(d *tvq.Delivery, i int) { d.Match.QueryID = 77 + i%5 },
+		"miss": func(d *tvq.Delivery, i int) {
+			d.Match.QueryID = 77 + i%5
+			d.Match.Frames = frames[:60-i%2]
+		},
+		"frame change": func(d *tvq.Delivery, i int) { d.FID = 1042 + tvq.FrameID(i) },
+	}
 	for name, objs := range map[string]objset.Set{
 		"sparse": objset.New(4, 9, 17),
 		"dense":  denseSet(t),
 	} {
 		t.Run(name, func(t *testing.T) {
-			var w writeCounter
-			sink := tvq.NewJSONLSink(&w)
-			d := tvq.Delivery{Feed: 1, FID: 1042, Match: tvq.Match{QueryID: 77, Objects: objs, Frames: seq(983, 60)}}
-			if err := sink.Deliver(d); err != nil { // warm: buffers reach their size
-				t.Fatal(err)
-			}
-			w = writeCounter{}
-			const runs = 200
-			allocs := testing.AllocsPerRun(runs, func() {
-				if err := sink.Deliver(d); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("warm Deliver allocates %.1f times per call, want 0", allocs)
-			}
-			// AllocsPerRun makes one extra warm-up call.
-			if w.writes != runs+1 || w.bytes != w.writes*len(referenceJSONL(t, d)) {
-				t.Errorf("%d writes of %d bytes for %d deliveries of %d-byte lines",
-					w.writes, w.bytes, runs+1, len(referenceJSONL(t, d)))
+			for path, vary := range paths {
+				t.Run(path, func(t *testing.T) {
+					var w writeCounter
+					sink := tvq.NewJSONLSink(&w)
+					var d tvq.Delivery
+					i := 0
+					next := func() tvq.Delivery {
+						d = tvq.Delivery{Feed: 1, FID: 1042, Match: tvq.Match{QueryID: 77, Objects: objs, Frames: frames}}
+						vary(&d, i)
+						i++
+						return d
+					}
+					// Warm: the buffers, the memo's arena included, reach their size.
+					for range 1000 {
+						if err := sink.Deliver(next()); err != nil {
+							t.Fatal(err)
+						}
+					}
+					w, i = writeCounter{}, 0
+					allocs := testing.AllocsPerRun(runs, func() {
+						if err := sink.Deliver(next()); err != nil {
+							t.Fatal(err)
+						}
+					})
+					if allocs != 0 {
+						t.Errorf("warm Deliver allocates %.1f times per call, want 0", allocs)
+					}
+					// AllocsPerRun makes one extra warm-up call.
+					want := 0
+					for i = 0; i < runs+1; {
+						want += len(referenceJSONL(t, next()))
+					}
+					if w.writes != runs+1 || w.bytes != want {
+						t.Errorf("%d writes of %d bytes for %d deliveries of %d bytes", w.writes, w.bytes, runs+1, want)
+					}
+				})
 			}
 		})
+	}
+}
+
+// recorder keeps every Write as its own line.
+type recorder struct{ lines []string }
+
+func (r *recorder) Write(p []byte) (int, error) {
+	r.lines = append(r.lines, string(p))
+	return len(p), nil
+}
+
+// TestJSONLSinkInterleavedFeeds: one sink taking the deliveries of two
+// feeds, interleaved match by match, writes each line exactly as a sink
+// of that feed alone does — including when both feeds deliver the same
+// frame id and the second feed's matches reuse the first's frame lists.
+func TestJSONLSinkInterleavedFeeds(t *testing.T) {
+	var shared recorder
+	var alone [2]recorder
+	sink := tvq.NewJSONLSink(&shared)
+	sinks := [2]*tvq.JSONLSink{tvq.NewJSONLSink(&alone[0]), tvq.NewJSONLSink(&alone[1])}
+	objs := []objset.Set{objset.New(3, 8), denseSet(t), objset.New(3, 8, 11)}
+	for fid := tvq.FrameID(100); fid < 106; fid++ {
+		// One block of frame ids per feed and frame, as the evaluator
+		// makes it: three states' lists back to back.
+		var lists [2][][]tvq.FrameID
+		for feed := range lists {
+			block := seq(fid-40, 30)
+			lists[feed] = [][]tvq.FrameID{block[:10:10], block[10:20:20], block[20:]}
+		}
+		if fid%2 == 1 {
+			lists[1] = lists[0]
+		}
+		for q := range 4 {
+			for st := range 3 {
+				for feed := range 2 {
+					d := tvq.Delivery{
+						Feed:  tvq.FeedID(feed),
+						FID:   fid,
+						Match: tvq.Match{QueryID: q, Objects: objs[(st+feed)%3], Frames: lists[feed][st]},
+					}
+					n := len(shared.lines)
+					if err := sink.Deliver(d); err != nil {
+						t.Fatal(err)
+					}
+					if err := sinks[feed].Deliver(d); err != nil {
+						t.Fatal(err)
+					}
+					got, want := shared.lines[n], alone[feed].lines[len(alone[feed].lines)-1]
+					if got != want {
+						t.Fatalf("feed %d frame %d query %d state %d:\n got %s\nwant %s", feed, fid, q, st, got, want)
+					}
+					if ref := string(referenceJSONL(t, d)); got != ref {
+						t.Fatalf("feed %d frame %d query %d state %d:\n got %s\nwant %s", feed, fid, q, st, got, ref)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -227,5 +315,33 @@ func FuzzJSONLDelivery(f *testing.F) {
 		sink := tvq.NewJSONLSink(&out)
 		checkJSONL(t, sink, &out, d)
 		checkJSONL(t, sink, &out, d) // again, over its own stale bytes
+
+		// A second delivery sharing d's frame list, as another match of
+		// the same state (or a later frame reusing a block) would: the
+		// same start with the same or a shorter length, the same or other
+		// objects, and another query, frame or feed. Then d once more.
+		other := d.Match.Objects.Union(objset.New(5))
+		for _, shorter := range []bool{false, true} {
+			for _, objects := range []objset.Set{d.Match.Objects, other} {
+				for header := range 3 {
+					alias := d
+					alias.Match.Objects = objects
+					if n := len(d.Match.Frames); shorter && n > 0 {
+						alias.Match.Frames = d.Match.Frames[:n/2]
+					}
+					alias.Match.QueryID++
+					switch header {
+					case 1:
+						alias.FID++
+					case 2:
+						alias.Feed++
+					}
+					sink := tvq.NewJSONLSink(&out)
+					checkJSONL(t, sink, &out, d)
+					checkJSONL(t, sink, &out, alias)
+					checkJSONL(t, sink, &out, d)
+				}
+			}
+		}
 	})
 }
