@@ -410,20 +410,18 @@ func BenchmarkAblationClassFilter(b *testing.B) {
 
 // BenchmarkJSONLSinkDeliver measures the match encoder on the shape the
 // sparse-fanout workload produces — a few objects, a window's worth of
-// consecutive frame ids. sparse and dense (a bitmap object set) give
-// every delivery of a frame its own frame list, so each one is encoded
-// in full; shared delivers one state to 64 query ids per frame, so the
-// sink encodes its objects and frames once and the other 63 lines reuse
-// them. One op is 10000 deliveries, so that the CI gate's
-// -benchtime=2x measures milliseconds; a warm sink must report 0
-// allocs/op.
+// consecutive frame ids. sparse and dense (a bitmap object set) deliver
+// 8 states per frame, each with its own frame list, so every line is
+// encoded in full; the benchmark workloads bring one sink 1.2 to 5
+// states per frame on average. shared delivers one state to 64 query
+// ids per frame, so the sink encodes its objects and frames once and
+// the other 63 lines reuse them. One op is 10000 deliveries, so that
+// the CI gate's -benchtime=2x measures milliseconds; a warm sink must
+// report 0 allocs/op.
 func BenchmarkJSONLSinkDeliver(b *testing.B) {
-	const (
-		deliveries = 10000
-		perFrame   = 64
-	)
-	// perFrame copies of one list: the same ids in distinct blocks.
-	lists := make([][]tvq.FrameID, perFrame)
+	const deliveries = 10000
+	// Copies of one list: the same ids in distinct blocks.
+	lists := make([][]tvq.FrameID, 8)
 	for k := range lists {
 		lists[k] = make([]tvq.FrameID, 48)
 		for i := range lists[k] {
@@ -436,28 +434,29 @@ func BenchmarkJSONLSinkDeliver(b *testing.B) {
 	}
 	sparse := objset.New(412, 436, 3077)
 	for _, c := range []struct {
-		name   string
-		objs   objset.Set
-		shared bool
+		name     string
+		objs     objset.Set
+		perFrame int
+		shared   bool
 	}{
-		{"sparse", sparse, false},
-		{"dense", objset.New(dense...), false},
-		{"shared", sparse, true},
+		{"sparse", sparse, len(lists), false},
+		{"dense", objset.New(dense...), len(lists), false},
+		{"shared", sparse, 64, true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			sink := tvq.NewJSONLSink(io.Discard)
 			d := tvq.Delivery{FID: 1014, Match: tvq.Match{QueryID: 731, Objects: c.objs, Frames: lists[0]}}
 			deliver := func(k int) {
-				d.FID = tvq.FrameID(1014 + k/perFrame)
-				d.Match.QueryID = 731 + k%perFrame
+				d.FID = tvq.FrameID(1014 + k/c.perFrame)
+				d.Match.QueryID = 731 + k%c.perFrame
 				if !c.shared {
-					d.Match.Frames = lists[k%perFrame]
+					d.Match.Frames = lists[k%c.perFrame]
 				}
 				if err := sink.Deliver(d); err != nil {
 					b.Fatal(err)
 				}
 			}
-			for k := range perFrame { // the buffers reach their size
+			for k := range c.perFrame { // the buffers reach their size
 				deliver(k)
 			}
 			b.ReportAllocs()

@@ -140,21 +140,20 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				flusher.Flush()
 			}
 		case d, open := <-tap.C():
-			// Write the burst the tap holds — at most one buffer's worth,
-			// so the other cases stay live — and flush once.
-		burst:
-			for n := cap(tap.C()); open; n-- {
+			// Write this delivery and the k the tap held behind it — at
+			// most one buffer's worth, so the other cases stay live — and
+			// flush once. The receives do not wait: a held delivery
+			// leaves the tap only here, or to make room for a newer one
+			// that the same locked Deliver sends at once; a closed tap
+			// answers at once.
+			for k := len(tap.C()); open; k-- {
 				if writeMatch(w, &buf, enc, d, format == "sse") != nil {
 					return
 				}
-				if n == 1 {
+				if k == 0 {
 					break
 				}
-				select {
-				case d, open = <-tap.C():
-				default:
-					break burst
-				}
+				d, open = <-tap.C()
 			}
 			reportDrops()
 			if !open {

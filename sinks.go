@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"unsafe"
 
 	"tvq/internal/objset"
 	"tvq/internal/sinkchan"
@@ -18,7 +17,12 @@ import (
 // be kept, queued or sent to other goroutines freely, but what its
 // Match points to is shared — Match.Frames with the other matches of
 // the same state, a fan-out's copies of the delivery with each other —
-// and must be treated as read-only.
+// and must be treated as read-only. That binds whoever builds a
+// Delivery too: once delivered, its Frames slice must not change while
+// the delivery can still be read. A JSONLSink counts as reading it
+// until it is handed another feed or frame: a later delivery of the
+// same feed and frame whose Frames is the same slice is written from
+// the bytes encoded for the earlier one.
 type Delivery struct {
 	Feed  FeedID
 	FID   FrameID
@@ -106,9 +110,11 @@ func (c *ChanSink) closeSink() { c.c.Close() }
 // matches: a delivery whose Match.Frames is the same slice (same first
 // element, same length) as an earlier delivery of the same feed and
 // frame, with equal objects, is written from that earlier encoding.
-// That relies on the read-only contract of Delivery: a caller building
-// its own deliveries must not change a Frames slice it has delivered
-// until it delivers another feed or frame.
+// Only a sink shared by several subscriptions gets such deliveries; a
+// sink of one query sees each state once per frame and encodes every
+// line in full. The reuse relies on the read-only contract of Delivery:
+// a caller building its own deliveries must not change a Frames slice
+// it has delivered until it delivers another feed or frame.
 type JSONLSink struct {
 	mu  sync.Mutex
 	w   io.Writer
@@ -121,22 +127,18 @@ type JSONLSink struct {
 	feed  FeedID
 	fid   FrameID
 	head  int
-	tails []byte // the scope's encoded tails, back to back; reused
-	slots [tailSlots]tailEntry
-	used  []uint8 // indices of the filled slots, at most maxTails
+	memo  []tailEntry // the scope's states, in the order first seen; reused
+	next  int         // where a lookup starts: after the last hit
+	tails []byte      // their encoded tails, back to back; reused
 }
 
-// tailSlots is the size of the tail memo's table, an open-addressed
-// hash on the address of a frame list. A frame's matches rarely come
-// from more distinct states than maxTails; when they do, or when the
-// scope has encoded maxTailBytes of tails, the memo starts over, so a
-// caller that never changes feed or frame does not grow the sink
+// maxTails bounds one scope's memo, which a delivery scans in full when
+// it misses. The most states one frame of the benchmark workloads
+// brings to one sink is 35, on sparse-fanout; the mean is 1.2 to 5. A
+// scope with more states starts the memo over, so a caller that never
+// changes feed or frame neither grows the sink nor lengthens the scan
 // without bound.
-const (
-	tailSlots    = 64
-	maxTails     = tailSlots * 3 / 4
-	maxTailBytes = 64 << 10
-)
+const maxTails = 64
 
 // tailEntry is one encoded `,"objects":[…],"frames":[…]}` + newline.
 // Holding the frame list's first element keeps its block alive, so no
@@ -173,52 +175,44 @@ func (s *JSONLSink) encode(d Delivery) {
 	if s.head == 0 || d.Feed != s.feed || d.FID != s.fid {
 		s.rescope(d.Feed, d.FID)
 	}
-	m := d.Match
+	m := &d.Match
 	b := strconv.AppendInt(s.buf[:s.head], int64(m.QueryID), 10)
 	if len(m.Frames) == 0 || m.Objects.IsEmpty() {
 		s.buf = s.appendTail(b, m)
 		return
 	}
-	first := &m.Frames[0]
-	i := s.lookup(first, len(m.Frames))
-	if e := &s.slots[i]; e.frames == nil || !e.objects.Equal(m.Objects) {
-		if len(s.used) == maxTails || len(s.tails) >= maxTailBytes {
+	e := s.lookup(m)
+	if e == nil {
+		if len(s.memo) == maxTails {
 			s.forget()
-			i = tailSlot(first)
-		}
-		if s.slots[i].frames == nil {
-			s.used = append(s.used, i)
 		}
 		from := len(s.tails)
 		s.tails = s.appendTail(s.tails, m)
 		//lint:ignore retainset a delivered Match is read-only (see Delivery), and the entry lives until the scope ends
-		s.slots[i] = tailEntry{frames: first, n: len(m.Frames), objects: m.Objects, from: from, to: len(s.tails)}
+		s.memo = append(s.memo, tailEntry{frames: &m.Frames[0], n: len(m.Frames), objects: m.Objects, from: from, to: len(s.tails)})
+		e = &s.memo[len(s.memo)-1]
 	}
-	e := &s.slots[i]
 	b = append(b, s.tails[e.from:e.to]...)
 	s.buf = b
 }
 
-// lookup returns the slot of the memo entry for the frame list of n
-// ids that starts at first, or the empty slot where it goes. The table
-// always has an empty slot: it holds at most maxTails entries.
-func (s *JSONLSink) lookup(first *FrameID, n int) uint8 {
-	for i := tailSlot(first); ; i = (i + 1) % tailSlots {
-		if e := &s.slots[i]; e.frames == nil || e.frames == first && e.n == n {
-			return i
+// lookup returns the memo entry of m's state — the same frame list,
+// by its first element and length, and equal objects — or nil. Matches
+// come sorted by query id, then object set, so a query's states arrive
+// in about the order the memo first saw them; the scan starts after
+// the last hit and wraps around.
+func (s *JSONLSink) lookup(m *Match) *tailEntry {
+	first := &m.Frames[0]
+	for k, i := 0, s.next; k < len(s.memo); k, i = k+1, i+1 {
+		if i == len(s.memo) {
+			i = 0
+		}
+		if e := &s.memo[i]; e.frames == first && e.n == len(m.Frames) && e.objects.Equal(m.Objects) {
+			s.next = i + 1
+			return e
 		}
 	}
-}
-
-// tailSlot is where the probe for a frame list starts: a mix of its
-// first element's address. The address only chooses the slot; a hit
-// compares the pointer itself.
-func tailSlot(first *FrameID) uint8 {
-	x := uint64(uintptr(unsafe.Pointer(first)))
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	return uint8(x % tailSlots)
+	return nil
 }
 
 // rescope starts the memo of a new (feed, fid) and writes its head.
@@ -235,17 +229,15 @@ func (s *JSONLSink) rescope(feed FeedID, fid FrameID) {
 
 // forget empties the memo, releasing the frame lists it holds.
 func (s *JSONLSink) forget() {
-	for _, i := range s.used {
-		s.slots[i] = tailEntry{}
-	}
-	s.used = s.used[:0]
+	clear(s.memo)
+	s.memo, s.next = s.memo[:0], 0
 	s.tails = s.tails[:0]
 }
 
 // appendTail appends m's `,"objects":[…],"frames":[…]}` and the newline.
 //
 //tvq:noalloc
-func (s *JSONLSink) appendTail(b []byte, m Match) []byte {
+func (s *JSONLSink) appendTail(b []byte, m *Match) []byte {
 	b = append(b, `,"objects":`...)
 	if objs := m.Objects; objs.Len() == 0 {
 		// No members, so not the bitmap form: IDs is the stored slice,

@@ -5,8 +5,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
+	"runtime"
 	"testing"
+	"weak"
 
 	"tvq"
 	"tvq/internal/objset"
@@ -148,16 +151,21 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 // TestJSONLSinkDeliverWarmAllocsAndWrites: a warm sink allocates
 // nothing and writes each line whole, whether the line's objects and
 // frames come from the memo (hit), are encoded anew in the same frame
-// (miss: the list alternates between two lengths of one block), or a
-// new frame begins with every delivery (frame change).
+// (miss: every delivery brings another block, from more blocks than the
+// memo keeps, so the memo also fills and starts over), or a new frame
+// begins with every delivery (frame change).
 func TestJSONLSinkDeliverWarmAllocsAndWrites(t *testing.T) {
 	const runs = 200
 	frames := seq(983, 60)
+	blocks := make([][]tvq.FrameID, 100)
+	for i := range blocks {
+		blocks[i] = seq(983, 60-i%2)
+	}
 	paths := map[string]func(d *tvq.Delivery, i int){
 		"hit": func(d *tvq.Delivery, i int) { d.Match.QueryID = 77 + i%5 },
 		"miss": func(d *tvq.Delivery, i int) {
 			d.Match.QueryID = 77 + i%5
-			d.Match.Frames = frames[:60-i%2]
+			d.Match.Frames = blocks[i%len(blocks)]
 		},
 		"frame change": func(d *tvq.Delivery, i int) { d.FID = 1042 + tvq.FrameID(i) },
 	}
@@ -262,6 +270,42 @@ func TestJSONLSinkInterleavedFeeds(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestJSONLSinkPinsFewFrameLists: the sink keeps the frame lists it
+// reuses alive, but a frame of 1000 states keeps at most the memo's
+// cap of them, and the next frame releases them all.
+func TestJSONLSinkPinsFewFrameLists(t *testing.T) {
+	sink := tvq.NewJSONLSink(io.Discard)
+	objs := objset.New(4, 9, 17)
+	var lists []weak.Pointer[tvq.FrameID]
+	deliver := func(fid tvq.FrameID, query int) {
+		frames := seq(983, 60)
+		lists = append(lists, weak.Make(&frames[0]))
+		if err := sink.Deliver(tvq.Delivery{FID: fid, Match: tvq.Match{QueryID: query, Objects: objs, Frames: frames}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	alive := func() (n int) {
+		runtime.GC()
+		for _, p := range lists {
+			if p.Value() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	for q := range 1000 {
+		deliver(1042, q)
+	}
+	if n := alive(); n > 100 {
+		t.Errorf("a frame of 1000 states keeps %d frame lists alive, want at most 100", n)
+	}
+	deliver(1043, 0)
+	if n := alive(); n != 1 {
+		t.Errorf("%d frame lists alive after the next frame began, want only its own", n)
+	}
+	runtime.KeepAlive(sink)
 }
 
 // fuzzDelivery decodes a fuzz input into a delivery. objs is a list of
