@@ -1,8 +1,8 @@
 // Command tvqlint is the project's invariant multichecker: it runs the
-// internal/analysis suite — retainset, resultlife, snapshotdrift,
-// noalloc, wraperr, lockorder — over the given packages and reports
-// violations of the engine's ownership, lifetime, snapshot and
-// hot-path contracts as compile-time diagnostics.
+// internal/analysis suite — retainset, resultlife, noalloc, wraperr,
+// lockorder — over the given packages and reports violations of the
+// engine's ownership, lifetime and hot-path contracts as compile-time
+// diagnostics.
 //
 // Usage:
 //
@@ -40,17 +40,15 @@ import (
 	"tvq/internal/analysis/noalloc"
 	"tvq/internal/analysis/resultlife"
 	"tvq/internal/analysis/retainset"
-	"tvq/internal/analysis/snapshotdrift"
 	"tvq/internal/analysis/wraperr"
 )
 
 // Suite is the gating analyzer set, in diagnostic-priority order: the
-// dataflow analyzers (ownership, result lifetime, snapshot symmetry)
-// first, then the syntactic contract checks.
+// dataflow analyzers (ownership, result lifetime) first, then the
+// syntactic contract checks.
 var suite = []*analysis.Analyzer{
 	retainset.Analyzer,
 	resultlife.Analyzer,
-	snapshotdrift.Analyzer,
 	noalloc.Analyzer,
 	wraperr.Analyzer,
 	lockorder.Analyzer,

@@ -85,10 +85,13 @@ func TestRunAnalyzersListsSuite(t *testing.T) {
 	if code := run([]string{"-analyzers"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	for _, name := range []string{"retainset", "resultlife", "snapshotdrift", "noalloc", "wraperr", "lockorder"} {
+	for _, name := range []string{"retainset", "resultlife", "noalloc", "wraperr", "lockorder"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-analyzers output missing %s:\n%s", name, stdout.String())
 		}
+	}
+	if n := strings.Count(stdout.String(), "\n"); n != 5 {
+		t.Errorf("-analyzers lists %d analyzers, want 5:\n%s", n, stdout.String())
 	}
 }
 

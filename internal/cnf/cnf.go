@@ -164,11 +164,15 @@ func (q Query) HasIdentity() bool {
 	return false
 }
 
+// MaxWindow is the largest query window in frames, 36 minutes at 30 fps:
+// generators allocate window-sized rings up front, decoders included.
+const MaxWindow = 1 << 16
+
 // Validate checks structural soundness: clauses non-empty, counts
-// non-negative, duration within the window.
+// non-negative, window in [1, MaxWindow], duration within the window.
 func (q Query) Validate() error {
-	if q.Window <= 0 {
-		return fmt.Errorf("cnf: query %d: window must be positive, got %d", q.ID, q.Window)
+	if q.Window <= 0 || q.Window > MaxWindow {
+		return fmt.Errorf("cnf: query %d: window %d out of range [1, %d]", q.ID, q.Window, MaxWindow)
 	}
 	if q.Duration < 0 || q.Duration > q.Window {
 		return fmt.Errorf("cnf: query %d: duration %d out of range [0, %d]", q.ID, q.Duration, q.Window)

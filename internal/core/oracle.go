@@ -31,9 +31,10 @@ func NewOracle(cfg Config) *Oracle {
 // Name implements Generator.
 func (*Oracle) Name() string { return "ORACLE" }
 
-// StateCount implements Generator; the oracle holds no states between
-// frames, so it reports the window length instead.
-func (o *Oracle) StateCount() int { return len(o.window) }
+// StateCount and Next implement Generator; the oracle holds no states
+// between frames, so StateCount reports the window length instead.
+func (o *Oracle) StateCount() int  { return len(o.window) }
+func (o *Oracle) Next() vr.FrameID { return o.next }
 
 // Process implements Generator.
 //

@@ -15,9 +15,11 @@ import (
 // and for SSG the whole graph — is serialized so a restored generator
 // goes on to emit exactly what the original would have. States are
 // written in sorted order so the encoding is deterministic; decoding
-// validates structural invariants (sorted sets, in-range graph indices,
-// reciprocal edges, a processed key frame for every SSG node) and
-// returns errors, never panics, on malformed input.
+// validates structural invariants (sorted sets, frame ids before the
+// cursor, blockers outside the state's objects, no state Terminate
+// refuses, in-range graph indices, reciprocal edges to subsets, every
+// parentless SSG node a root with a processed key frame) and returns
+// errors, never panics, on malformed input.
 
 // Generator kind tags in the wire format.
 const (
@@ -129,15 +131,15 @@ func encodeState(w *snapshot.Writer, s *State, minFID vr.FrameID) {
 	w.Bool(false)
 }
 
-func decodeState(r *snapshot.Reader) *State {
+func decodeState(r *snapshot.Reader, next vr.FrameID) *State {
 	s := &State{Objects: decodeSet(r)}
 	n := r.Count(2)
 	s.frames.entries = make([]frameEntry, 0, n)
 	for i := 0; i < n; i++ {
 		fid := r.Varint()
 		marked := r.Bool()
-		if i > 0 && s.frames.entries[i-1].fid >= fid {
-			r.Fail("state frame ids not strictly increasing: %d then %d", s.frames.entries[i-1].fid, fid)
+		if fid >= next || i > 0 && s.frames.entries[i-1].fid >= fid {
+			r.Fail("state frame %d (entry %d) out of order or not before frame %d", fid, i, next)
 			return s
 		}
 		s.frames.entries = append(s.frames.entries, frameEntry{fid: fid, marked: marked})
@@ -145,9 +147,10 @@ func decodeState(r *snapshot.Reader) *State {
 			s.frames.marks++
 		}
 	}
-	s.hasExtra = r.Bool()
-	if s.hasExtra {
-		s.extra = decodeSet(r)
+	if s.hasExtra = r.Bool(); s.hasExtra {
+		if s.extra = decodeSet(r); s.extra.Intersects(s.Objects) {
+			r.Fail("state %s has blockers %s among its objects", s.Objects, s.extra)
+		}
 	}
 	if r.Bool() {
 		r.Fail("state carries a termination flag")
@@ -188,9 +191,12 @@ func encodeWindow(w *snapshot.Writer, fw *frameWindow) {
 }
 
 // decodeWindow reads what encodeWindow wrote into fw, which must be
-// sized for the generator's window and already carry next; a frame
+// sized for the generator's window and already carry next (≥ 0); a frame
 // outside [next−w, next) has no slot there and is rejected.
 func decodeWindow(r *snapshot.Reader, fw *frameWindow) {
+	if fw.next < 0 {
+		r.Fail("negative frame cursor %d", fw.next)
+	}
 	n := r.Count(2)
 	prev := vr.FrameID(-1)
 	for i := 0; i < n; i++ {
@@ -240,12 +246,12 @@ func (t *table) decode(r *snapshot.Reader) error {
 	decodeWindow(r, &t.window)
 	n := r.Count(2)
 	for i := 0; i < n; i++ {
-		s := decodeState(r)
+		s := decodeState(r, t.window.next)
 		if r.Err() != nil {
 			return r.Err()
 		}
-		if s.Objects.IsEmpty() {
-			r.Fail("state with empty object set")
+		if s.Objects.IsEmpty() || t.cfg.Terminate != nil && t.cfg.Terminate(s.Objects) {
+			r.Fail("state %s is empty or terminated", s.Objects)
 			return r.Err()
 		}
 		h, created := t.intern.Intern(s.Objects)
@@ -359,7 +365,7 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 
 	minFID := g.window.next - vr.FrameID(g.cfg.Window)
 	for i := 0; i < count; i++ {
-		n := &ssgNode{state: decodeState(r), lastMark: -1}
+		n := &ssgNode{state: decodeState(r, g.window.next), lastMark: -1}
 		n.visited = r.Varint()
 		n.createdAt = r.Varint()
 		for j, nc := 0, r.Count(1); j < nc; j++ {
@@ -370,8 +376,8 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		if n.state.Objects.IsEmpty() {
-			r.Fail("ssg node with empty object set")
+		if n.state.Objects.IsEmpty() || g.cfg.Terminate != nil && g.cfg.Terminate(n.state.Objects) {
+			r.Fail("ssg node %s is empty or terminated", n.state.Objects)
 			return r.Err()
 		}
 		for _, e := range n.state.frames.live() {
@@ -379,7 +385,7 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 				n.lastMark = e.fid
 			}
 		}
-		if n.lastMark < 0 || n.lastMark >= g.window.next {
+		if n.lastMark < 0 {
 			r.Fail("ssg node %s has no key frame before frame %d", n.state.Objects, g.window.next)
 			return r.Err()
 		}
@@ -394,12 +400,16 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 		g.setNode(h, n)
 	}
 
-	// Link edges and verify that the recorded children and parents lists
-	// describe the same edge set, so a crafted payload cannot smuggle in
-	// a one-sided edge that later corrupts traversal.
+	// Link edges, each to a proper subset, and verify that the children and
+	// parents lists describe the same edge set, so a crafted payload cannot
+	// smuggle in a cycle or a one-sided edge that corrupts traversal.
 	edges := make(map[[2]int]int)
 	for i, n := range nodes {
 		for _, c := range children[i] {
+			if !nodes[c].state.Objects.SubsetOf(n.state.Objects) {
+				r.Fail("ssg edge from %s to %s, not a subset", n.state.Objects, nodes[c].state.Objects)
+				return r.Err()
+			}
 			n.children = append(n.children, nodes[c])
 			edges[[2]int{i, c}]++
 		}
@@ -421,8 +431,8 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 
 	for _, i := range readEdges() {
 		n := nodes[i]
-		if n.onRootList {
-			r.Fail("node %d appears twice in root order", i)
+		if n.onRootList || len(n.parents) > 0 {
+			r.Fail("node %d appears twice in root order or has parents", i)
 			return r.Err()
 		}
 		n.onRootList = true
@@ -435,7 +445,12 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 	// A node whose key frames have all left the window, which an encoder
 	// that did not expire before writing may have kept, is removed here as
 	// the ring would have removed it, and leaves the result set with it.
+	// Traversal starts from the roots, so every parentless node is one.
 	for _, n := range nodes {
+		if len(n.parents) == 0 && !n.onRootList {
+			r.Fail("ssg node %s has no parent and is not a root", n.state.Objects)
+			return r.Err()
+		}
 		g.file(n, minFID)
 	}
 	g.results = slices.DeleteFunc(g.results, func(n *ssgNode) bool { return n.dead })

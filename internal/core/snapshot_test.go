@@ -3,8 +3,11 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -44,9 +47,55 @@ func statesString(states []*State) string {
 	return strings.Join(parts, " ; ")
 }
 
+// roundTrip decodes a generator snapshot, encodes what it decoded and
+// requires the same bytes with nothing left over: a field written but
+// not restored re-encodes as zero, and one restored but not written
+// misreads everything after it. It returns the decoded generator, which
+// the caller runs on for at least w more frames against an uninterrupted
+// twin.
+func roundTrip(t *testing.T, data []byte, cfg Config) Generator {
+	t.Helper()
+	r := snapshot.NewReader(data)
+	g, err := DecodeGenerator(r, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Remaining() != 0 {
+		t.Fatalf("%s: decode left %d of %d bytes unread", g.Name(), r.Remaining(), len(data))
+	}
+	var w snapshot.Writer
+	if err := EncodeGenerator(&w, g); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(w.Bytes(), data) {
+		t.Fatalf("%s: re-encoding a decoded snapshot changed it (%d bytes, was %d)", g.Name(), len(w.Bytes()), len(data))
+	}
+	return g
+}
+
+// generatorStates returns g's live states.
+func generatorStates(g Generator) []*State {
+	var out []*State
+	switch g := g.(type) {
+	case *Naive:
+		out = g.states
+	case *MFS:
+		out = g.states
+	case *SSG:
+		for _, n := range g.nodes {
+			if n != nil {
+				out = append(out, n.state)
+			}
+		}
+	}
+	return slices.DeleteFunc(slices.Clone(out), func(s *State) bool { return s == nil })
+}
+
 // TestGeneratorSnapshotResume snapshots every generator kind mid-stream,
-// restores it, and verifies the resumed run emits exactly what the
-// uninterrupted run emits, frame by frame.
+// round-trips the snapshot, and verifies the resumed run emits exactly
+// what the uninterrupted run emits, frame by frame, for at least w more
+// frames. Between them the cases make every field the codec writes
+// non-zero: pruned and terminated counts, rest-closure blockers, marks.
 func TestGeneratorSnapshotResume(t *testing.T) {
 	kinds := []struct {
 		name string
@@ -60,10 +109,16 @@ func TestGeneratorSnapshotResume(t *testing.T) {
 		{Window: 1, Duration: 1},
 		{Window: 5, Duration: 2},
 		{Window: 8, Duration: 4},
+		{Window: 8, Duration: 3, Terminate: terminateVariant(3)},
 	}
+	var pruned, terminated, extra bool
 	for _, kind := range kinds {
 		for _, cfg := range configs {
-			t.Run(fmt.Sprintf("%s/w%d-d%d", kind.name, cfg.Window, cfg.Duration), func(t *testing.T) {
+			name := fmt.Sprintf("%s/w%d-d%d", kind.name, cfg.Window, cfg.Duration)
+			if cfg.Terminate != nil {
+				name += "-terminate"
+			}
+			t.Run(name, func(t *testing.T) {
 				rng := rand.New(rand.NewSource(7))
 				frames := randomCoreFrames(rng, 60, 8)
 				cut := 29
@@ -79,15 +134,18 @@ func TestGeneratorSnapshotResume(t *testing.T) {
 				if err := EncodeGenerator(&w, resumed); err != nil {
 					t.Fatal(err)
 				}
-				restored, err := DecodeGenerator(snapshot.NewReader(w.Bytes()), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				restored := roundTrip(t, w.Bytes(), cfg)
 				if restored.Name() != full.Name() {
 					t.Fatalf("restored kind %q, want %q", restored.Name(), full.Name())
 				}
 				if restored.StateCount() != resumed.StateCount() {
 					t.Fatalf("restored StateCount = %d, want %d", restored.StateCount(), resumed.StateCount())
+				}
+				m := restored.(interface{ Metrics() Metrics }).Metrics()
+				pruned = pruned || m.StatesPruned > 0
+				terminated = terminated || m.StatesTerminated > 0
+				for _, s := range generatorStates(restored) {
+					extra = extra || s.hasExtra
 				}
 
 				for _, f := range frames[cut:] {
@@ -99,6 +157,9 @@ func TestGeneratorSnapshotResume(t *testing.T) {
 				}
 			})
 		}
+	}
+	if !pruned || !terminated || !extra {
+		t.Errorf("no case snapshotted a pruned count (%v), a terminated count (%v) or blockers (%v)", pruned, terminated, extra)
 	}
 }
 
@@ -120,6 +181,7 @@ func resumeAt(t *testing.T, cfg Config, feed []vr.Frame, cut int) {
 	if err := EncodeGenerator(&w, cutGen); err != nil {
 		t.Fatal(err)
 	}
+	roundTrip(t, w.Bytes(), cfg)
 	resumeFrom(t, cfg, feed, cut, full, w.Bytes())
 }
 
@@ -266,8 +328,8 @@ func TestSSGSnapshotHoldsNoExpiredFrames(t *testing.T) {
 
 // TestSSGDecodeRejectsNodeWithoutKeyFrame: a node is valid while it has
 // a key frame in the window (Theorem 1), and the expiry ring files every
-// node under its newest one, so a snapshot node with no key frame, or
-// with one not yet processed, is malformed.
+// node under its newest one, so a snapshot node with no key frame is
+// malformed, and so is any frame id not yet processed.
 // No generator produces such a node, so the test rewrites the frames of
 // one in a live generator before encoding it: marks cleared, a marked
 // frame id below zero, and one not yet processed. A cut before w frames
@@ -277,15 +339,16 @@ func TestSSGDecodeRejectsNodeWithoutKeyFrame(t *testing.T) {
 		name           string
 		window, frames int
 		entries        func(live []frameEntry, next vr.FrameID) []frameEntry
+		want           string
 	}{
-		{"unmarked", 6, 40, unmarked},
-		{"unmarked before w frames", 20, 5, unmarked},
+		{"unmarked", 6, 40, unmarked, "no key frame"},
+		{"unmarked before w frames", 20, 5, unmarked, "no key frame"},
 		{"negative mark", 20, 5, func([]frameEntry, vr.FrameID) []frameEntry {
 			return []frameEntry{{fid: -3, marked: true}}
-		}},
+		}, "no key frame"},
 		{"mark not yet processed", 6, 40, func(_ []frameEntry, next vr.FrameID) []frameEntry {
 			return []frameEntry{{fid: next, marked: true}}
-		}},
+		}, "not before frame 40"},
 	}
 	for _, tc := range cases {
 		cfg := Config{Window: tc.window, Duration: 2}
@@ -314,7 +377,7 @@ func TestSSGDecodeRejectsNodeWithoutKeyFrame(t *testing.T) {
 		if err := EncodeGenerator(&w, g); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := DecodeGenerator(snapshot.NewReader(w.Bytes()), cfg); err == nil || !strings.Contains(err.Error(), "no key frame") {
+		if _, err := DecodeGenerator(snapshot.NewReader(w.Bytes()), cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: decoded a node without a key frame: err = %v", tc.name, err)
 		}
 	}
@@ -399,16 +462,14 @@ func TestSSGResumesOlderSnapshot(t *testing.T) {
 
 // TestEncodeGeneratorDeterministic verifies the encoding is stable: two
 // snapshots of the same state are byte-identical (internal maps must be
-// serialized in canonical order).
+// serialized in canonical order), and so is the snapshot of the decoded
+// state, which goes on like the original.
 func TestEncodeGeneratorDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	frames := randomCoreFrames(rng, 40, 7)
-	for _, g := range []Generator{
-		NewNaive(Config{Window: 6, Duration: 3}),
-		NewMFS(Config{Window: 6, Duration: 3}),
-		NewSSG(Config{Window: 6, Duration: 3}),
-	} {
-		for _, f := range frames {
+	cfg := Config{Window: 6, Duration: 3}
+	frames := randomCoreFrames(rng, 40+cfg.Window, 7)
+	for _, g := range []Generator{NewNaive(cfg), NewMFS(cfg), NewSSG(cfg)} {
+		for _, f := range frames[:40] {
 			g.Process(f)
 		}
 		var a, b snapshot.Writer
@@ -420,6 +481,12 @@ func TestEncodeGeneratorDeterministic(t *testing.T) {
 		}
 		if string(a.Bytes()) != string(b.Bytes()) {
 			t.Errorf("%s: two encodings of the same state differ", g.Name())
+		}
+		restored := roundTrip(t, a.Bytes(), cfg)
+		for _, f := range frames[40:] {
+			if got, want := statesString(restored.Process(f)), statesString(g.Process(f)); got != want {
+				t.Fatalf("%s: frame %d diverged after restore:\n got  %s\n want %s", g.Name(), f.FID, got, want)
+			}
 		}
 	}
 }
@@ -454,9 +521,117 @@ func TestDecodeGeneratorRejectsGarbage(t *testing.T) {
 		t.Errorf("unknown kind: err = %v", err)
 	}
 
+	// A negative frame cursor, which no frame id can follow.
+	var neg snapshot.Writer
+	neg.String(genKindMFS)
+	neg.Varint(-3)
+	encodeMetrics(&neg, Metrics{})
+	neg.Uvarint(0) // window frames
+	neg.Uvarint(0) // states
+	if _, err := DecodeGenerator(snapshot.NewReader(neg.Bytes()), cfg); err == nil || !strings.Contains(err.Error(), "negative frame cursor") {
+		t.Errorf("negative cursor: err = %v", err)
+	}
+
 	// Oracle cannot be snapshotted.
 	var ow snapshot.Writer
 	if err := EncodeGenerator(&ow, NewOracle(cfg)); err == nil {
 		t.Error("EncodeGenerator accepted the Oracle")
 	}
+}
+
+// A refused generator payload may allocate decodeAllocPerByte bytes per
+// payload byte beyond decodeAllocBase. Every allocation decode makes is
+// backed by payload bytes (each count is checked against what is left
+// by snapshot.Reader.Count) except the window-sized rings, which the
+// fuzzer's windows of at most 64 frames keep inside the base.
+const (
+	decodeAllocPerByte = 512
+	decodeAllocBase    = 64 << 10
+)
+
+// FuzzDecodeGenerator decodes generator payloads past the container.
+// The first four bytes choose the window (1 to 64 frames), the duration,
+// the termination predicate and the seed of the fresh frames; the rest
+// is the payload. A payload must be refused, within the allocation
+// bound above, or decode to a generator that encodes to bytes a second
+// decode reproduces and that, fed w fresh frames, agrees with the oracle
+// on the same frames for w more.
+func FuzzDecodeGenerator(f *testing.F) {
+	for _, c := range []struct {
+		file   string
+		config []byte
+	}{
+		{"ssg-w20-d5-flicker41-cut100.snap", []byte{19, 5, 0, 1}},
+		{"ssg-w12-d4-random53-cut70.snap", []byte{11, 4, 0, 2}},
+	} {
+		data, err := os.ReadFile("testdata/" + c.file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append(c.config, data...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		cfg := Config{Window: 1 + int(data[0])%64, Terminate: terminateVariant(int(data[2]))}
+		cfg.Duration = int(data[1]) % (cfg.Window + 1)
+		payload := data[4:]
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := DecodeGenerator(snapshot.NewReader(payload), cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			if n := after.TotalAlloc - before.TotalAlloc; n > decodeAllocBase+decodeAllocPerByte*uint64(len(payload)) {
+				t.Fatalf("refusing a %d-byte payload allocated %d bytes: %v", len(payload), n, err)
+			}
+			return
+		}
+
+		var once, twice snapshot.Writer
+		if err := EncodeGenerator(&once, g); err != nil {
+			t.Fatal(err)
+		}
+		again, err := DecodeGenerator(snapshot.NewReader(once.Bytes()), cfg)
+		if err != nil {
+			t.Fatalf("%s: decoding a re-encoded snapshot: %v", g.Name(), err)
+		}
+		if err := EncodeGenerator(&twice, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("%s: a second decode re-encodes differently", g.Name())
+		}
+
+		next := g.Next()
+		if next > math.MaxInt64-vr.FrameID(2*cfg.Window) {
+			return // no frame ids are left to number the fresh frames
+		}
+		oracle := NewOracle(cfg)
+		oracle.next = next
+		for i, fr := range flickerFeed(rand.New(rand.NewSource(int64(data[3]))), 2*cfg.Window, 8) {
+			fr.FID = next + vr.FrameID(i)
+			want, got := resultMap(oracle.Process(fr)), resultMap(g.Process(fr))
+			if i >= cfg.Window && !maps.Equal(got, want) {
+				t.Fatalf("%s: frame %d, %d after decode, disagrees with the oracle:%s", g.Name(), fr.FID, i, resultDiff(got, want))
+			}
+		}
+	})
+}
+
+// resultDiff lists the states on which two result maps disagree.
+func resultDiff(got, want map[string]string) string {
+	var b strings.Builder
+	for _, k := range slices.Sorted(maps.Keys(got)) {
+		if want[k] != got[k] {
+			fmt.Fprintf(&b, "\n  %s: got %s, want %q", k, got[k], want[k])
+		}
+	}
+	for _, k := range slices.Sorted(maps.Keys(want)) {
+		if _, ok := got[k]; !ok {
+			fmt.Fprintf(&b, "\n  %s: missing, want %s", k, want[k])
+		}
+	}
+	return b.String()
 }

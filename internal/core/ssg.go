@@ -146,8 +146,9 @@ func NewSSG(cfg Config) *SSG {
 // Name implements Generator.
 func (g *SSG) Name() string { return "SSG" }
 
-// StateCount implements Generator.
-func (g *SSG) StateCount() int { return g.live }
+// StateCount and Next implement Generator.
+func (g *SSG) StateCount() int  { return g.live }
+func (g *SSG) Next() vr.FrameID { return g.window.next }
 
 // Metrics returns work counters accumulated so far.
 func (g *SSG) Metrics() Metrics { return g.metrics }

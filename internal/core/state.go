@@ -380,6 +380,8 @@ type Generator interface {
 	// StateCount reports the number of live states currently maintained,
 	// for instrumentation and benchmarks.
 	StateCount() int
+	// Next returns the id of the frame Process expects next.
+	Next() vr.FrameID
 }
 
 // retainObjects returns the object set a generator may keep in its

@@ -56,6 +56,7 @@ func newTable(cfg Config, useMarks bool) *table {
 
 func (t *table) StateCount() int  { return t.live }
 func (t *table) Metrics() Metrics { return t.metrics }
+func (t *table) Next() vr.FrameID { return t.window.next }
 
 // state returns the live state with interned handle h, or nil.
 func (t *table) state(h objset.Handle) *State {

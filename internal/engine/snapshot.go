@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strings"
 
 	"tvq/internal/cnf"
 	"tvq/internal/core"
@@ -215,25 +216,17 @@ func decodeEngine(sr *snapshot.Reader, want Options) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		if want := generatorName(opts.Method); gen.Name() != want {
-			return nil, fmt.Errorf("engine: snapshot group %d holds a %s generator, method %q needs %s", i, gen.Name(), opts.Method, want)
+		if !strings.EqualFold(gen.Name(), string(opts.Method)) {
+			return nil, fmt.Errorf("engine: snapshot group %d holds a %s generator, method %q needs its own", i, gen.Name(), opts.Method)
+		}
+		if gen.Next() != e.next-start {
+			return nil, fmt.Errorf("engine: snapshot group %d from frame %d holds a generator at frame %d, not %d", i, start, gen.Next(), e.next-start)
 		}
 		g := &group{window: ev.Window(), eval: ev, gen: gen, start: start}
 		e.setClassFilter(g)
 		e.groups = append(e.groups, g)
 	}
 	return e, sr.Err()
-}
-
-func generatorName(m Method) string {
-	switch m {
-	case MethodNaive:
-		return "NAIVE"
-	case MethodMFS:
-		return "MFS"
-	default:
-		return "SSG"
-	}
 }
 
 func encodeQueries(sw *snapshot.Writer, qs []cnf.Query) {
@@ -355,14 +348,23 @@ func decodePool(sr *snapshot.Reader, opts PoolOptions) (*Pool, error) {
 	if mode != ShardByFeed && mode != ShardByGroup {
 		return nil, fmt.Errorf("engine: snapshot records unknown shard mode %d", mode)
 	}
-	if workers < 1 || batch < 1 {
-		return nil, fmt.Errorf("engine: snapshot records invalid pool shape (%d workers, batch %d)", workers, batch)
+	// Each ShardByGroup worker holds an engine payload (11 bytes or more);
+	// ShardByFeed worker counts are configuration, like WithWorkers.
+	if workers < 1 || batch < 1 || mode == ShardByGroup && workers > sr.Remaining()/11 {
+		return nil, fmt.Errorf("engine: snapshot records invalid pool shape (%d workers, batch %d, %d bytes of engines)", workers, batch, sr.Remaining())
 	}
 	if opts.Workers > 0 && opts.Workers != workers {
 		return nil, fmt.Errorf("engine: %w: snapshot was taken with %d workers; cannot restore with %d", ErrSnapshotMismatch, workers, opts.Workers)
 	}
 	if opts.Mode != mode && opts.Mode != ShardByFeed {
 		return nil, fmt.Errorf("engine: %w: snapshot was taken in shard mode %d; cannot restore in mode %d", ErrSnapshotMismatch, mode, opts.Mode)
+	}
+	// Per-feed engines are built from the pool's queries on a feed's first
+	// frame, where an error could only panic: validate them as NewPool does.
+	if mode == ShardByFeed {
+		if _, err := New(queries, engOpts); err != nil {
+			return nil, err
+		}
 	}
 
 	// A shell, not buildPool: the snapshot records exactly which shard
@@ -374,12 +376,15 @@ func decodePool(sr *snapshot.Reader, opts PoolOptions) (*Pool, error) {
 	// only what a header cannot hold.
 	shard := Options{Registry: engOpts.Registry, Observe: engOpts.Observe}
 	if mode == ShardByGroup {
-		for _, w := range p.workers {
+		// The shards split one feed's window groups, so they share its cursor.
+		for i, w := range p.workers {
 			eng, err := decodeEngine(sr, shard)
 			if err != nil {
 				return nil, err
 			}
-			w.eng = eng
+			if w.eng = eng; eng.next != p.workers[0].eng.next {
+				return nil, fmt.Errorf("engine: snapshot shard %d is at frame %d, shard 0 at %d", i, eng.next, p.workers[0].eng.next)
+			}
 		}
 	} else {
 		nfeeds := sr.Count(1)

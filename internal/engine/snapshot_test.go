@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -390,6 +391,19 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 			}
 		}
 	})
+	// A generator must expect the frame its group will hand it next, or
+	// the first frame after the restore panics in Process.
+	t.Run("generator cursor", func(t *testing.T) {
+		eng.next++
+		defer func() { eng.next-- }()
+		var b bytes.Buffer
+		if err := eng.Snapshot(&b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := restoreEngine(&b, Options{}); err == nil || !strings.Contains(err.Error(), "holds a generator at frame 40") {
+			t.Errorf("err = %v", err)
+		}
+	})
 	t.Run("version mismatch", func(t *testing.T) {
 		b := append([]byte(nil), valid...)
 		b[8]++
@@ -458,4 +472,66 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 			t.Errorf("err = %v", err)
 		}
 	})
+}
+
+// TestRestorePoolChecksWorkersBeforeBuilding: a ShardByGroup pool payload
+// holds one engine per worker, so a recorded worker count the rest of
+// the payload cannot hold is refused before any worker is built. A
+// 1<<20-worker payload of under a hundred bytes used to allocate about
+// 200 MiB of worker shells before it failed.
+func TestRestorePoolChecksWorkersBeforeBuilding(t *testing.T) {
+	var sw snapshot.Writer
+	sw.String(payloadPool)
+	sw.Int(int(ShardByGroup))
+	sw.Int(1 << 20) // workers
+	sw.Int(DefaultBatch)
+	encodeQueries(&sw, []cnf.Query{mkQuery(t, 1, "car >= 1", 4, 2)})
+	encodeOptions(&sw, Options{Method: MethodSSG, Registry: vr.NewRegistry()})
+	var data bytes.Buffer
+	if err := snapshot.Write(&data, sw.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Restore(&data, PoolOptions{})
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Restore accepted a pool of 1<<20 workers and no engines")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("refusing a %d-byte payload allocated %d bytes: %v", len(sw.Bytes()), n, err)
+	}
+}
+
+// TestRestorePoolShardsShareCursor: a ShardByGroup pool's shards split
+// one feed's window groups and process every frame of it, so a snapshot
+// whose shards stand at different frames is malformed. Restored, its
+// first frame panicked on the worker goroutine of the shard that
+// expected another.
+func TestRestorePoolShardsShareCursor(t *testing.T) {
+	qs := []cnf.Query{mkQuery(t, 1, "person >= 1", 6, 2), mkQuery(t, 2, "car >= 1", 9, 3)}
+	p, err := NewPool(qs, PoolOptions{Workers: 2, Mode: ShardByGroup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	var frames []FeedFrame
+	for _, f := range smallTrace(t, 3).Frames()[:21] {
+		frames = append(frames, FeedFrame{Frame: f})
+	}
+	p.ProcessBatch(frames[:20])
+	if len(p.workers) != 2 {
+		t.Fatalf("pool has %d shards, want 2", len(p.workers))
+	}
+	p.workers[1].eng.ProcessFrame(frames[20].Frame) // between batches the shard is idle
+	var buf bytes.Buffer
+	if err := p.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if proc, err := Restore(&buf, PoolOptions{}); err == nil || !strings.Contains(err.Error(), "shard 1 is at frame 21") {
+		if err == nil {
+			proc.Close()
+		}
+		t.Errorf("err = %v", err)
+	}
 }

@@ -21,6 +21,7 @@ package reorder
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"tvq/internal/objset"
@@ -289,15 +290,14 @@ func Decode(sr *snapshot.Reader, bound int, policy Policy) (*Buffer, error) {
 			f.Classes = make(map[objset.ID]vr.Class, nobj)
 			prev := -1
 			for j := 0; j < nobj; j++ {
-				id := objset.ID(sr.Uvarint())
-				class := vr.Class(sr.Uvarint())
-				if int(id) <= prev {
-					sr.Fail("reorder: buffered frame %d object ids not ascending", fid)
+				id, class := sr.Uvarint(), sr.Uvarint()
+				if id > math.MaxUint32 || class > math.MaxUint16 || int(id) <= prev {
+					sr.Fail("reorder: buffered frame %d object %d / class %d out of range or not ascending", fid, id, class)
 					return nil, sr.Err()
 				}
 				prev = int(id)
-				ids = append(ids, id)
-				f.Classes[id] = class
+				ids = append(ids, objset.ID(id))
+				f.Classes[objset.ID(id)] = vr.Class(class)
 			}
 			f.Objects = objset.FromSorted(ids)
 		}

@@ -1,6 +1,7 @@
 package reorder
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -269,38 +270,62 @@ func TestShuffleBoundedDisplacement(t *testing.T) {
 	}
 }
 
-func TestBufferSnapshotRoundTrip(t *testing.T) {
-	b := New(3, Drop, 0)
-	push(t, b, frame(0, 1, 2))
-	push(t, b, frame(2, 3))
-	push(t, b, frame(4))
-	push(t, b, frame(1)) // releases 1,2 — leaves 4 buffered
-	push(t, b, frame(0)) // late, dropped
-
-	var sw snapshot.Writer
-	b.Encode(&sw)
-	sr := snapshot.NewReader(sw.Bytes())
-	got, err := Decode(sr, b.Bound(), b.LatePolicy())
+// roundTrip decodes a buffer snapshot, encodes what it decoded and
+// requires the same bytes with nothing left over, like the generator and
+// session round trips: a field written but not restored re-encodes as
+// zero, one restored but not written misreads what follows.
+func roundTrip(t *testing.T, data []byte, bound int, policy Policy) *Buffer {
+	t.Helper()
+	sr := snapshot.NewReader(data)
+	b, err := Decode(sr, bound, policy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sr.Remaining() != 0 {
 		t.Fatalf("%d trailing bytes", sr.Remaining())
 	}
+	var sw snapshot.Writer
+	b.Encode(&sw)
+	if !bytes.Equal(sw.Bytes(), data) {
+		t.Fatalf("re-encoding a decoded buffer changed it (%d bytes, was %d)", len(sw.Bytes()), len(data))
+	}
+	return b
+}
+
+// TestBufferSnapshotRoundTrip snapshots a buffer holding a frame, after a
+// late arrival and two gap fills, so every field of the encoding is
+// non-zero, and requires the round trip to go on exactly.
+func TestBufferSnapshotRoundTrip(t *testing.T) {
+	b := New(3, Drop, 0)
+	push(t, b, frame(0, 1, 2))
+	push(t, b, frame(2, 3))
+	push(t, b, frame(4))
+	push(t, b, frame(1))    // releases 1,2 — leaves 4 buffered
+	push(t, b, frame(0))    // late, dropped
+	push(t, b, frame(9, 7)) // 3 and 5 overdue: filled around 4 — leaves 9 buffered
+
+	var sw snapshot.Writer
+	b.Encode(&sw)
+	got := roundTrip(t, sw.Bytes(), b.Bound(), b.LatePolicy())
 	if got.Cursor() != b.Cursor() || got.Depth() != b.Depth() ||
 		got.LateCount() != b.LateCount() || got.FilledCount() != b.FilledCount() {
 		t.Fatalf("restored (cursor %d depth %d late %d filled %d), want (%d %d %d %d)",
 			got.Cursor(), got.Depth(), got.LateCount(), got.FilledCount(),
 			b.Cursor(), b.Depth(), b.LateCount(), b.FilledCount())
 	}
-	// The restored buffer must continue exactly: frame 3 releases the
-	// buffered 4 with its objects intact.
-	out := push(t, got, frame(3))
-	if fmt.Sprint(fids(out)) != fmt.Sprint([]vr.FrameID{3, 4}) {
-		t.Fatalf("restored buffer released %v, want [3 4]", fids(out))
+	if got.Depth() == 0 || got.FilledCount() == 0 || got.LateCount() <= got.FilledCount() {
+		t.Fatalf("snapshot holds %d frames, %d late, %d filled; the test is vacuous", got.Depth(), got.LateCount(), got.FilledCount())
 	}
-	if !out[1].Owned {
-		t.Error("restored buffered frame is not Owned")
+	// The restored buffer must continue exactly: frames 6–8 release the
+	// buffered 9 with its objects intact.
+	push(t, got, frame(6))
+	push(t, got, frame(7))
+	out := push(t, got, frame(8))
+	if fmt.Sprint(fids(out)) != fmt.Sprint([]vr.FrameID{8, 9}) {
+		t.Fatalf("restored buffer released %v, want [8 9]", fids(out))
+	}
+	if !out[1].Owned || !out[1].Objects.Contains(7) {
+		t.Errorf("restored buffered frame is %v, owned %v", out[1].Objects, out[1].Owned)
 	}
 
 	// A restored buffered frame keeps its object set.
@@ -378,6 +403,31 @@ func TestBufferDecodeRejectsCorruptState(t *testing.T) {
 			sw.Uvarint(1)
 			sw.Uvarint(3)
 			sw.Uvarint(1)
+		})},
+		// An id or class that does not fit objset.ID or vr.Class would be
+		// truncated into another object or class; decodeEngine refuses
+		// the same ranges.
+		{"object-id-out-of-range", encode(func(sw *snapshot.Writer) {
+			sw.Varint(0)
+			sw.Varint(1)
+			sw.Uvarint(0)
+			sw.Uvarint(0)
+			sw.Uvarint(1)
+			sw.Varint(1)
+			sw.Uvarint(1)
+			sw.Uvarint(1<<32 + 5)
+			sw.Uvarint(1)
+		})},
+		{"class-out-of-range", encode(func(sw *snapshot.Writer) {
+			sw.Varint(0)
+			sw.Varint(1)
+			sw.Uvarint(0)
+			sw.Uvarint(0)
+			sw.Uvarint(1)
+			sw.Varint(1)
+			sw.Uvarint(1)
+			sw.Uvarint(5)
+			sw.Uvarint(1<<16 + 1)
 		})},
 	}
 	for _, tc := range cases {

@@ -135,10 +135,11 @@ func TestFeedCheckAcrossShapes(t *testing.T) {
 
 // TestResumeBarePayloads: a bare engine or pool snapshot — what builds
 // before the Session API wrote, produced here through internal/engine
-// mid-trace — resumes into a session that continues exactly as an
-// uninterrupted session of the same shape does, down to the bytes a
-// JSONLSink writes, for every method; and an engine payload refuses
-// options that describe a pool.
+// mid-trace — round-trips, and resumes into a session that continues
+// exactly as an uninterrupted session of the same shape does, down to the
+// bytes a JSONLSink writes, for every method; and an engine payload
+// refuses options that describe a pool. Each method runs with one more
+// engine option, so every flag of the option header is set somewhere.
 func TestResumeBarePayloads(t *testing.T) {
 	jsonl := func(s *tvq.Session, in []tvq.FeedFrame) []byte {
 		t.Helper()
@@ -159,13 +160,26 @@ func TestResumeBarePayloads(t *testing.T) {
 		}
 		return out.Bytes()
 	}
+	variants := []struct {
+		method tvq.Method
+		opt    tvq.Option
+		set    func(*engine.Options)
+	}{
+		{tvq.MethodNaive, tvq.WithWindowMode(tvq.Tumbling), func(o *engine.Options) { o.Windows = engine.Tumbling }},
+		{tvq.MethodMFS, tvq.WithKeepAllClasses(), func(o *engine.Options) { o.KeepAllClasses = true }},
+		{tvq.MethodSSG, tvq.WithPruning(true), func(o *engine.Options) { o.Prune = true }},
+	}
 	for _, shape := range seamShapes {
-		for _, method := range []tvq.Method{tvq.MethodNaive, tvq.MethodMFS, tvq.MethodSSG} {
+		for _, v := range variants {
+			method := v.method
 			t.Run(fmt.Sprintf("%s/%s", shape.name, method), func(t *testing.T) {
 				in := seamInput(t, shape.feeds)
 				cut := len(in) / 2
+				if len(in[cut:])/shape.feeds < 16 {
+					t.Fatal("the cut leaves fewer frames than the widest window")
+				}
 
-				ref, err := tvq.Open(nil, append([]tvq.Option{tvq.WithQueries(seamQueries()...), tvq.WithMethod(method)}, shape.opts...)...)
+				ref, err := tvq.Open(nil, append([]tvq.Option{tvq.WithQueries(seamQueries()...), tvq.WithMethod(method), v.opt}, shape.opts...)...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -178,6 +192,7 @@ func TestResumeBarePayloads(t *testing.T) {
 
 				popts := shape.proc
 				popts.Engine.Method = method
+				v.set(&popts.Engine)
 				proc, err := engine.Open(seamQueries(), popts)
 				if err != nil {
 					t.Fatal(err)
@@ -189,10 +204,7 @@ func TestResumeBarePayloads(t *testing.T) {
 				}
 				proc.Close()
 
-				resumed, err := tvq.Resume(nil, bytes.NewReader(snap.Bytes()), shape.opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
+				resumed := resumeRoundTrip(t, snap.Bytes(), shape.opts...)
 				defer resumed.Close()
 				if resumed.Method() != method || resumed.Workers() != ref.Workers() || resumed.MultiFeed() != ref.MultiFeed() {
 					t.Fatalf("resumed as %s/%d workers/multifeed=%v, reference is %s/%d/%v", resumed.Method(), resumed.Workers(),

@@ -6,6 +6,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"sync"
@@ -719,7 +720,11 @@ func decodeSessionBody(sr *snapshot.Reader, v2 bool) (sessionBody, error) {
 	}
 	if v2 {
 		body.disordered = true
-		body.bound = int(sr.Uvarint())
+		if bound := sr.Uvarint(); bound > math.MaxInt {
+			sr.Fail("tvq: snapshot records disorder bound %d", bound)
+		} else {
+			body.bound = int(bound)
+		}
 		if pol := sr.Uvarint(); pol > uint64(LateError) {
 			sr.Fail("tvq: snapshot records unknown late policy %d", pol)
 		} else {

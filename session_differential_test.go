@@ -241,8 +241,11 @@ func TestDifferentialSessionSubscribe(t *testing.T) {
 }
 
 // TestDifferentialSessionSnapshotResume folds checkpointing in: a
-// session with a live subscription snapshotted at a random cut and
-// resumed must reproduce the uninterrupted run on both session kinds.
+// session with a live subscription snapshotted at a random cut, at least
+// the widest window before the end, must round-trip, and resumed must
+// reproduce the uninterrupted run on every session kind. The
+// subscription opens a window group mid-trace, so the snapshot records a
+// group start above zero.
 func TestDifferentialSessionSnapshotResume(t *testing.T) {
 	matched := 0
 	for i := 0; i < 10; i++ {
@@ -252,9 +255,10 @@ func TestDifferentialSessionSnapshotResume(t *testing.T) {
 			tr := randomSessionTrace(t, rng)
 			base := []tvq.Query{randomCondQuery(rng, 1, 2+rng.Intn(10))}
 			subQ := randomCondQuery(rng, 50, 13+rng.Intn(6))
-			cut1 := int64(rng.Intn(tr.Len() / 3))                 // subscribe
-			cut3 := cut1 + 1 + rng.Int63n(int64(tr.Len())-cut1-1) // snapshot/crash
-			for _, kind := range sessionKinds[:2] {               // single + pool-bygroup
+			cut1 := int64(rng.Intn(tr.Len() / 3)) // subscribe
+			// snapshot/crash, leaving at least the subscription's window
+			cut3 := cut1 + 1 + rng.Int63n(int64(tr.Len()-subQ.Window)-cut1-1)
+			for _, kind := range sessionKinds {
 				streams, sink := sessionSchedule(t, tr, base, subQ, cut1, int64(tr.Len())+1, kind.opts)
 
 				s, err := tvq.Open(nil, append([]tvq.Option{tvq.WithQueries(base...)}, kind.opts...)...)
@@ -291,12 +295,9 @@ func TestDifferentialSessionSnapshotResume(t *testing.T) {
 				}
 				s.Close()
 
-				resumed, err := tvq.Resume(nil, &buf, tvq.WithSubscriptionSinks(func(tvq.Query) tvq.Sink {
+				resumed := resumeRoundTrip(t, buf.Bytes(), tvq.WithSubscriptionSinks(func(tvq.Query) tvq.Sink {
 					return collect
 				}))
-				if err != nil {
-					t.Fatalf("%s: Resume: %v", kind.name, err)
-				}
 				if n := len(resumed.Subscriptions()); cut1 < cut3 && n != 1 {
 					t.Fatalf("%s: %d restored subscriptions, want 1", kind.name, n)
 				}

@@ -211,11 +211,13 @@ func TestDisorderMultiFeed(t *testing.T) {
 
 // TestDisorderSnapshotResume checkpoints a disordered session at a cut
 // where the reorder buffer is provably non-empty — mid-reassembly —
-// and requires the resumed session to finish the shuffled trace with
-// exactly the uninterrupted run's streams and counters, for all three
-// strategies.
+// and requires the snapshot to round-trip and the resumed session to
+// finish the shuffled trace with exactly the uninterrupted run's streams
+// and counters, for all three strategies. Every third seed shuffles
+// frames three positions past the bound, so the snapshot records late
+// and gap-filled frames; every third records the Error policy.
 func TestDisorderSnapshotResume(t *testing.T) {
-	matched := 0
+	matched, lateAtCut := 0, 0
 	for i := 0; i < 9; i++ {
 		seed := int64(13000 + i)
 		method := disorderMethods[i%len(disorderMethods)]
@@ -224,12 +226,19 @@ func TestDisorderSnapshotResume(t *testing.T) {
 			tr := randomSessionTrace(t, rng)
 			k := 2 + rng.Intn(4)
 			base := []tvq.Query{randomCondQuery(rng, 1, 2+rng.Intn(10))}
-			arrivals := tvq.BoundedShuffle(tr.Frames(), k, seed)
+			displace, policy := k, tvq.LateDrop
+			switch i % 3 {
+			case 1:
+				displace = k + 3
+			case 2:
+				policy = tvq.LateError
+			}
+			arrivals := tvq.BoundedShuffle(tr.Frames(), displace, seed)
 
 			open := func() *tvq.Session {
 				t.Helper()
-				s, err := tvq.Open(nil,
-					tvq.WithQueries(base...), tvq.WithMethod(method), tvq.WithDisorderBound(k))
+				s, err := tvq.Open(nil, tvq.WithQueries(base...), tvq.WithMethod(method),
+					tvq.WithDisorderBound(k), tvq.WithLatePolicy(policy))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -271,16 +280,19 @@ func TestDisorderSnapshotResume(t *testing.T) {
 			if s.ReorderDepth() == 0 {
 				t.Fatalf("shuffle never left the buffer non-empty; snapshot cut is vacuous (k=%d)", k)
 			}
+			if len(arrivals)-cut < base[0].Window {
+				t.Fatalf("the cut leaves %d frames, fewer than the window", len(arrivals)-cut)
+			}
+			if s.LateFrames() > 0 {
+				lateAtCut++
+			}
 			var snap bytes.Buffer
 			if err := s.Snapshot(&snap); err != nil {
 				t.Fatal(err)
 			}
 			s.Close()
 
-			resumed, err := tvq.Resume(nil, &snap)
-			if err != nil {
-				t.Fatal(err)
-			}
+			resumed := resumeRoundTrip(t, snap.Bytes())
 			if !resumed.Disordered() || resumed.DisorderBound() != k {
 				t.Fatalf("resumed session lost its disorder config: disordered=%v bound=%d",
 					resumed.Disordered(), resumed.DisorderBound())
@@ -304,6 +316,9 @@ func TestDisorderSnapshotResume(t *testing.T) {
 	}
 	if matched == 0 {
 		t.Fatal("no generated workload produced any match; harness is vacuous")
+	}
+	if lateAtCut == 0 {
+		t.Error("no snapshot recorded a late frame")
 	}
 }
 
