@@ -538,3 +538,71 @@ func BenchmarkEvaluateFanout(b *testing.B) {
 	b.ReportMetric(float64(matches), "matches/call")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*calls*matches), "ns/match")
 }
+
+// snapshotBenchSession is churn-checkpoint's session without its churn:
+// a two-worker group-sharded SSG pool over 10+10 mixed queries at w=300
+// and w=150, fed the first 1000 frames of D2 at full scale, which leaves
+// it holding more than 5 000 live states.
+func snapshotBenchSession(b *testing.B) *tvq.Session {
+	b.Helper()
+	ds, err := bench.Config{Seed: 1, Scale: 1}.LoadDataset("D2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs := append(bench.MixedWorkload(10, 300, 240, 1), bench.MixedWorkload(10, 150, 120, 2)...)
+	for i := range qs {
+		qs[i].ID = i + 1
+	}
+	s, err := tvq.Open(nil, tvq.WithQueries(qs...), tvq.WithRegistry(ds.Reg),
+		tvq.WithWorkers(2), tvq.WithShardMode(tvq.ShardByGroup))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, f := range ds.Trace.Frames()[:1000] {
+		if _, err := s.ProcessFrame(f); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if n := s.StateCount(); n < 5000 {
+		b.Fatalf("the session holds %d live states, want at least 5000", n)
+	}
+	return s
+}
+
+// BenchmarkSessionSnapshot times Session.Snapshot of that session into a
+// reused buffer, the way a checkpoint cadence takes them.
+func BenchmarkSessionSnapshot(b *testing.B) {
+	s := snapshotBenchSession(b)
+	defer s.Close()
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := s.Snapshot(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(buf.Len())/1024, "KiB/snapshot")
+}
+
+// BenchmarkResume times tvq.Resume of that session's snapshot.
+func BenchmarkResume(b *testing.B) {
+	s := snapshotBenchSession(b)
+	var buf bytes.Buffer
+	err := s.Snapshot(&buf)
+	s.Close()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := tvq.Resume(nil, bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		r.Close()
+	}
+	b.ReportMetric(float64(buf.Len())/1024, "KiB/snapshot")
+}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"tvq/internal/objset"
 	"tvq/internal/snapshot"
@@ -231,9 +230,7 @@ func (t *table) encode(w *snapshot.Writer) {
 			states = append(states, s)
 		}
 	}
-	sort.Slice(states, func(i, j int) bool {
-		return objset.Compare(states[i].Objects, states[j].Objects) < 0
-	})
+	slices.SortFunc(states, func(a, b *State) int { return objset.Compare(a.Objects, b.Objects) })
 	w.Uvarint(uint64(len(states)))
 	for _, s := range states {
 		encodeState(w, s, t.window.next-vr.FrameID(t.cfg.Window))
@@ -254,12 +251,11 @@ func (t *table) decode(r *snapshot.Reader) error {
 			r.Fail("state %s is empty or terminated", s.Objects)
 			return r.Err()
 		}
-		h, created := t.intern.Intern(s.Objects)
+		h, created := t.intern.Adopt(s.Objects)
 		if !created {
 			r.Fail("duplicate state for object set %s", s.Objects)
 			return r.Err()
 		}
-		s.Objects = t.intern.Of(h)
 		t.setState(h, s)
 	}
 	return r.Err()
@@ -287,21 +283,27 @@ func (g *SSG) encode(w *snapshot.Writer) error {
 			live = append(live, n)
 		}
 	}
-	sort.Slice(live, func(i, j int) bool {
-		return objset.Compare(live[i].state.Objects, live[j].state.Objects) < 0
-	})
-	idx := make(map[*ssgNode]int, len(live))
+	slices.SortFunc(live, func(a, b *ssgNode) int { return objset.Compare(a.state.Objects, b.state.Objects) })
+	// A live node's position in that order, by its handle; a node is in
+	// the graph when its handle leads back to it.
+	idx := make([]int32, len(g.nodes))
 	for i, n := range live {
-		idx[n] = i
+		idx[n.handle] = int32(i)
+	}
+	index := func(n *ssgNode) (uint64, error) {
+		if int(n.handle) >= len(g.nodes) || g.nodes[n.handle] != n {
+			return 0, fmt.Errorf("core: ssg edge to a node outside the graph")
+		}
+		return uint64(idx[n.handle]), nil
 	}
 	writeEdges := func(nodes []*ssgNode) error {
 		w.Uvarint(uint64(len(nodes)))
 		for _, n := range nodes {
-			i, ok := idx[n]
-			if !ok {
-				return fmt.Errorf("core: ssg edge to node outside graph (%s)", n.state.Objects)
+			i, err := index(n)
+			if err != nil {
+				return err
 			}
-			w.Uvarint(uint64(i))
+			w.Uvarint(i)
 		}
 		return nil
 	}
@@ -332,9 +334,20 @@ func (g *SSG) encode(w *snapshot.Writer) error {
 	w.Uvarint(0) // principal states
 	// Canonical node order keeps the bytes deterministic; results are
 	// collected after the frame's removals, so every entry is live.
-	results := slices.Clone(g.results)
-	sort.Slice(results, func(i, j int) bool { return idx[results[i]] < idx[results[j]] })
-	return writeEdges(results)
+	results := make([]uint64, len(g.results))
+	for k, n := range g.results {
+		i, err := index(n)
+		if err != nil {
+			return err
+		}
+		results[k] = i
+	}
+	slices.Sort(results)
+	w.Uvarint(uint64(len(results)))
+	for _, i := range results {
+		w.Uvarint(i)
+	}
+	return nil
 }
 
 func (g *SSG) decode(r *snapshot.Reader) error {
@@ -347,20 +360,22 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 		return r.Err()
 	}
 	nodes := make([]*ssgNode, count)
-	children := make([][]int, count)
-	parents := make([][]int, count)
-	readEdges := func() []int {
-		n := r.Count(1)
-		out := make([]int, 0, n)
-		for i := 0; i < n; i++ {
-			e := int(r.Uvarint())
-			if e < 0 || e >= count {
-				r.Fail("node index %d out of range [0, %d)", e, count)
-				return nil
+	// Every edge list, by node index, goes into one arena: list j is
+	// edges[ends[j]:ends[j+1]], node i's children list 2i and its parents
+	// list 2i+1.
+	var edges []int32
+	ends := make([]int32, 2*count+1)
+	readEdges := func() []int32 {
+		from := len(edges)
+		for i, n := 0, r.Count(1); i < n; i++ {
+			e := r.Uvarint()
+			if e >= uint64(count) {
+				r.Fail("node index %d out of range [0, %d)", int(e), count)
+				break
 			}
-			out = append(out, e)
+			edges = append(edges, int32(e))
 		}
-		return out
+		return edges[from:]
 	}
 
 	minFID := g.window.next - vr.FrameID(g.cfg.Window)
@@ -371,8 +386,10 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 		for j, nc := 0, r.Count(1); j < nc; j++ {
 			r.Varint() // a principal frame: written by older encoders, unused
 		}
-		children[i] = readEdges()
-		parents[i] = readEdges()
+		readEdges()
+		ends[2*i+1] = int32(len(edges))
+		readEdges()
+		ends[2*i+2] = int32(len(edges))
 		if r.Err() != nil {
 			return r.Err()
 		}
@@ -389,12 +406,11 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 			r.Fail("ssg node %s has no key frame before frame %d", n.state.Objects, g.window.next)
 			return r.Err()
 		}
-		h, created := g.intern.Intern(n.state.Objects)
+		h, created := g.intern.Adopt(n.state.Objects)
 		if !created {
 			r.Fail("duplicate ssg node for object set %s", n.state.Objects)
 			return r.Err()
 		}
-		n.state.Objects = g.intern.Of(h)
 		n.handle = h
 		nodes[i] = n
 		g.setNode(h, n)
@@ -402,34 +418,33 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 
 	// Link edges, each to a proper subset, and verify that the children and
 	// parents lists describe the same edge set, so a crafted payload cannot
-	// smuggle in a cycle or a one-sided edge that corrupts traversal.
-	edges := make(map[[2]int]int)
+	// smuggle in a cycle or a one-sided edge that corrupts traversal. The
+	// lists share one arena of nodes; each is capped at its own length, so
+	// the first append to one moves it out.
+	links := make([]*ssgNode, len(edges))
+	for k, e := range edges {
+		links[k] = nodes[e]
+	}
 	for i, n := range nodes {
-		for _, c := range children[i] {
-			if !nodes[c].state.Objects.SubsetOf(n.state.Objects) {
-				r.Fail("ssg edge from %s to %s, not a subset", n.state.Objects, nodes[c].state.Objects)
+		from, mid, to := ends[2*i], ends[2*i+1], ends[2*i+2]
+		n.children, n.parents = links[from:mid:mid], links[mid:to:to]
+		for _, c := range n.children {
+			if !c.state.Objects.SubsetOf(n.state.Objects) {
+				r.Fail("ssg edge from %s to %s, not a subset", n.state.Objects, c.state.Objects)
 				return r.Err()
 			}
-			n.children = append(n.children, nodes[c])
-			edges[[2]int{i, c}]++
 		}
 	}
-	for j, n := range nodes {
-		for _, p := range parents[j] {
-			n.parents = append(n.parents, nodes[p])
-			key := [2]int{p, j}
-			edges[key]--
-			if edges[key] == 0 {
-				delete(edges, key)
-			}
-		}
-	}
-	if len(edges) != 0 {
-		r.Fail("ssg children and parents lists disagree on %d edges", len(edges))
+	if d := disagreeingEdges(edges, ends); d != 0 {
+		r.Fail("ssg children and parents lists disagree on %d edges", d)
 		return r.Err()
 	}
 
-	for _, i := range readEdges() {
+	roots := readEdges()
+	if r.Err() != nil {
+		return r.Err()
+	}
+	for _, i := range roots {
 		n := nodes[i]
 		if n.onRootList || len(n.parents) > 0 {
 			r.Fail("node %d appears twice in root order or has parents", i)
@@ -439,7 +454,11 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 		g.rootOrder = append(g.rootOrder, n)
 	}
 	readEdges() // principal states: written by older encoders, unused
-	for _, i := range readEdges() {
+	results := readEdges()
+	if r.Err() != nil {
+		return r.Err()
+	}
+	for _, i := range results {
 		g.results = append(g.results, nodes[i])
 	}
 	// A node whose key frames have all left the window, which an encoder
@@ -456,6 +475,54 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 	g.results = slices.DeleteFunc(g.results, func(n *ssgNode) bool { return n.dead })
 	g.relistFolded()
 	return r.Err()
+}
+
+// disagreeingEdges counts the edges (p, c) that p's children list and
+// c's parents list name a different number of times, over the edge
+// arena SSG.decode reads. It transposes the parents lists — for each p,
+// the nodes whose parents list names p — and compares each with p's
+// children list as a multiset.
+func disagreeingEdges(edges, ends []int32) int {
+	count := len(ends) / 2
+	parentsOf := func(c int) []int32 { return edges[ends[2*c+1]:ends[2*c+2]] }
+	named := make([]int32, count+1) // named by p: back[named[p]:named[p+1]]
+	for c := 0; c < count; c++ {
+		for _, p := range parentsOf(c) {
+			named[p+1]++
+		}
+	}
+	for p := 0; p < count; p++ {
+		named[p+1] += named[p]
+	}
+	back := make([]int32, named[count])
+	net := make([]int32, count)
+	copy(net, named) // the fill cursor first, then each node's net count
+	for c := 0; c < count; c++ {
+		for _, p := range parentsOf(c) {
+			back[net[p]] = int32(c)
+			net[p]++
+		}
+	}
+	clear(net)
+	d := 0
+	for p := 0; p < count; p++ {
+		kids, by := edges[ends[2*p]:ends[2*p+1]], back[named[p]:named[p+1]]
+		for _, c := range kids {
+			net[c]++
+		}
+		for _, c := range by {
+			net[c]--
+		}
+		for _, list := range [2][]int32{kids, by} {
+			for _, c := range list {
+				if net[c] != 0 {
+					d++ // once per edge: the count is cleared
+					net[c] = 0
+				}
+			}
+		}
+	}
+	return d
 }
 
 // relistFolded rebuilds the list of nodes the last frame was folded

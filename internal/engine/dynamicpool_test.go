@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -295,12 +294,9 @@ func TestPoolSnapshotWithDynamicQueries(t *testing.T) {
 			}
 			collect(pool.ProcessBatch([]FeedFrame{{Frame: f}}))
 		}
-		var buf bytes.Buffer
-		if err := pool.Snapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
+		buf := snapFile(t, pool)
 		pool.Close()
-		restored, err := Restore(&buf, PoolOptions{})
+		restored, err := restoreFile(buf, PoolOptions{})
 		if err != nil {
 			t.Fatalf("mode %d: Restore: %v", mode, err)
 		}

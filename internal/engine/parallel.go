@@ -8,6 +8,7 @@ import (
 
 	"tvq/internal/cnf"
 	"tvq/internal/query"
+	"tvq/internal/snapshot"
 	"tvq/internal/vr"
 )
 
@@ -92,6 +93,10 @@ type poolWorker struct {
 	in    chan *poolJob
 	eng   *Engine            // ShardByGroup: this shard's query subset
 	feeds map[FeedID]*Engine // ShardByFeed: one engine per feed served
+
+	// snap holds this shard's encoding while Pool.Snapshot assembles a
+	// ShardByGroup payload; the buffer is kept for the next snapshot.
+	snap snapshot.Writer
 }
 
 // poolWorkerShared is the worker-visible slice of the pool.

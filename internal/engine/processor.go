@@ -1,9 +1,8 @@
 package engine
 
 import (
-	"io"
-
 	"tvq/internal/cnf"
+	"tvq/internal/snapshot"
 	"tvq/internal/vr"
 )
 
@@ -56,8 +55,9 @@ type Processor interface {
 	MultiFeed() bool
 	// NextFID returns the id of the next frame expected for feed.
 	NextFID(feed FeedID) vr.FrameID
-	// Snapshot serializes complete processor state to w.
-	Snapshot(w io.Writer) error
+	// Snapshot appends complete processor state to sw as a snapshot
+	// payload, for the caller to frame; Restore reads it back.
+	Snapshot(sw *snapshot.Writer) error
 	// Close releases goroutines and other resources; idempotent.
 	Close()
 }

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
-	"io"
 	"math"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 
 	"tvq/internal/cnf"
 	"tvq/internal/core"
@@ -30,31 +32,32 @@ const (
 	payloadPool   = "pool"
 )
 
-// Snapshot serializes the engine's complete state to w. The engine must
-// be quiescent (no concurrent ProcessFrame); the engine is not mutated
-// and may continue processing afterwards.
-func (e *Engine) Snapshot(w io.Writer) error {
-	var sw snapshot.Writer
+// Snapshot appends the engine's complete state to sw as a snapshot
+// payload, which the caller frames (snapshot.Writer.Begin/End). The
+// engine must be quiescent (no concurrent ProcessFrame); the engine is
+// not mutated and may continue processing afterwards.
+func (e *Engine) Snapshot(sw *snapshot.Writer) error {
 	sw.String(payloadEngine)
-	if err := e.encode(&sw); err != nil {
-		return err
-	}
-	return snapshot.Write(w, sw.Bytes())
+	return e.encode(sw)
 }
 
-// Restore reconstructs the processor a snapshot holds — an engine from
-// Engine.Snapshot, a pool from Pool.Snapshot; the stream records which.
+// Restore reconstructs the processor a snapshot payload holds — an
+// engine from Engine.Snapshot, a pool from Pool.Snapshot; the payload
+// records which. payload is what snapshot.Read or snapshot.Parse
+// returns, checksum verified; it is decoded where it lies and not
+// retained.
 // Recorded state wins; opts cross-checks it, and a disagreement is an
 // ErrSnapshotMismatch: a worker count above one or an explicit shard
 // mode against an engine snapshot, a different worker count or shard
 // mode against a pool's, a non-empty Engine.Method against the recorded
 // one. opts.Engine.Registry, when set, is shared with the restored
 // engines (its class names must agree with the recording), and
-// opts.Engine.Observe is installed on them. A corrupted, truncated or
-// version-mismatched stream returns a descriptive error.
-func Restore(r io.Reader, opts PoolOptions) (Processor, error) {
-	kind, sr, err := snapshot.ReadKind(r)
-	if err != nil {
+// opts.Engine.Observe is installed on them. A malformed payload returns
+// a descriptive error.
+func Restore(payload []byte, opts PoolOptions) (Processor, error) {
+	sr := snapshot.NewReader(payload)
+	kind := sr.String()
+	if err := sr.Err(); err != nil {
 		return nil, err
 	}
 	switch kind {
@@ -153,7 +156,7 @@ func (e *Engine) encode(sw *snapshot.Writer) error {
 	for id := range e.classes {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	sw.Uvarint(uint64(len(ids)))
 	for _, id := range ids {
 		sw.Uvarint(uint64(id))
@@ -277,12 +280,12 @@ func decodeQueries(sr *snapshot.Reader) []cnf.Query {
 	return qs
 }
 
-// Snapshot serializes the pool's complete state: options, queries, and
-// every shard engine (per window-group shard, or per feed). Call it only
-// between ProcessBatch calls — like StateCount it reads worker-owned
-// engines, which is safe exactly when no batch is in flight.
-func (p *Pool) Snapshot(w io.Writer) error {
-	var sw snapshot.Writer
+// Snapshot appends the pool's complete state to sw as a snapshot
+// payload, which the caller frames: options, queries, and every shard
+// engine (per window-group shard, or per feed). Call it only between
+// ProcessBatch calls — like StateCount it reads worker-owned engines,
+// which is safe exactly when no batch is in flight.
+func (p *Pool) Snapshot(sw *snapshot.Writer) error {
 	sw.String(payloadPool)
 	sw.Int(int(p.opts.Mode))
 	sw.Int(len(p.workers))
@@ -290,7 +293,7 @@ func (p *Pool) Snapshot(w io.Writer) error {
 	// refuse a pool payload whose batch is below one, so it keeps a
 	// valid value.
 	sw.Int(DefaultBatch)
-	encodeQueries(&sw, p.queries)
+	encodeQueries(sw, p.queries)
 
 	engOpts := p.opts.Engine
 	if engOpts.Method == "" {
@@ -299,35 +302,58 @@ func (p *Pool) Snapshot(w io.Writer) error {
 	if engOpts.Registry == nil {
 		engOpts.Registry = vr.StandardRegistry()
 	}
-	encodeOptions(&sw, engOpts)
+	encodeOptions(sw, engOpts)
 
 	if p.opts.Mode == ShardByGroup {
-		for _, w := range p.workers {
-			if err := w.eng.encode(&sw); err != nil {
-				return err
-			}
-		}
-	} else {
-		type feedEngine struct {
-			feed FeedID
-			eng  *Engine
-		}
-		var all []feedEngine
-		for _, w := range p.workers {
-			for feed, eng := range w.feeds {
-				all = append(all, feedEngine{feed, eng})
-			}
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i].feed < all[j].feed })
-		sw.Uvarint(uint64(len(all)))
-		for _, fe := range all {
-			sw.Varint(int64(fe.feed))
-			if err := fe.eng.encode(&sw); err != nil {
-				return err
-			}
+		return p.encodeShards(sw)
+	}
+	type feedEngine struct {
+		feed FeedID
+		eng  *Engine
+	}
+	var all []feedEngine
+	for _, w := range p.workers {
+		for feed, eng := range w.feeds {
+			all = append(all, feedEngine{feed, eng})
 		}
 	}
-	return snapshot.Write(w, sw.Bytes())
+	slices.SortFunc(all, func(a, b feedEngine) int { return cmp.Compare(a.feed, b.feed) })
+	sw.Uvarint(uint64(len(all)))
+	for _, fe := range all {
+		sw.Varint(int64(fe.feed))
+		if err := fe.eng.encode(sw); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// encodeShards appends the ShardByGroup shard engines in worker order.
+// The shards are independent and their workers idle between batches, so
+// they are encoded at once: the first straight into sw on the caller's
+// goroutine, every other into its worker's own writer, kept for the
+// next snapshot, on a goroutine of its own; the others are then copied
+// behind the first.
+func (p *Pool) encodeShards(sw *snapshot.Writer) error {
+	errs := make([]error, len(p.workers))
+	var wg sync.WaitGroup
+	for i, w := range p.workers[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.snap.Reset()
+			errs[i+1] = w.eng.encode(&w.snap)
+		}()
+	}
+	errs[0] = p.workers[0].eng.encode(sw)
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	for _, w := range p.workers[1:] {
+		sw.AppendWith(func(dst []byte) []byte { return append(dst, w.snap.Bytes()...) })
+	}
+	return nil
 }
 
 // decodePool reads a pool payload after its kind tag and returns the

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -58,11 +57,8 @@ func TestEngineKillAndResume(t *testing.T) {
 							got = append(got, fmt.Sprintf("%d:%s", f.FID, matchKey(m)))
 						}
 					}
-					var buf bytes.Buffer
-					if err := eng.Snapshot(&buf); err != nil {
-						t.Fatalf("cut %d: snapshot: %v", cut, err)
-					}
-					restored, err := restoreEngine(&buf, Options{})
+					buf := snapFile(t, eng)
+					restored, err := restoreEngine(buf, Options{})
 					if err != nil {
 						t.Fatalf("cut %d: restore: %v", cut, err)
 					}
@@ -107,11 +103,8 @@ func TestEngineDoubleResume(t *testing.T) {
 				got = append(got, fmt.Sprintf("%d:%s", f.FID, matchKey(m)))
 			}
 		}
-		var buf bytes.Buffer
-		if err := eng.Snapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		eng, err = restoreEngine(&buf, Options{})
+		buf := snapFile(t, eng)
+		eng, err = restoreEngine(buf, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,11 +158,8 @@ func TestEngineSnapshotWithDynamicQueries(t *testing.T) {
 	}
 
 	eng, got := run()
-	var buf bytes.Buffer
-	if err := eng.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := restoreEngine(&buf, Options{})
+	buf := snapFile(t, eng)
+	restored, err := restoreEngine(buf, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +176,32 @@ func TestEngineSnapshotWithDynamicQueries(t *testing.T) {
 	}
 }
 
-// restoreEngine is Restore for a snapshot the test knows to hold an
+// snapFile frames p's snapshot payload as a snapshot file.
+func snapFile(t testing.TB, p Processor) []byte {
+	t.Helper()
+	var sw snapshot.Writer
+	at := sw.Begin()
+	if err := p.Snapshot(&sw); err != nil {
+		t.Fatal(err)
+	}
+	sw.End(at)
+	return sw.Bytes()
+}
+
+// restoreFile is Restore for a snapshot file: its container is checked,
+// then its payload decoded.
+func restoreFile(file []byte, opts PoolOptions) (Processor, error) {
+	payload, err := snapshot.Parse(file)
+	if err != nil {
+		return nil, err
+	}
+	return Restore(payload, opts)
+}
+
+// restoreEngine is restoreFile for a snapshot the test knows to hold an
 // engine, typed so the caller can go on to ProcessFrame.
-func restoreEngine(r io.Reader, opts Options) (*Engine, error) {
-	p, err := Restore(r, PoolOptions{Engine: opts})
+func restoreEngine(file []byte, opts Options) (*Engine, error) {
+	p, err := restoreFile(file, PoolOptions{Engine: opts})
 	if err != nil {
 		return nil, err
 	}
@@ -200,11 +212,8 @@ func restoreEngine(r io.Reader, opts Options) (*Engine, error) {
 // any codec error.
 func snapshotRoundTrip(t *testing.T, eng *Engine) *Engine {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := eng.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := restoreEngine(&buf, Options{})
+	buf := snapFile(t, eng)
+	restored, err := restoreEngine(buf, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,13 +338,10 @@ func TestPoolKillAndResume(t *testing.T) {
 				}
 				var got []string
 				got = poolResults(got, pool.ProcessBatch(frames[:cut]))
-				var buf bytes.Buffer
-				if err := pool.Snapshot(&buf); err != nil {
-					t.Fatal(err)
-				}
+				buf := snapFile(t, pool)
 				pool.Close()
 
-				restored, err := Restore(&buf, PoolOptions{})
+				restored, err := restoreFile(buf, PoolOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -369,24 +375,21 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	for _, f := range tr.Frames()[:40] {
 		eng.ProcessFrame(f)
 	}
-	var buf bytes.Buffer
-	if err := eng.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
+	buf := snapFile(t, eng)
+	valid := buf
 
 	t.Run("bit flips", func(t *testing.T) {
 		for off := 20; off < len(valid); off += 97 {
 			b := append([]byte(nil), valid...)
 			b[off] ^= 0x20
-			if _, err := restoreEngine(bytes.NewReader(b), Options{}); err == nil {
+			if _, err := restoreEngine(b, Options{}); err == nil {
 				t.Errorf("bit flip at %d accepted", off)
 			}
 		}
 	})
 	t.Run("truncation", func(t *testing.T) {
 		for _, cut := range []int{0, 7, 19, 20, len(valid) / 2, len(valid) - 1} {
-			if _, err := restoreEngine(bytes.NewReader(valid[:cut]), Options{}); err == nil {
+			if _, err := restoreEngine(valid[:cut], Options{}); err == nil {
 				t.Errorf("truncation at %d accepted", cut)
 			}
 		}
@@ -396,29 +399,26 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	t.Run("generator cursor", func(t *testing.T) {
 		eng.next++
 		defer func() { eng.next-- }()
-		var b bytes.Buffer
-		if err := eng.Snapshot(&b); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := restoreEngine(&b, Options{}); err == nil || !strings.Contains(err.Error(), "holds a generator at frame 40") {
+		b := snapFile(t, eng)
+		if _, err := restoreEngine(b, Options{}); err == nil || !strings.Contains(err.Error(), "holds a generator at frame 40") {
 			t.Errorf("err = %v", err)
 		}
 	})
 	t.Run("version mismatch", func(t *testing.T) {
 		b := append([]byte(nil), valid...)
 		b[8]++
-		if _, err := restoreEngine(bytes.NewReader(b), Options{}); err == nil || !strings.Contains(err.Error(), "version") {
+		if _, err := restoreEngine(b, Options{}); err == nil || !strings.Contains(err.Error(), "version") {
 			t.Errorf("err = %v", err)
 		}
 	})
 	t.Run("method mismatch", func(t *testing.T) {
-		_, err := restoreEngine(bytes.NewReader(valid), Options{Method: MethodNaive})
+		_, err := restoreEngine(valid, Options{Method: MethodNaive})
 		if err == nil || !strings.Contains(err.Error(), "method") {
 			t.Errorf("err = %v", err)
 		}
 	})
 	t.Run("registry mismatch", func(t *testing.T) {
-		_, err := restoreEngine(bytes.NewReader(valid), Options{Registry: vr.NewRegistry("cat", "dog")})
+		_, err := restoreEngine(valid, Options{Registry: vr.NewRegistry("cat", "dog")})
 		if err == nil || !strings.Contains(err.Error(), "registry") {
 			t.Errorf("err = %v", err)
 		}
@@ -426,17 +426,17 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	t.Run("registry extension ok", func(t *testing.T) {
 		reg := vr.StandardRegistry()
 		reg.Class("bicycle") // caller registered more classes since the snapshot: fine
-		if _, err := restoreEngine(bytes.NewReader(valid), Options{Registry: reg}); err != nil {
+		if _, err := restoreEngine(valid, Options{Registry: reg}); err != nil {
 			t.Errorf("extended registry rejected: %v", err)
 		}
 	})
 	t.Run("engine snapshot with pool options", func(t *testing.T) {
 		for _, opts := range []PoolOptions{{Workers: 2}, {Sharded: true, Mode: ShardByGroup}, {Workers: 1, Sharded: true}} {
-			if _, err := Restore(bytes.NewReader(valid), opts); !errors.Is(err, ErrSnapshotMismatch) {
+			if _, err := restoreFile(valid, opts); !errors.Is(err, ErrSnapshotMismatch) {
 				t.Errorf("%+v: err = %v, want ErrSnapshotMismatch", opts, err)
 			}
 		}
-		if _, err := Restore(bytes.NewReader(valid), PoolOptions{Workers: 1}); err != nil {
+		if _, err := restoreFile(valid, PoolOptions{Workers: 1}); err != nil {
 			t.Errorf("one worker and no shard mode describe an engine: %v", err)
 		}
 	})
@@ -446,16 +446,13 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer pool.Close()
-		var pb bytes.Buffer
-		if err := pool.Snapshot(&pb); err != nil {
-			t.Fatal(err)
-		}
+		pb := snapFile(t, pool)
 		for _, opts := range []PoolOptions{{Workers: 2}, {Engine: Options{Method: MethodMFS}}, {Engine: Options{Registry: vr.NewRegistry("cat")}}} {
-			if _, err := Restore(bytes.NewReader(pb.Bytes()), opts); !errors.Is(err, ErrSnapshotMismatch) {
+			if _, err := restoreFile(pb, opts); !errors.Is(err, ErrSnapshotMismatch) {
 				t.Errorf("%+v: err = %v, want ErrSnapshotMismatch", opts, err)
 			}
 		}
-		restored, err := Restore(bytes.NewReader(pb.Bytes()), PoolOptions{Workers: 1, Mode: ShardByGroup, Sharded: true})
+		restored, err := restoreFile(pb, PoolOptions{Workers: 1, Mode: ShardByGroup, Sharded: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -464,11 +461,7 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	t.Run("unknown kind", func(t *testing.T) {
 		var sw snapshot.Writer
 		sw.String("session")
-		var b bytes.Buffer
-		if err := snapshot.Write(&b, sw.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Restore(&b, PoolOptions{}); err == nil || !strings.Contains(err.Error(), "unknown state kind") {
+		if _, err := Restore(sw.Bytes(), PoolOptions{}); err == nil || !strings.Contains(err.Error(), "unknown state kind") {
 			t.Errorf("err = %v", err)
 		}
 	})
@@ -487,13 +480,9 @@ func TestRestorePoolChecksWorkersBeforeBuilding(t *testing.T) {
 	sw.Int(DefaultBatch)
 	encodeQueries(&sw, []cnf.Query{mkQuery(t, 1, "car >= 1", 4, 2)})
 	encodeOptions(&sw, Options{Method: MethodSSG, Registry: vr.NewRegistry()})
-	var data bytes.Buffer
-	if err := snapshot.Write(&data, sw.Bytes()); err != nil {
-		t.Fatal(err)
-	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := Restore(&data, PoolOptions{})
+	_, err := Restore(sw.Bytes(), PoolOptions{})
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("Restore accepted a pool of 1<<20 workers and no engines")
@@ -524,14 +513,60 @@ func TestRestorePoolShardsShareCursor(t *testing.T) {
 		t.Fatalf("pool has %d shards, want 2", len(p.workers))
 	}
 	p.workers[1].eng.ProcessFrame(frames[20].Frame) // between batches the shard is idle
-	var buf bytes.Buffer
-	if err := p.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if proc, err := Restore(&buf, PoolOptions{}); err == nil || !strings.Contains(err.Error(), "shard 1 is at frame 21") {
+	buf := snapFile(t, p)
+	if proc, err := restoreFile(buf, PoolOptions{}); err == nil || !strings.Contains(err.Error(), "shard 1 is at frame 21") {
 		if err == nil {
 			proc.Close()
 		}
 		t.Errorf("err = %v", err)
+	}
+}
+
+// TestPoolSnapshotEncodesShardsConcurrently: a ShardByGroup pool encodes
+// its shards at once, all but the first into their workers' own writers,
+// and must write exactly the serial concatenation of the shards'
+// encodings behind its header — also the second time, in the writers
+// the first snapshot left behind. Under -race this covers the
+// concurrent encode.
+func TestPoolSnapshotEncodesShardsConcurrently(t *testing.T) {
+	qs := []cnf.Query{
+		mkQuery(t, 1, "person >= 1", 6, 2),
+		mkQuery(t, 2, "car >= 1 AND person >= 1", 9, 3),
+		mkQuery(t, 3, "car >= 2", 12, 4),
+		mkQuery(t, 4, "(truck >= 1 OR person >= 2)", 15, 5),
+	}
+	p, err := NewPool(qs, PoolOptions{Workers: 4, Mode: ShardByGroup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if len(p.workers) != 4 {
+		t.Fatalf("pool has %d shards, want 4", len(p.workers))
+	}
+	var frames []FeedFrame
+	for _, f := range smallTrace(t, 17).Frames() {
+		frames = append(frames, FeedFrame{Frame: f})
+	}
+	half := len(frames) / 2
+	for _, batch := range [][]FeedFrame{frames[:half], frames[half:]} {
+		p.ProcessBatch(batch)
+		var got, want snapshot.Writer
+		if err := p.Snapshot(&got); err != nil {
+			t.Fatal(err)
+		}
+		want.String(payloadPool)
+		want.Int(int(ShardByGroup))
+		want.Int(4)
+		want.Int(DefaultBatch)
+		encodeQueries(&want, qs)
+		encodeOptions(&want, Options{Method: MethodSSG, Registry: vr.StandardRegistry()})
+		for _, w := range p.workers {
+			if err := w.eng.encode(&want); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("after %d frames: the pool wrote %d bytes, the serial shards %d", batch[len(batch)-1].Frame.FID+1, len(got.Bytes()), len(want.Bytes()))
+		}
 	}
 }

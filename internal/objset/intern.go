@@ -80,6 +80,19 @@ func (in *Interner) Lookup(s Set) (Handle, bool) {
 //
 //tvq:noalloc
 func (in *Interner) Intern(s Set) (handle Handle, created bool) {
+	return in.intern(s, false)
+}
+
+// Adopt is Intern for a set the caller hands over, such as one just
+// decoded: a new set is interned as it is instead of copied, so the
+// caller must not hold scratch-backed storage in it. Nothing else may
+// retain s mutably; Set is immutable, so sharing it is fine.
+func (in *Interner) Adopt(s Set) (handle Handle, created bool) {
+	return in.intern(s, true)
+}
+
+//tvq:noalloc
+func (in *Interner) intern(s Set, adopt bool) (handle Handle, created bool) {
 	if s.IsEmpty() {
 		panic("objset: cannot intern the empty set")
 	}
@@ -92,17 +105,21 @@ func (in *Interner) Intern(s Set) (handle Handle, created bool) {
 		case sl.ref == slotEmpty:
 			if in.filled*4 >= len(in.slots)*3 {
 				in.grow()
-				return in.Intern(s)
+				return in.intern(s, adopt)
+			}
+			if !adopt {
+				s = s.Clone()
 			}
 			var hd Handle
 			if n := len(in.free); n > 0 {
 				hd = in.free[n-1]
 				in.free = in.free[:n-1]
-				in.sets[hd] = s.Clone()
 			} else {
 				hd = Handle(len(in.sets))
-				in.sets = append(in.sets, s.Clone())
+				in.sets = append(in.sets, Set{})
 			}
+			//lint:ignore retainset Intern cloned s just above; Adopt's caller handed it over
+			in.sets[hd] = s
 			if insert >= 0 {
 				i = uint64(insert) // reuse the first tombstone on the probe path
 			} else {

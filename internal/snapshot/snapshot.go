@@ -19,7 +19,10 @@
 // The payload encoding uses varints for integers and length-prefixed
 // byte strings, so snapshots are dense and byte-for-byte deterministic
 // for a given engine state (maps are serialized in sorted order by the
-// encoders).
+// encoders). A Writer frames containers where it writes them
+// (Begin/End), nested ones included (BeginBlob/EndBlob), and Parse
+// checks them where they lie, so neither direction copies a payload to
+// frame or unframe it.
 package snapshot
 
 import (
@@ -28,6 +31,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Version is the current snapshot format version. It is bumped on any
@@ -46,7 +50,15 @@ const magic = "TVQSNAP\x00"
 // any real engine state.
 const maxPayload = 1 << 30
 
-// Writer accumulates a snapshot payload. The zero value is ready to use.
+// trustedSize is the largest file Read allocates in one piece on its
+// header's word alone; a larger one grows as its bytes arrive, so a
+// corrupted length costs at most this much beyond the bytes there.
+const trustedSize = 16 << 20
+
+const headerSize = 20
+
+// Writer accumulates a snapshot payload, or whole snapshot files when
+// Begin and End frame it. The zero value is ready to use.
 type Writer struct {
 	buf []byte
 }
@@ -82,19 +94,54 @@ func (w *Writer) String(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-// Blob appends a length-prefixed byte slice without converting it to a
-// string first; wire-compatible with String/Reader.Blob.
-func (w *Writer) Blob(b []byte) {
-	w.Uvarint(uint64(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
 // AppendWith hands the payload buffer to an append-style encoder (such
 // as vr.AppendSet) and adopts what it returns, so shared wire
 // primitives write straight into the payload with no intermediate
 // allocation. fn must only append.
 func (w *Writer) AppendWith(fn func(dst []byte) []byte) {
 	w.buf = fn(w.buf)
+}
+
+// Reset empties the writer and keeps its buffer for the next snapshot.
+func (w *Writer) Reset() { w.buf = w.buf[:0] }
+
+// Begin opens a container at the end of the buffer by reserving its
+// header, and returns the mark End closes it at. Everything written in
+// between is the container's payload, framed in place: no payload is
+// copied to be framed.
+func (w *Writer) Begin() int {
+	at := len(w.buf)
+	w.buf = append(w.buf, make([]byte, headerSize)...)
+	return at
+}
+
+// End closes the container Begin opened at mark: it fills in the header
+// and appends the payload's checksum.
+func (w *Writer) End(mark int) {
+	hdr, payload := w.buf[mark:mark+headerSize], w.buf[mark+headerSize:]
+	copy(hdr, magic)
+	binary.LittleEndian.PutUint32(hdr[8:12], Version)
+	binary.LittleEndian.PutUint64(hdr[12:20], uint64(len(payload)))
+	sum := sha256.Sum256(payload)
+	w.buf = append(w.buf, sum[:]...)
+}
+
+// BeginBlob opens a length-prefixed byte string whose length is not
+// known yet, such as a nested container, by reserving the longest
+// prefix; EndBlob writes the prefix and closes the gap. The bytes are
+// a String's, and Reader.Blob reads them.
+func (w *Writer) BeginBlob() int {
+	at := len(w.buf)
+	w.buf = append(w.buf, make([]byte, binary.MaxVarintLen64)...)
+	return at
+}
+
+// EndBlob closes the blob BeginBlob opened at mark, moving its bytes
+// back over the part of the reserved prefix the length does not need.
+func (w *Writer) EndBlob(mark int) {
+	body := mark + binary.MaxVarintLen64
+	n := binary.PutUvarint(w.buf[mark:body], uint64(len(w.buf)-body))
+	w.buf = w.buf[:mark+n+copy(w.buf[mark+n:], w.buf[body:])]
 }
 
 // Reader decodes a snapshot payload. Decoding errors are sticky: after
@@ -193,9 +240,9 @@ func (r *Reader) String() string {
 	return s
 }
 
-// Blob reads a length-prefixed byte slice written by Writer.Blob (or
-// Writer.String — the encodings are identical), returning a subslice of
-// the payload without copying. The caller must not modify it.
+// Blob reads a length-prefixed byte slice written by Writer.String or
+// between Writer.BeginBlob and EndBlob, returning a subslice of the
+// payload without copying. The caller must not modify it.
 func (r *Reader) Blob() []byte {
 	n := r.Uvarint()
 	if r.err != nil {
@@ -250,47 +297,53 @@ func (r *Reader) Count(minBytes int) int {
 	return int(n)
 }
 
-// Write frames payload with the magic, version and checksum and writes
-// the complete snapshot file to w.
-func Write(w io.Writer, payload []byte) error {
-	var hdr [20]byte
-	copy(hdr[:8], magic)
-	binary.LittleEndian.PutUint32(hdr[8:12], Version)
-	binary.LittleEndian.PutUint64(hdr[12:20], uint64(len(payload)))
-	sum := sha256.Sum256(payload)
-	for _, b := range [][]byte{hdr[:], payload, sum[:]} {
-		if _, err := w.Write(b); err != nil {
-			return fmt.Errorf("snapshot: write: %w", err)
-		}
-	}
-	return nil
-}
-
-// Read consumes a complete snapshot file from r, verifies the magic,
-// version, declared length and checksum, and returns the payload. Every
-// failure mode returns a descriptive error.
+// Read consumes one snapshot file from r and returns its verified
+// payload. It reads the header first and refuses a bad magic, version
+// or declared length before reading further; then it reads the rest
+// into the one buffer the header sizes, at most one byte beyond the
+// checksum, and Parse checks it in place. Every failure mode returns a
+// descriptive error.
 func Read(r io.Reader) ([]byte, error) {
-	var hdr [20]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	file := make([]byte, headerSize)
+	if _, err := io.ReadFull(r, file); err != nil {
 		return nil, fmt.Errorf("snapshot: truncated header: %w", err)
 	}
-	if string(hdr[:8]) != magic {
-		return nil, fmt.Errorf("snapshot: bad magic %q: not a tvq snapshot file", hdr[:8])
-	}
-	version := binary.LittleEndian.Uint32(hdr[8:12])
-	if version != Version {
-		return nil, fmt.Errorf("snapshot: format version %d not supported (this build reads version %d)", version, Version)
-	}
-	length := binary.LittleEndian.Uint64(hdr[12:20])
-	if length > maxPayload {
-		return nil, fmt.Errorf("snapshot: declared payload length %d exceeds limit %d; file is corrupted", length, maxPayload)
-	}
-	// Read payload and checksum without trusting length for a single
-	// huge allocation beyond the cap validated above.
-	rest, err := io.ReadAll(io.LimitReader(r, int64(length)+sha256.Size+1))
+	length, err := parseHeader(file)
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: read payload: %w", err)
+		return nil, err
 	}
+	// One byte more than the file is asked for, to tell a trailing byte
+	// from the end.
+	want := headerSize + int(length) + sha256.Size + 1
+	file = append(make([]byte, 0, min(want, trustedSize)), file...)
+	for len(file) < want {
+		if len(file) == cap(file) {
+			file = slices.Grow(file, min(want-len(file), len(file)))
+		}
+		n, err := r.Read(file[len(file):min(want, cap(file))])
+		file = file[:len(file)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("snapshot: read payload: %w", err)
+		}
+	}
+	return Parse(file)
+}
+
+// Parse verifies the snapshot file in data — magic, version, declared
+// length and checksum — and returns its payload, a subslice of data: a
+// nested container is checked where it lies, without a copy.
+func Parse(data []byte) ([]byte, error) {
+	if len(data) < headerSize {
+		return nil, fmt.Errorf("snapshot: truncated header: have %d of %d bytes", len(data), headerSize)
+	}
+	length, err := parseHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	rest := data[headerSize:]
 	if uint64(len(rest)) < length+sha256.Size {
 		return nil, fmt.Errorf("snapshot: truncated file: have %d payload bytes, header declares %d", len(rest), length)
 	}
@@ -298,22 +351,24 @@ func Read(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("snapshot: %d trailing bytes after checksum; file is corrupted", uint64(len(rest))-length-sha256.Size)
 	}
 	payload := rest[:length]
-	sum := sha256.Sum256(payload)
-	if !bytes.Equal(sum[:], rest[length:]) {
+	if sum := sha256.Sum256(payload); !bytes.Equal(sum[:], rest[length:]) {
 		return nil, fmt.Errorf("snapshot: checksum mismatch: file is corrupted")
 	}
 	return payload, nil
 }
 
-// ReadKind is Read for the payloads this module writes, which all open
-// with a kind tag (a String): it returns the tag and a Reader positioned
-// after it.
-func ReadKind(r io.Reader) (string, *Reader, error) {
-	payload, err := Read(r)
-	if err != nil {
-		return "", nil, err
+// parseHeader checks a file's magic and version and returns the payload
+// length it declares, refusing one above maxPayload.
+func parseHeader(hdr []byte) (uint64, error) {
+	if string(hdr[:8]) != magic {
+		return 0, fmt.Errorf("snapshot: bad magic %q: not a tvq snapshot file", hdr[:8])
 	}
-	sr := NewReader(payload)
-	kind := sr.String()
-	return kind, sr, sr.Err()
+	if version := binary.LittleEndian.Uint32(hdr[8:12]); version != Version {
+		return 0, fmt.Errorf("snapshot: format version %d not supported (this build reads version %d)", version, Version)
+	}
+	length := binary.LittleEndian.Uint64(hdr[12:20])
+	if length > maxPayload {
+		return 0, fmt.Errorf("snapshot: declared payload length %d exceeds limit %d; file is corrupted", length, maxPayload)
+	}
+	return length, nil
 }

@@ -91,16 +91,13 @@ func TestSnapshotKind(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := proc.Snapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
+		file := procFile(t, proc)
 		proc.Close()
 		want := "pool"
 		if shape.name == "single" {
 			want = "engine"
 		}
-		check("bare/"+shape.name, buf.Bytes(), want)
+		check("bare/"+shape.name, file, want)
 	}
 }
 
@@ -198,13 +195,10 @@ func TestResumeBarePayloads(t *testing.T) {
 					t.Fatal(err)
 				}
 				proc.Process(in[:cut])
-				var snap bytes.Buffer
-				if err := proc.Snapshot(&snap); err != nil {
-					t.Fatal(err)
-				}
+				snap := procFile(t, proc)
 				proc.Close()
 
-				resumed := resumeRoundTrip(t, snap.Bytes(), shape.opts...)
+				resumed := resumeRoundTrip(t, snap, shape.opts...)
 				defer resumed.Close()
 				if resumed.Method() != method || resumed.Workers() != ref.Workers() || resumed.MultiFeed() != ref.MultiFeed() {
 					t.Fatalf("resumed as %s/%d workers/multifeed=%v, reference is %s/%d/%v", resumed.Method(), resumed.Workers(),
@@ -224,7 +218,7 @@ func TestResumeBarePayloads(t *testing.T) {
 					"WithWorkers(2)":             tvq.WithWorkers(2),
 					"WithShardMode(ShardByFeed)": tvq.WithShardMode(tvq.ShardByFeed),
 				} {
-					if _, err := tvq.Resume(nil, bytes.NewReader(snap.Bytes()), opt); !errors.Is(err, tvq.ErrSnapshotMismatch) {
+					if _, err := tvq.Resume(nil, bytes.NewReader(snap), opt); !errors.Is(err, tvq.ErrSnapshotMismatch) {
 						t.Errorf("engine payload with %s: err = %v, want ErrSnapshotMismatch", name, err)
 					}
 				}

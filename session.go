@@ -1,7 +1,6 @@
 package tvq
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"fmt"
@@ -89,6 +88,10 @@ type Session struct {
 	subGen   atomic.Uint64
 	routes   map[int]Sink
 	routeGen uint64
+
+	// snap is the writer every snapshot is framed in; its buffer, about
+	// one snapshot file, is kept for the next one. Guarded by procMu.
+	snap snapshot.Writer
 }
 
 // Open builds a session. The zero configuration — tvq.Open(ctx) — is a
@@ -501,25 +504,33 @@ func (s *Session) Snapshot(w io.Writer) error {
 	return s.snapshotLocked(w)
 }
 
+// snapshotLocked writes the session's snapshot file to w. Both
+// containers, the session's and the processor's inside it, are framed
+// in place in the session's one writer, which keeps its buffer for the
+// next snapshot; w receives the file in one Write.
 func (s *Session) snapshotLocked(w io.Writer) error {
-	var sw snapshot.Writer
+	sw := &s.snap
+	sw.Reset()
+	outer := sw.Begin()
 	kind := payloadSession
 	if s.reorder != nil {
 		kind = payloadSessionV2
 	}
 	sw.String(kind)
-	body, err := s.bodyLocked()
-	if err != nil {
+	if err := s.bodyLocked().encode(sw, s.proc); err != nil {
 		return err
 	}
-	body.encode(&sw)
-	return snapshot.Write(w, sw.Bytes())
+	sw.End(outer)
+	if _, err := w.Write(sw.Bytes()); err != nil {
+		return fmt.Errorf("tvq: snapshot: write: %w", err)
+	}
+	return nil
 }
 
-// bodyLocked collects the session's persistent state into the same
-// sessionBody shape the decoder produces, so the codec is a symmetric
-// pair over one struct.
-func (s *Session) bodyLocked() (sessionBody, error) {
+// bodyLocked collects the session's persistent state other than the
+// processor into the sessionBody shape the decoder produces, so the
+// codec is a symmetric pair over one struct.
+func (s *Session) bodyLocked() sessionBody {
 	var body sessionBody
 	s.mu.Lock()
 	for id := range s.subs {
@@ -527,28 +538,30 @@ func (s *Session) bodyLocked() (sessionBody, error) {
 	}
 	s.mu.Unlock()
 	slices.Sort(body.subIDs)
-	var buf bytes.Buffer
-	if err := s.proc.Snapshot(&buf); err != nil {
-		return sessionBody{}, err
-	}
-	body.procData = buf.Bytes()
 	if s.reorder != nil {
 		body.disordered = true
 		body.bound = s.cfg.disorder
 		body.late = s.cfg.late
 		body.buffers = s.reorder
 	}
-	return body, nil
+	return body
 }
 
-// encode writes the body after the kind tag; the layout must mirror
+// encode writes the body after the kind tag, with proc's snapshot as
+// the embedded processor container; the layout must mirror
 // decodeSessionBody exactly.
-func (body sessionBody) encode(sw *snapshot.Writer) {
+func (body sessionBody) encode(sw *snapshot.Writer, proc engine.Processor) error {
 	sw.Uvarint(uint64(len(body.subIDs)))
 	for _, id := range body.subIDs {
 		sw.Int(id)
 	}
-	sw.Blob(body.procData)
+	blob := sw.BeginBlob()
+	inner := sw.Begin()
+	if err := proc.Snapshot(sw); err != nil {
+		return err
+	}
+	sw.End(inner)
+	sw.EndBlob(blob)
 	if body.disordered {
 		// The reorder section: bound and policy once, then each feed's
 		// buffer (watermark, counters, buffered frames) in feed order. A
@@ -567,6 +580,7 @@ func (body sessionBody) encode(sw *snapshot.Writer) {
 			body.buffers[feed].Encode(sw)
 		}
 	}
+	return nil
 }
 
 // Resume rebuilds a session from a snapshot written by
@@ -588,21 +602,24 @@ func Resume(ctx context.Context, r io.Reader, opts ...Option) (*Session, error) 
 	if len(cfg.queries) > 0 {
 		return nil, fmt.Errorf("tvq: %w: Resume restores the recorded query set; register further queries with Subscribe, not WithQueries", ErrSnapshotMismatch)
 	}
-	data, err := io.ReadAll(r)
+	// The input is read once, into one buffer the file's header sizes,
+	// and both containers are checked where they lie. The outer parse
+	// tells a session snapshot, which wraps subscription ids and reorder
+	// state around an embedded processor snapshot, from a bare processor
+	// snapshot; engine.Restore routes on the kind the processor payload
+	// records either way.
+	payload, err := snapshot.Read(r)
 	if err != nil {
 		return nil, err
 	}
-	// The outer parse tells a session snapshot, which wraps subscription
-	// ids and reorder state around an embedded processor snapshot, from a
-	// bare processor snapshot; engine.Restore reads the processor
-	// container either way and routes on the kind it records.
-	kind, sr, err := snapshot.ReadKind(bytes.NewReader(data))
-	if err != nil {
+	sr := snapshot.NewReader(payload)
+	kind := sr.String()
+	if err := sr.Err(); err != nil {
 		return nil, err
 	}
 
 	var body sessionBody
-	body.procData = data
+	body.procData = payload
 	if kind == payloadSession || kind == payloadSessionV2 {
 		body, err = decodeSessionBody(sr, kind == payloadSessionV2)
 		if err != nil {
@@ -636,7 +653,7 @@ func Resume(ctx context.Context, r io.Reader, opts ...Option) (*Session, error) 
 			s.reorder = make(map[FeedID]*reorder.Buffer)
 		}
 	}
-	if s.proc, err = engine.Restore(bytes.NewReader(body.procData), cfg.proc); err != nil {
+	if s.proc, err = engine.Restore(body.procData, cfg.proc); err != nil {
 		return nil, err
 	}
 
@@ -693,8 +710,9 @@ func Resume(ctx context.Context, r io.Reader, opts ...Option) (*Session, error) 
 }
 
 // sessionBody is the decoded payload of a session snapshot: the
-// recorded subscription ids, the embedded processor snapshot, and —
-// for the v2 ("session2") kind — the reorder stage's state.
+// recorded subscription ids, the embedded processor snapshot's payload
+// (checksum verified), and — for the v2 ("session2") kind — the reorder
+// stage's state.
 type sessionBody struct {
 	subIDs   []int
 	procData []byte
@@ -714,10 +732,15 @@ func decodeSessionBody(sr *snapshot.Reader, v2 bool) (sessionBody, error) {
 	for i := 0; i < n; i++ {
 		body.subIDs = append(body.subIDs, sr.Int())
 	}
-	body.procData = sr.Blob()
+	inner := sr.Blob()
 	if err := sr.Err(); err != nil {
 		return sessionBody{}, err
 	}
+	procData, err := snapshot.Parse(inner)
+	if err != nil {
+		return sessionBody{}, err
+	}
+	body.procData = procData
 	if v2 {
 		body.disordered = true
 		if bound := sr.Uvarint(); bound > math.MaxInt {

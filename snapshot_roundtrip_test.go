@@ -2,6 +2,8 @@ package tvq_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"runtime"
 	"strings"
@@ -43,20 +45,54 @@ func resumeRoundTrip(t *testing.T, data []byte, opts ...tvq.Option) *tvq.Session
 // resumes into a session, whose snapshot would wrap it, so its processor
 // is restored and re-encoded through internal/engine instead.
 func reencode(s *tvq.Session, data []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	if kind, _, err := snapshot.ReadKind(bytes.NewReader(data)); err != nil {
+	if kind, err := tvq.SnapshotKind(bytes.NewReader(data)); err != nil {
 		return nil, err
-	} else if kind == "session" || kind == "session2" {
+	} else if kind == "session" {
+		var buf bytes.Buffer
 		err := s.Snapshot(&buf)
 		return buf.Bytes(), err
 	}
-	proc, err := engine.Restore(bytes.NewReader(data), engine.PoolOptions{})
+	payload, err := snapshot.Parse(data)
+	if err != nil {
+		return nil, err
+	}
+	proc, err := engine.Restore(payload, engine.PoolOptions{})
 	if err != nil {
 		return nil, err
 	}
 	defer proc.Close()
-	err = proc.Snapshot(&buf)
-	return buf.Bytes(), err
+	return frameProc(proc)
+}
+
+// frameProc writes proc's snapshot as a bare snapshot file, as builds
+// before the Session API wrote them.
+func frameProc(proc engine.Processor) ([]byte, error) {
+	var sw snapshot.Writer
+	at := sw.Begin()
+	if err := proc.Snapshot(&sw); err != nil {
+		return nil, err
+	}
+	sw.End(at)
+	return sw.Bytes(), nil
+}
+
+// procFile is frameProc failing the test on an error.
+func procFile(t testing.TB, proc engine.Processor) []byte {
+	t.Helper()
+	file, err := frameProc(proc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return file
+}
+
+// frame wraps payload in a snapshot file.
+func frame(payload []byte) []byte {
+	var sw snapshot.Writer
+	at := sw.Begin()
+	sw.AppendWith(func(dst []byte) []byte { return append(dst, payload...) })
+	sw.End(at)
+	return sw.Bytes()
 }
 
 // A refused payload may allocate resumeAllocPerByte bytes per payload
@@ -72,7 +108,7 @@ const (
 )
 
 // FuzzResume feeds tvq.Resume payloads past the container: the input is
-// wrapped in a valid snapshot.Write frame, so the fuzzer spends its time
+// wrapped in a valid snapshot file, so the fuzzer spends its time
 // in the session, engine, pool, generator and reorder decoders rather
 // than on the checksum. An input must be refused, within the allocation
 // bound above, or resume to a session whose snapshot a second Resume
@@ -84,13 +120,10 @@ func FuzzResume(f *testing.F) {
 			// worker count is configuration, like WithWorkers.
 			return
 		}
-		var data bytes.Buffer
-		if err := snapshot.Write(&data, payload); err != nil {
-			t.Fatal(err)
-		}
+		data := frame(payload)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		s, err := tvq.Resume(nil, bytes.NewReader(data.Bytes()))
+		s, err := tvq.Resume(nil, bytes.NewReader(data))
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			if n := after.TotalAlloc - before.TotalAlloc; n > resumeAllocBase+resumeAllocPerByte*uint64(len(payload)) {
@@ -100,7 +133,7 @@ func FuzzResume(f *testing.F) {
 		}
 		defer s.Close()
 
-		once, err := reencode(s, data.Bytes())
+		once, err := reencode(s, data)
 		if err != nil {
 			t.Fatalf("snapshot of an accepted payload: %v", err)
 		}
@@ -139,7 +172,7 @@ func byFeedWorkers(payload []byte) int {
 		for i, n := 0, sr.Count(1); i < n; i++ {
 			sr.Int()
 		}
-		inner, err := snapshot.Read(bytes.NewReader(sr.Blob()))
+		inner, err := snapshot.Parse(sr.Blob())
 		if err != nil {
 			return 0
 		}
@@ -201,11 +234,7 @@ func TestWindowAboveMaxRefused(t *testing.T) {
 	sw.Int(int(cnf.GE))
 	sw.Int(1)
 	sw.String("ssg") //   generator kind; the rest is missing
-	var data bytes.Buffer
-	if err := snapshot.Write(&data, sw.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tvq.Resume(nil, &data); err == nil || !strings.Contains(err.Error(), "window") {
+	if _, err := tvq.Resume(nil, bytes.NewReader(frame(sw.Bytes()))); err == nil || !strings.Contains(err.Error(), "window") {
 		t.Errorf("Resume of a recorded window of 2^50 frames: err = %v", err)
 	}
 }
@@ -218,24 +247,24 @@ func TestResumeRefusesNegativeDisorderBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var inner bytes.Buffer
-	if err := proc.Snapshot(&inner); err != nil {
-		t.Fatal(err)
-	}
-	proc.Close()
+	defer proc.Close()
 	for _, bound := range []uint64{math.MaxUint64, math.MaxInt64 + 1, 3} {
 		var sw snapshot.Writer
+		outer := sw.Begin()
 		sw.String("session2")
 		sw.Uvarint(0) // subscriptions
-		sw.Blob(inner.Bytes())
+		blob := sw.BeginBlob()
+		inner := sw.Begin()
+		if err := proc.Snapshot(&sw); err != nil {
+			t.Fatal(err)
+		}
+		sw.End(inner)
+		sw.EndBlob(blob)
 		sw.Uvarint(bound)
 		sw.Uvarint(0) // late policy
 		sw.Uvarint(0) // feeds
-		var data bytes.Buffer
-		if err := snapshot.Write(&data, sw.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		s, err := tvq.Resume(nil, &data)
+		sw.End(outer)
+		s, err := tvq.Resume(nil, bytes.NewReader(sw.Bytes()))
 		if bound == 3 {
 			if err != nil || s.DisorderBound() != 3 {
 				t.Fatalf("bound 3: Resume = %v", err)
@@ -247,5 +276,68 @@ func TestResumeRefusesNegativeDisorderBound(t *testing.T) {
 			t.Errorf("bound %d resumed with DisorderBound() = %d", bound, s.DisorderBound())
 			s.Close()
 		}
+	}
+}
+
+// endlessReader yields head and then zeros without end, counting what it
+// hands out; past limit it fails, so a reader that does not stop ends
+// anyway.
+type endlessReader struct {
+	head  []byte
+	read  int
+	limit int
+}
+
+func (e *endlessReader) Read(p []byte) (int, error) {
+	if e.read >= e.limit {
+		return 0, errors.New("read past the limit")
+	}
+	p = p[:min(len(p), e.limit-e.read)]
+	n := copy(p, e.head[min(e.read, len(e.head)):])
+	clear(p[n:])
+	e.read += len(p)
+	return len(p), nil
+}
+
+// TestResumeReadsNoFurtherThanARefusedHeader: Resume reads the 20-byte
+// header before anything else, so a header declaring a payload over the
+// limit, followed by an endless stream, is refused after those 20 bytes.
+// Resume used to read its input to the end before looking at it.
+func TestResumeReadsNoFurtherThanARefusedHeader(t *testing.T) {
+	hdr := frame(nil)[:20]
+	binary.LittleEndian.PutUint64(hdr[12:20], 2<<30)
+	r := &endlessReader{head: hdr, limit: 1 << 20}
+	if _, err := tvq.Resume(nil, r); err == nil || r.read > 20 {
+		t.Fatalf("Resume read %d bytes of a header declaring 2 GiB and endless zeros: %v", r.read, err)
+	}
+}
+
+// TestSessionSnapshotAllocatesUnderOnePayload: a warm session writes its
+// snapshot in the buffers it kept from the last one, so a snapshot
+// allocates less than the bytes it writes; the copies it once made cost
+// about nine times as much.
+func TestSessionSnapshotAllocatesUnderOnePayload(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation measurement")
+	}
+	s := goldenChurnSession(t)
+	defer s.Close()
+	var out bytes.Buffer
+	if err := s.Snapshot(&out); err != nil { // warms the buffers
+		t.Fatal(err)
+	}
+	size := out.Len()
+	out.Reset()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := s.Snapshot(&out); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if out.Len() != size {
+		t.Fatalf("a second snapshot of the same state wrote %d bytes, the first %d", out.Len(), size)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > uint64(size) {
+		t.Errorf("a warm snapshot of %d bytes allocated %d bytes", size, n)
 	}
 }

@@ -134,8 +134,13 @@ const (
 // snapshot holds without restoring it (Resume accepts all three). It
 // consumes r and verifies the file framing (magic, version, checksum).
 func SnapshotKind(r io.Reader) (string, error) {
-	kind, _, err := snapshot.ReadKind(r)
+	payload, err := snapshot.Read(r)
 	if err != nil {
+		return "", err
+	}
+	sr := snapshot.NewReader(payload)
+	kind := sr.String()
+	if err := sr.Err(); err != nil {
 		return "", err
 	}
 	switch kind {
