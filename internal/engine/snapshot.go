@@ -55,9 +55,8 @@ func (e *Engine) Snapshot(sw *snapshot.Writer) error {
 // opts.Engine.Observe is installed on them. A malformed payload returns
 // a descriptive error.
 func Restore(payload []byte, opts PoolOptions) (Processor, error) {
-	sr := snapshot.NewReader(payload)
-	kind := sr.String()
-	if err := sr.Err(); err != nil {
+	kind, sr, err := snapshot.Kind(payload)
+	if err != nil {
 		return nil, err
 	}
 	switch kind {

@@ -357,6 +357,15 @@ func Parse(data []byte) ([]byte, error) {
 	return payload, nil
 }
 
+// Kind opens a payload this module wrote, which always starts with a
+// kind tag (a String): it returns the tag and a Reader positioned after
+// it.
+func Kind(payload []byte) (string, *Reader, error) {
+	sr := NewReader(payload)
+	kind := sr.String()
+	return kind, sr, sr.Err()
+}
+
 // parseHeader checks a file's magic and version and returns the payload
 // length it declares, refusing one above maxPayload.
 func parseHeader(hdr []byte) (uint64, error) {

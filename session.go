@@ -89,8 +89,9 @@ type Session struct {
 	routes   map[int]Sink
 	routeGen uint64
 
-	// snap is the writer every snapshot is framed in; its buffer, about
-	// one snapshot file, is kept for the next one. Guarded by procMu.
+	// snap is the writer every snapshot is framed in; its buffer, as
+	// large as the largest snapshot so far, is kept for the next one.
+	// Guarded by procMu.
 	snap snapshot.Writer
 }
 
@@ -612,9 +613,8 @@ func Resume(ctx context.Context, r io.Reader, opts ...Option) (*Session, error) 
 	if err != nil {
 		return nil, err
 	}
-	sr := snapshot.NewReader(payload)
-	kind := sr.String()
-	if err := sr.Err(); err != nil {
+	kind, sr, err := snapshot.Kind(payload)
+	if err != nil {
 		return nil, err
 	}
 

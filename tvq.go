@@ -138,9 +138,8 @@ func SnapshotKind(r io.Reader) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sr := snapshot.NewReader(payload)
-	kind := sr.String()
-	if err := sr.Err(); err != nil {
+	kind, _, err := snapshot.Kind(payload)
+	if err != nil {
 		return "", err
 	}
 	switch kind {
