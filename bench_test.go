@@ -134,6 +134,24 @@ func BenchmarkSSGCoherentFeed(b *testing.B) {
 	}
 }
 
+// BenchmarkSSGDenseGraph runs the three methods over D2 at the same
+// window and duration, full scale: a crowded feed whose SSG holds 8 553
+// live states a frame on average and 17 247 at peak, about five times
+// V2's. There a traversal test costs a cache miss on the node more than
+// set algebra, a regime BenchmarkSSGCoherentFeed does not reach.
+func BenchmarkSSGDenseGraph(b *testing.B) {
+	ds, err := bench.Config{Seed: 1, Scale: 1}.LoadDataset("D2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.Config{Window: bench.DefaultWindow, Duration: bench.DefaultDuration}
+	for _, m := range bench.MCOSMethods {
+		b.Run(m, func(b *testing.B) {
+			mcosBench(b, "D2", m, cfg, ds.Trace)
+		})
+	}
+}
+
 // BenchmarkFigure5 sweeps the duration parameter d (one sub-benchmark per
 // d value, V1 and M2 panels).
 func BenchmarkFigure5(b *testing.B) {

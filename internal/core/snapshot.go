@@ -411,7 +411,7 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 			r.Fail("duplicate ssg node for object set %s", n.state.Objects)
 			return r.Err()
 		}
-		n.handle = h
+		n.handle, n.sig = h, n.state.Objects.Sig()
 		nodes[i] = n
 		g.setNode(h, n)
 	}
@@ -473,7 +473,7 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 		g.file(n, minFID)
 	}
 	g.results = slices.DeleteFunc(g.results, func(n *ssgNode) bool { return n.dead })
-	g.relistFolded()
+	g.relistFolded(r)
 	return r.Err()
 }
 
@@ -527,13 +527,21 @@ func disagreeingEdges(edges, ends []int32) int {
 
 // relistFolded rebuilds the list of nodes the last frame was folded
 // into, which is not serialized: frame sets are exact, so it is the
-// nodes whose frame set ends with that frame.
-func (g *SSG) relistFolded() {
+// nodes whose frame set ends with that frame. The next frame's step 1
+// folds a listed node whose signature misses the departures without an
+// intersection, which is sound only for a subset of that frame, so a
+// node that is not one is rejected.
+func (g *SSG) relistFolded(r *snapshot.Reader) {
+	last, _ := g.window.at(g.window.next - 1)
 	for _, n := range g.nodes {
 		if n == nil {
 			continue
 		}
 		if fl := n.state.frames.live(); len(fl) > 0 && fl[len(fl)-1].fid == g.window.next-1 {
+			if !n.state.Objects.SubsetOf(last) {
+				r.Fail("ssg node %s lists frame %d, which lacks it", n.state.Objects, g.window.next-1)
+				return
+			}
 			g.folded = append(g.folded, n)
 		}
 	}

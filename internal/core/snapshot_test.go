@@ -70,6 +70,9 @@ func roundTrip(t *testing.T, data []byte, cfg Config) Generator {
 	if !bytes.Equal(w.Bytes(), data) {
 		t.Fatalf("%s: re-encoding a decoded snapshot changed it (%d bytes, was %d)", g.Name(), len(w.Bytes()), len(data))
 	}
+	if s, ok := g.(*SSG); ok {
+		checkGraphInvariants(t, s)
+	}
 	return g
 }
 

@@ -33,7 +33,10 @@ import (
 //     ancestors are supersets and meet A too.
 //
 // On the first frame and after an empty frame the under-list is empty
-// and A = F: that case is the paper's ST.
+// and A = F: that case is the paper's ST. Each node carries a 64-bit
+// signature of its object set, and disjoint signatures prove disjoint
+// sets, so many tests of both steps are decided without loading the
+// node's state.
 //
 // Expiry is exact (DESIGN.md "Exact expiry"): a node is valid while its
 // newest key frame is in the window (Theorem 1), so it is filed on a ring
@@ -86,6 +89,7 @@ type SSG struct {
 	// scratch, reused across frames
 	stack      []*ssgNode // child snapshots for the recursive traversal
 	cands      []*ssgNode // CNPS candidates
+	sizeStart  []int      // CNPS counting-sort table, by |IDns| − size
 	arrived    []objset.ID
 	buf        objset.Scratch
 	em         emitter
@@ -93,11 +97,18 @@ type SSG struct {
 	emitStates []*State
 }
 
+// ssgNode is packed into 112 bytes, a malloc size class: the bools sit
+// in the padding after handle, and sig sits beside visited, which visit
+// writes before it tests sig. One more word moves every node into the
+// 128-byte class.
 type ssgNode struct {
-	state    *State
-	handle   objset.Handle
-	children []*ssgNode
-	parents  []*ssgNode
+	state      *State
+	handle     objset.Handle
+	onRootList bool
+	filed      bool // on the expiry ring
+	dead       bool
+	children   []*ssgNode
+	parents    []*ssgNode
 
 	// last is the node that held IDn ∩ F the last time that was a proper
 	// subset of IDn. Frames repeat, so it is tried (if still alive and
@@ -107,6 +118,10 @@ type ssgNode struct {
 	// visited holds the id of the last frame whose traversal tested this
 	// node against the arrivals (Algorithm 1 lines 1-2).
 	visited vr.FrameID
+
+	// sig is state.Objects.Sig(), kept on the node so that a traversal
+	// test the signature decides never loads the state.
+	sig uint64
 
 	// foldedAt is 1 + the id of the last frame folded into this node, so
 	// a node reached from many parents is folded and listed once, and
@@ -123,10 +138,6 @@ type ssgNode struct {
 	// lastMark is the newest key frame folded into the node, −1 before
 	// the first: the node is valid while it is in the window.
 	lastMark vr.FrameID
-
-	onRootList bool
-	filed      bool // on the expiry ring
-	dead       bool
 }
 
 // NewSSG returns a Strict State Graph generator for the given window
@@ -176,7 +187,7 @@ func (g *SSG) newNode(objects objset.Set, createdAt vr.FrameID) *ssgNode {
 	h, _ := g.intern.Intern(objects)
 	s := g.pool.get()
 	s.Objects = g.intern.Of(h)
-	n := &ssgNode{state: s, handle: h, createdAt: createdAt, lastMark: -1}
+	n := &ssgNode{state: s, handle: h, sig: s.Objects.Sig(), createdAt: createdAt, lastMark: -1}
 	g.setNode(h, n)
 	g.metrics.StatesCreated++
 	return n
@@ -250,24 +261,34 @@ func (g *SSG) file(n *ssgNode, minFID vr.FrameID) {
 func (g *SSG) traverse(f vr.Frame, prev objset.Set) {
 	created := g.metrics.StatesCreated
 
+	arrivals, departed := g.change(f.Objects, prev)
+
 	// Step 1: the states the previous frame folded. The list is closed
 	// under descendants (a subset of a state ⊆ F′ is ⊆ F′), so there is
 	// nothing to recurse into, and none of its members meets an arrival,
 	// so step 2 visits none of them again. Entries that expire removed at
-	// the start of the frame are skipped.
+	// the start of the frame are skipped. A member no departure touches is
+	// ⊆ F′ ∖ D ⊆ F, so it co-occurs in F whole; when the signatures show
+	// that, it is folded without the intersection.
 	for _, n := range g.under {
 		if n.dead {
 			continue
 		}
 		g.metrics.StatesVisited++
+		if n.sig&departed == 0 {
+			g.metrics.Intersections++
+			g.foldFrame(n, f)
+			continue
+		}
 		g.maintain(n, f)
 	}
 
 	// Step 2: Algorithm 1 from the roots, entering only subtrees an
 	// arrival touches.
-	if arrivals := g.arrivals(f.Objects, prev); !arrivals.IsEmpty() {
+	if !arrivals.IsEmpty() {
+		asig := arrivals.Sig()
 		for _, r := range g.liveRoots() {
-			g.visit(r, f, arrivals)
+			g.visit(r, f, arrivals, asig)
 		}
 	}
 
@@ -279,27 +300,39 @@ func (g *SSG) traverse(f vr.Frame, prev objset.Set) {
 	}
 }
 
-// arrivals returns F ∖ F′ in generator-owned scratch; the result is valid
-// until the next call.
-func (g *SSG) arrivals(cur, prev objset.Set) objset.Set {
-	ids := cur.AppendTo(g.arrived[:0])
+// change returns the frame's change against the previous frame: the
+// arrivals A = F ∖ F′, in generator-owned scratch valid until the next
+// call, and the signature of the departures D = F′ ∖ F.
+func (g *SSG) change(cur, prev objset.Set) (arrivals objset.Set, departed uint64) {
+	ids := prev.AppendTo(cur.AppendTo(g.arrived[:0]))
 	g.arrived = ids[:0]
-	out := ids[:0]
-	for _, id := range ids {
-		if !prev.Contains(id) {
-			out = append(out, id)
+	now, was := ids[:cur.Len()], ids[cur.Len():]
+	out, j := now[:0], 0 // A is written over the ids of F already read
+	for _, id := range now {
+		for ; j < len(was) && was[j] < id; j++ {
+			departed |= 1 << (was[j] % 64)
 		}
+		if j < len(was) && was[j] == id {
+			j++
+			continue
+		}
+		out = append(out, id)
 	}
-	return objset.FromSorted(out)
+	for _, id := range was[j:] {
+		departed |= 1 << (id % 64)
+	}
+	return objset.FromSorted(out), departed
 }
 
 // visit implements one step of the ST algorithm on a live node not yet
 // visited this frame: a node no arrival touches is skipped together with
-// its subtree — the SSG pruning step, on A instead of F.
-func (g *SSG) visit(n *ssgNode, f vr.Frame, arrivals objset.Set) {
+// its subtree — the SSG pruning step, on A instead of F. asig is A's
+// signature; a node whose signature misses it is turned away without
+// loading its state.
+func (g *SSG) visit(n *ssgNode, f vr.Frame, arrivals objset.Set, asig uint64) {
 	n.visited = f.FID
 	g.metrics.Intersections++
-	if !n.state.Objects.Intersects(arrivals) {
+	if n.sig&asig == 0 || !n.state.Objects.Intersects(arrivals) {
 		return
 	}
 	g.metrics.StatesVisited++
@@ -317,7 +350,7 @@ func (g *SSG) visit(n *ssgNode, f vr.Frame, arrivals objset.Set) {
 	// re-homed siblings already present in the snapshot.
 	for i := base; i < end; i++ {
 		if c := g.stack[i]; c.visited != f.FID {
-			g.visit(c, f, arrivals)
+			g.visit(c, f, arrivals, asig)
 		}
 	}
 	g.stack = g.stack[:base]
@@ -492,15 +525,7 @@ func (g *SSG) ensurePrincipal(f vr.Frame) *ssgNode {
 // descending, and ns is connected to each one not contained in a
 // previously selected one.
 func (g *SSG) connectPrincipal(ns *ssgNode) {
-	cands := g.cands[:0]
-	for _, c := range g.folded {
-		if c != ns {
-			cands = append(cands, c)
-		}
-	}
-	slices.SortStableFunc(cands, func(a, b *ssgNode) int {
-		return b.state.Objects.Len() - a.state.Objects.Len()
-	})
+	cands := g.bySize(ns)
 	// The selection is a subsequence of the candidates read so far, so it
 	// is collected in place.
 	selected := cands[:0]
@@ -523,6 +548,38 @@ next:
 		selected = append(selected, c)
 	}
 	g.cands = cands[:0]
+}
+
+// bySize returns the nodes this frame folded other than ns, largest
+// object set first and in folded order among equal sizes, in reused
+// scratch. Every one is a proper subset of IDns, so a stable counting
+// sort on |IDns| − size orders them in one pass over a |IDns|-sized table.
+func (g *SSG) bySize(ns *ssgNode) []*ssgNode {
+	top := ns.state.Objects.Len()
+	// start[k+1] first counts the candidates of key k; summed, start[k]
+	// is the first position of key k.
+	start := slices.Grow(g.sizeStart[:0], top+1)[:top+1]
+	clear(start)
+	n := 0
+	for _, c := range g.folded {
+		if c != ns {
+			start[top-c.state.Objects.Len()+1]++
+			n++
+		}
+	}
+	for k := 1; k <= top; k++ {
+		start[k] += start[k-1]
+	}
+	cands := slices.Grow(g.cands[:0], n)[:n]
+	for _, c := range g.folded {
+		if c != ns {
+			k := top - c.state.Objects.Len()
+			cands[start[k]] = c
+			start[k]++
+		}
+	}
+	g.sizeStart = start
+	return cands
 }
 
 // removeNode detaches n from the graph, releasing its interned handle

@@ -2,14 +2,14 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"tvq/internal/objset"
 	"tvq/internal/vr"
 )
 
-// checkGraphInvariants walks the whole graph and asserts the structural
-// properties the SSG is defined by.
 // lookupNode resolves a node by object set through the intern table, the
 // way the generator itself does.
 func lookupNode(g *SSG, s objset.Set) *ssgNode {
@@ -19,6 +19,9 @@ func lookupNode(g *SSG, s objset.Set) *ssgNode {
 	return nil
 }
 
+// checkGraphInvariants walks the whole graph and asserts the structural
+// properties the SSG is defined by, and that every node carries its
+// object set's signature, which the traversal's tests trust.
 func checkGraphInvariants(t *testing.T, g *SSG) {
 	t.Helper()
 	for h, n := range g.nodes {
@@ -33,6 +36,9 @@ func checkGraphInvariants(t *testing.T, g *SSG) {
 		}
 		if !g.intern.Of(n.handle).Equal(n.state.Objects) {
 			t.Fatalf("node %v interned as %v", n.state.Objects, g.intern.Of(n.handle))
+		}
+		if n.sig != n.state.Objects.Sig() {
+			t.Fatalf("node %v carries signature %#x, want %#x", n.state.Objects, n.sig, n.state.Objects.Sig())
 		}
 		// Property 1: every edge goes to a strict subset.
 		for _, c := range n.children {
@@ -290,5 +296,50 @@ func TestSSGStateCountAndName(t *testing.T) {
 	g.Process(vr.Frame{FID: 0, Objects: objset.New(1, 2)})
 	if g.StateCount() != 1 {
 		t.Errorf("StateCount = %d", g.StateCount())
+	}
+}
+
+// TestSSGNodeSize pins ssgNode at 112 bytes, a malloc size class: at 120
+// every node would take 128, and churn-heavy feeds create and drop
+// nodes every frame.
+func TestSSGNodeSize(t *testing.T) {
+	if n := unsafe.Sizeof(ssgNode{}); n != 112 {
+		t.Fatalf("ssgNode is %d bytes, want 112", n)
+	}
+}
+
+// TestCNPSOrderMatchesStableSort checks the counting sort CNPS orders its
+// candidates with against a stable comparison sort by size descending, on
+// random folded lists with many tied sizes.
+func TestCNPSOrderMatchesStableSort(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	g := NewSSG(Config{Window: 4, Duration: 1})
+	sized := func(n int) *ssgNode {
+		ids := make([]objset.ID, n)
+		for i := range ids {
+			ids[i] = objset.ID(i)
+		}
+		return &ssgNode{state: &State{Objects: objset.New(ids...)}}
+	}
+	for trial := 0; trial < 500; trial++ {
+		top := 1 + r.Intn(12)
+		ns := sized(top)
+		g.folded = g.folded[:0]
+		var want []*ssgNode
+		for i, n := 0, r.Intn(40); i < n; i++ {
+			c := sized(1 + r.Intn(max(1, top-1)))
+			if c.state.Objects.Len() >= top {
+				continue // only proper subsets of IDns are folded beside it
+			}
+			g.folded = append(g.folded, c)
+			want = append(want, c)
+		}
+		g.folded = slices.Insert(g.folded, r.Intn(len(g.folded)+1), ns)
+		slices.SortStableFunc(want, func(a, b *ssgNode) int {
+			return b.state.Objects.Len() - a.state.Objects.Len()
+		})
+		if got := g.bySize(ns); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: counting sort disagrees with the stable sort", trial)
+		}
 	}
 }

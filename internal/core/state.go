@@ -137,13 +137,6 @@ func (fl *frameList) insert(fid vr.FrameID, marked bool) bool {
 	return true
 }
 
-// contains reports whether fid is in the frame set.
-func (fl *frameList) contains(fid vr.FrameID) bool {
-	live := fl.live()
-	i := sort.Search(len(live), func(i int) bool { return live[i].fid >= fid })
-	return i < len(live) && live[i].fid == fid
-}
-
 // expireBefore removes all entries with fid < min.
 func (fl *frameList) expireBefore(min vr.FrameID) {
 	for int(fl.head) < len(fl.entries) && fl.entries[fl.head].fid < min {
@@ -439,11 +432,14 @@ func (fw *frameWindow) at(fid vr.FrameID) (s objset.Set, ok bool) {
 // Metrics counts the work a generator performed; used by the experiment
 // harness to explain performance differences.
 //
-// Intersections counts every object-set operation between a state and
-// the arriving frame, once each: an intersection with the frame's object
-// set, and for SSG also each test of a state against the frame's
-// arrivals (the objects the previous frame lacked), which is what decides
-// whether a subtree is entered. StatesVisited counts the states on which
+// Intersections counts the tests of a state against the arriving frame,
+// once each: an intersection with the frame's object set, and for SSG
+// also each test of a state against the frame's arrivals (the objects
+// the previous frame lacked), which is what decides whether a subtree is
+// entered. A test counts whether a set operation decided it or SSG's
+// 64-bit signatures did (DESIGN.md "State Traversal on the frame's
+// change"), so the count does not depend on how many set operations ran.
+// StatesVisited counts the states on which
 // the per-frame maintenance step ran — for Naive and MFS every live
 // state, for SSG the states the previous frame folded plus the states an
 // arrival test let through; a state an arrival test turned away is
@@ -453,7 +449,7 @@ type Metrics struct {
 	StatesCreated    int
 	StatesPruned     int   // removed because invalid (marks expired) or empty
 	StatesTerminated int   // dropped by the §5.3 strategy
-	Intersections    int64 // object-set operations against the frame or its arrivals
+	Intersections    int64 // tests of a state against the frame or its arrivals
 	StatesVisited    int64 // states maintained across all frames
 }
 

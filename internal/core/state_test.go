@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -34,8 +35,9 @@ func TestFrameListInsert(t *testing.T) {
 	if fl.marks != 2 {
 		t.Errorf("marks = %d, want 2 (7 and 9)", fl.marks)
 	}
-	if !fl.contains(7) || fl.contains(6) {
-		t.Error("contains wrong")
+	wantLive := []frameEntry{{5, false}, {7, true}, {9, true}}
+	if !slices.Equal(fl.live(), wantLive) {
+		t.Errorf("live = %v, want %v", fl.live(), wantLive)
 	}
 }
 

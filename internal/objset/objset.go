@@ -850,6 +850,24 @@ func (s Set) Hash() uint64 {
 	return h
 }
 
+// Sig returns the set's 64-bit signature: bit id mod 64 for every
+// member, so two sets that share a member share a signature bit and two
+// whose signatures are disjoint are disjoint. The empty set's signature
+// is 0. It is the same for both representations; a dense set's is the
+// OR of its words, because off is a multiple of 64.
+//
+//tvq:noalloc
+func (s Set) Sig() uint64 {
+	var sig uint64
+	for _, id := range s.ids {
+		sig |= 1 << (id % 64)
+	}
+	for _, w := range s.words {
+		sig |= w
+	}
+	return sig
+}
+
 // String renders the set as "{1 2 3}" for debugging and traces.
 func (s Set) String() string {
 	var b strings.Builder

@@ -433,6 +433,30 @@ func TestRepresentationsAgree(t *testing.T) {
 	}
 }
 
+// TestSigIsMemberBits checks that Sig is the OR of bit id mod 64 over the
+// members in both representations, so sets that meet share a signature
+// bit: the soundness SSG's traversal relies on when it skips a set
+// operation on disjoint signatures.
+func TestSigIsMemberBits(t *testing.T) {
+	if got := (Set{}).Sig(); got != 0 {
+		t.Fatalf("empty set Sig = %#x, want 0", got)
+	}
+	r := rand.New(rand.NewSource(64))
+	for trial := 0; trial < 3000; trial++ {
+		a, b := randWideSet(r), randWideSet(r)
+		var want uint64
+		a.Range(func(id ID) bool { want |= 1 << (id % 64); return true })
+		for _, av := range reprs(a) {
+			if got := av.Sig(); got != want {
+				t.Fatalf("Sig(%v) = %#x, want %#x", av, got, want)
+			}
+		}
+		if a.Intersects(b) && a.Sig()&b.Sig() == 0 {
+			t.Fatalf("%v and %v meet but their signatures %#x and %#x do not", a, b, a.Sig(), b.Sig())
+		}
+	}
+}
+
 // TestCompareIsTotalOrder checks antisymmetry, transitivity and
 // consistency with Equal on random triples.
 func TestCompareIsTotalOrder(t *testing.T) {
