@@ -11,12 +11,16 @@ package tvq_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"tvq"
 	"tvq/internal/bench"
@@ -28,6 +32,7 @@ import (
 	"tvq/internal/server"
 	"tvq/internal/video"
 	"tvq/internal/vr"
+	"tvq/tvqclient"
 )
 
 // benchScale shrinks datasets for testing.B runs: frame counts, windows
@@ -376,6 +381,91 @@ func BenchmarkDaemonIngest(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkServedIngest measures the served loop as the serve-disorder
+// workload drives it, in one process: tvqclient posts 8-frame batches,
+// round-robin over 8 feeds and displaced by at most one position, to an
+// httptest tvqd whose session is a 2-worker ShardByFeed pool at
+// disorder 8, while a second connection reads query 1's match stream.
+// An op is a lap of about one trace per feed (24 batches a feed at
+// benchScale); allocs/op counts both sides.
+func BenchmarkServedIngest(b *testing.B) {
+	const feeds, batch = 8, 8
+	traces, err := benchConfig().MultiFeed("D1", feeds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := server.New(server.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() { ts.Close(); srv.Shutdown() }()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c := tvqclient.New(ts.URL, tvqclient.WithSession("served"), tvqclient.WithBatch(batch))
+	if _, err := c.CreateSession(ctx, "served", tvqclient.SessionParams{
+		Workers: 2, Shard: "feed", Disorder: 8,
+		Queries: []tvqclient.QueryParams{{ID: 1, Query: "bus >= 1", Window: 30, Duration: 15}},
+	}); err != nil {
+		b.Fatal(err)
+	}
+	var delivered atomic.Int64
+	streamDone := make(chan struct{})
+	go func() {
+		defer close(streamDone)
+		for _, err := range c.Stream(ctx, 1) {
+			if err != nil {
+				return
+			}
+			delivered.Add(1)
+		}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); !strings.Contains(metricsText(b, ts.URL), "tvq_streams_active 1"); {
+		if time.Now().After(deadline) {
+			b.Fatal("match stream never attached")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// Feed f's frame at position p is its trace's frame p mod len, with
+	// the frame id moved on by a trace length per lap; swapping each
+	// pair of positions displaces every frame by one.
+	frame := func(f, p int) tvq.Frame {
+		tr := traces[f]
+		fr := tr.Frame(p % tr.Len())
+		fr.FID += int64(p / tr.Len() * tr.Len())
+		return fr
+	}
+	rounds := (traces[0].Len() + batch - 1) / batch
+	frames := make([]tvq.Frame, batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := 0; r < rounds; r++ {
+			lo := (i*rounds + r) * batch
+			for f := 0; f < feeds; f++ {
+				for k := range frames {
+					frames[k] = frame(f, lo+(k^1))
+				}
+				if _, err := c.Ingest(ctx, tvq.FeedID(f), frames); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(delivered.Load())/float64(b.N), "deliveries/op")
+	cancel()
+	<-streamDone
+}
+
+func metricsText(b *testing.B, base string) string {
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, _ := io.ReadAll(resp.Body)
+	return string(text)
 }
 
 // BenchmarkAblationEmission isolates the emission-time maximality filter:

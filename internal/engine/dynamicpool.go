@@ -8,7 +8,7 @@ import (
 )
 
 // Pool-level dynamic query registration. Like Pool.Snapshot and
-// Pool.StateCount, these methods read and mutate worker-owned engines,
+// Pool.StateCount, these methods read and mutate the shards' engines,
 // so they must be called only between ProcessBatch calls: the
 // dispatcher's done.Wait() on the previous batch and the job send of
 // the next one provide the happens-before edges that make the mutation

@@ -59,10 +59,11 @@ type Options struct {
 	// Observe, when non-nil, receives one ProcessStat per window group
 	// per processed frame — the serving layer's hook for per-generator
 	// latency and throughput metrics. It runs inline on the processing
-	// path (on worker goroutines when the engine is part of a pool), so
-	// it must be cheap and safe for concurrent use. Observers hold live
-	// resources and are not recorded in snapshots; pass the option again
-	// when restoring.
+	// path, on whichever goroutine runs the engine's frame: the caller's,
+	// or in a pool a worker's or (for a batch that maps to one shard) the
+	// pool caller's. Shards run in parallel, so it must be cheap and safe
+	// for concurrent use. Observers hold live resources and are not
+	// recorded in snapshots; pass the option again when restoring.
 	Observe func(ProcessStat)
 }
 

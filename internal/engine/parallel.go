@@ -73,10 +73,19 @@ type PoolOptions struct {
 const DefaultBatch = 64
 
 // Pool runs N independent engines in parallel over a multi-feed frame
-// stream. The engines stay single-writer (each is owned by exactly one
-// worker goroutine); the pool shards frames across them and merges
-// per-shard results back into ingestion order. A Pool is itself
-// single-caller: do not invoke ProcessBatch concurrently.
+// stream. The pool shards frames across them and merges per-shard
+// results back into ingestion order. A Pool is itself single-caller: do
+// not invoke its methods concurrently.
+//
+// The engines stay single-writer: one goroutine at a time touches a
+// shard's engines, though not always the same one. A dispatched job
+// runs on the shard's worker goroutine, and a ShardByFeed batch that
+// maps to one shard runs on the caller's; so do Snapshot, AddQuery and
+// StateCount, between batches. The order is kept by the job channel
+// (the send happens before the worker's receive) and the WaitGroup (the
+// worker's Done happens before the caller's Wait returns): a shard's
+// engines are never touched by the caller while a job of theirs is in
+// flight.
 type Pool struct {
 	opts    PoolOptions
 	queries []cnf.Query
@@ -86,8 +95,9 @@ type Pool struct {
 	closed  bool
 }
 
-// poolWorker owns the engines of one shard. Only its goroutine touches
-// them, preserving the engine's single-writer contract.
+// poolWorker holds the engines of one shard. Its goroutine runs the
+// jobs dispatched to it; between jobs the pool's caller may touch the
+// engines too (see Pool).
 type poolWorker struct {
 	pool  *poolWorkerShared
 	in    chan *poolJob
@@ -245,23 +255,31 @@ func partitionByWindow(queries []cnf.Query, n int) [][]cnf.Query {
 	return parts
 }
 
-// run is the worker loop: process dispatched frames with this shard's
-// engines and record matches into the job's result slots.
+// run is the worker loop: process dispatched jobs until the channel
+// closes.
 func (w *poolWorker) run() {
 	for job := range w.in {
-		for k, ff := range job.frames {
-			eng := w.eng
-			if w.pool.mode == ShardByFeed {
-				eng = w.engineFor(ff.Feed)
-			}
-			ms := eng.ProcessFrame(ff.Frame)
-			if job.idx != nil {
-				job.out[job.idx[k]] = ms
-			} else {
-				job.out[k] = ms
-			}
-		}
+		w.process(job)
 		job.done.Done()
+	}
+}
+
+// process runs a job's frames through this shard's engines and records
+// their matches in the job's result slots. The worker loop calls it for
+// a dispatched job, and processByFeed on its own goroutine for a batch
+// that maps to this shard alone.
+func (w *poolWorker) process(job *poolJob) {
+	for k, ff := range job.frames {
+		eng := w.eng
+		if w.pool.mode == ShardByFeed {
+			eng = w.engineFor(ff.Feed)
+		}
+		ms := eng.ProcessFrame(ff.Frame)
+		if job.idx != nil {
+			job.out[job.idx[k]] = ms
+		} else {
+			job.out[k] = ms
+		}
 	}
 }
 
@@ -312,9 +330,16 @@ func (p *Pool) ProcessBatch(frames []FeedFrame) []FeedResult {
 // processByFeed splits the batch into one job per worker, preserving
 // per-feed order, and reassembles matches by their position in the input
 // batch — the reorder buffer is the shared out slice indexed by
-// ingestion sequence.
+// ingestion sequence. A batch whose frames all map to one shard (a
+// served batch always does: it carries one feed) runs on the calling
+// goroutine instead: a hand-off would only make the caller wait for the
+// worker.
 func (p *Pool) processByFeed(frames []FeedFrame) []FeedResult {
 	out := make([][]query.Match, len(frames))
+	if s, ok := p.oneShard(frames); ok {
+		p.workers[s].process(&poolJob{frames: frames, out: out})
+		return assemble(frames, out)
+	}
 	var done sync.WaitGroup
 	jobs := make([]*poolJob, len(p.workers))
 	for i, ff := range frames {
@@ -334,6 +359,18 @@ func (p *Pool) processByFeed(frames []FeedFrame) []FeedResult {
 	}
 	done.Wait()
 	return assemble(frames, out)
+}
+
+// oneShard reports the shard every frame of the batch maps to, if there
+// is one.
+func (p *Pool) oneShard(frames []FeedFrame) (int, bool) {
+	s := p.shardOf(frames[0].Feed)
+	for _, ff := range frames[1:] {
+		if ff.Feed != frames[0].Feed && p.shardOf(ff.Feed) != s {
+			return 0, false
+		}
+	}
+	return s, true
 }
 
 // processByGroup fans the whole batch out to every shard and merges each
@@ -413,7 +450,8 @@ func (p *Pool) Queries() []cnf.Query {
 
 // StateCount reports the total number of live states across every engine
 // in the pool, for instrumentation. Call it only between ProcessBatch
-// calls; it reads worker-owned engines.
+// calls; it reads the shards' engines on the caller's goroutine (see
+// Pool).
 func (p *Pool) StateCount() int {
 	n := 0
 	for _, w := range p.workers {

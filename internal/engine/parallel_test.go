@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -384,5 +386,100 @@ func TestMatchesConcatenateInGroupOrder(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("pool matches differ from the groups' concatenation:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestPoolInlineAndDispatchedInterleave mixes the ways a ShardByFeed
+// pool's caller reaches a shard's engines — batches of one feed and of
+// two feeds on one shard (run on the caller), batches across shards
+// (dispatched to workers), Snapshot and AddQuery — and requires every
+// feed's matches to equal a dedicated engine's. Under -race it checks
+// that the job channel and WaitGroup order the caller's accesses after
+// the workers'.
+func TestPoolInlineAndDispatchedInterleave(t *testing.T) {
+	const feeds = 4
+	traces := make([]*vr.Trace, feeds)
+	for i := range traces {
+		traces[i] = smallTrace(t, int64(70+i))
+	}
+	queries := []cnf.Query{mkQuery(t, 1, "car >= 1 AND person >= 1", 12, 6)}
+	added := mkQuery(t, 2, "person >= 1", 8, 4)
+
+	pool, err := NewPool(queries, PoolOptions{Workers: 2, Mode: ShardByFeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	refs := make([]*Engine, feeds)
+	next := make([]int, feeds)
+	var got, want []string
+	// take appends up to n next frames of each feed, feed by feed in
+	// turn, and runs them through the reference engines.
+	take := func(batch []FeedFrame, n int, fs ...int) []FeedFrame {
+		for k := 0; k < n; k++ {
+			for _, feed := range fs {
+				if next[feed] == traces[feed].Len() {
+					continue
+				}
+				f := traces[feed].Frame(next[feed])
+				next[feed]++
+				batch = append(batch, FeedFrame{Feed: FeedID(feed), Frame: f})
+				if refs[feed] == nil {
+					if refs[feed], err = New(pool.Queries(), Options{}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want = append(want, poolFrameKeys([]FeedResult{{Feed: FeedID(feed), FID: f.FID, Matches: refs[feed].ProcessFrame(f)}})...)
+			}
+		}
+		return batch
+	}
+	rng := rand.New(rand.NewSource(5))
+	var inline, dispatched int
+	for step := 0; ; step++ {
+		if step == 30 {
+			if err := pool.AddQuery(added); err != nil {
+				t.Fatal(err)
+			}
+			for _, ref := range refs {
+				if ref != nil {
+					if err := ref.AddQuery(added); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		var batch []FeedFrame
+		switch rng.Intn(4) {
+		case 0: // one feed: the caller runs it
+			batch = take(batch, 1+rng.Intn(6), rng.Intn(feeds))
+		case 1: // feeds 0 and 2 share shard 0: still the caller
+			batch = take(batch, 1+rng.Intn(3), 0, 2)
+		case 2: // every feed: dispatched to both workers
+			batch = take(batch, 1+rng.Intn(3), rng.Perm(feeds)...)
+		case 3:
+			snapFile(t, pool)
+			continue
+		}
+		if len(batch) == 0 {
+			if slices.Equal(next, []int{traces[0].Len(), traces[1].Len(), traces[2].Len(), traces[3].Len()}) {
+				break
+			}
+			continue
+		}
+		if _, one := pool.oneShard(batch); one {
+			inline++
+		} else {
+			dispatched++
+		}
+		got = append(got, poolFrameKeys(pool.ProcessBatch(batch))...)
+	}
+	// Reference keys were appended frame by frame in batch order, like
+	// the pool's results; matchless frames add nothing on either side.
+	if !equalStrings(got, want) {
+		t.Errorf("pool diverges from per-feed engines: %s", firstDiff(got, want))
+	}
+	if len(want) == 0 || inline == 0 || dispatched == 0 {
+		t.Errorf("vacuous: %d matches, %d one-shard and %d dispatched batches", len(want), inline, dispatched)
 	}
 }

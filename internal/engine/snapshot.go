@@ -282,8 +282,9 @@ func decodeQueries(sr *snapshot.Reader) []cnf.Query {
 // Snapshot appends the pool's complete state to sw as a snapshot
 // payload, which the caller frames: options, queries, and every shard
 // engine (per window-group shard, or per feed). Call it only between
-// ProcessBatch calls — like StateCount it reads worker-owned engines,
-// which is safe exactly when no batch is in flight.
+// ProcessBatch calls — like StateCount it reads the shards' engines on
+// the caller's goroutine, which is safe exactly when no batch is in
+// flight (see Pool).
 func (p *Pool) Snapshot(sw *snapshot.Writer) error {
 	sw.String(payloadPool)
 	sw.Int(int(p.opts.Mode))

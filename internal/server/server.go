@@ -626,7 +626,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(frames) == 0 {
-		writeJSON(w, http.StatusOK, map[string]any{"accepted": 0, "matches": 0, "next_fid": st.sess.NextFID(feed)})
+		writeAck(w, ack{next: st.sess.NextFID(feed)})
 		return
 	}
 
@@ -714,16 +714,48 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.framesIngested.Add(uint64(len(frames)))
 	s.metrics.matchesEmitted.Add(uint64(matches))
-	resp := map[string]any{
-		"accepted": len(frames),
-		"matches":  matches,
-		"next_fid": st.sess.NextFID(feed),
-	}
+	a := ack{accepted: len(frames), matches: matches, next: st.sess.NextFID(feed), disordered: disordered}
 	if disordered {
-		resp["late"] = late
-		resp["reorder_depth"] = st.sess.ReorderDepth()
+		a.late, a.depth = late, st.sess.ReorderDepth()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeAck(w, a)
+}
+
+// ack is the answer to an accepted ingest request. A disordered
+// session's ack adds late and reorder_depth.
+type ack struct {
+	accepted, matches int
+	next              int64
+	disordered        bool
+	late              uint64
+	depth             int
+}
+
+// writeAck writes a as a 200 response, in the bytes writeJSON wrote for
+// the map {"accepted", "matches", "next_fid"[, "late", "reorder_depth"]}:
+// keys in encoding/json's sorted order and a trailing newline.
+func writeAck(w http.ResponseWriter, a ack) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(appendAck(make([]byte, 0, 128), a))
+}
+
+func appendAck(b []byte, a ack) []byte {
+	b = append(b, `{"accepted":`...)
+	b = strconv.AppendInt(b, int64(a.accepted), 10)
+	if a.disordered {
+		b = append(b, `,"late":`...)
+		b = strconv.AppendUint(b, a.late, 10)
+	}
+	b = append(b, `,"matches":`...)
+	b = strconv.AppendInt(b, int64(a.matches), 10)
+	b = append(b, `,"next_fid":`...)
+	b = strconv.AppendInt(b, a.next, 10)
+	if a.disordered {
+		b = append(b, `,"reorder_depth":`...)
+		b = strconv.AppendInt(b, int64(a.depth), 10)
+	}
+	return append(b, "}\n"...)
 }
 
 // ingestCodec resolves the request's Content-Type to a frame codec. A

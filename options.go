@@ -208,10 +208,12 @@ func WithLatePolicy(p LatePolicy) Option {
 // WithObserver installs a per-window-group instrumentation hook: f
 // receives one ProcessStat for every window group on every processed
 // frame — generator latency, result-state count, match count. The hook
-// runs inline on the processing path (on worker goroutines for a pooled
-// session), so it must be cheap and safe for concurrent use; the tvqd
-// daemon's /metrics endpoint is built on it. Observers are not recorded
-// in snapshots; pass the option again at Resume.
+// runs inline on the processing path — in a pooled session on the
+// goroutine that runs the frame's shard, a worker's or the caller's —
+// and shards run in parallel, so it must be cheap and safe for
+// concurrent use; the tvqd daemon's /metrics endpoint is built on it.
+// Observers are not recorded in snapshots; pass the option again at
+// Resume.
 func WithObserver(f func(ProcessStat)) Option {
 	return func(c *config) error {
 		c.proc.Engine.Observe = f

@@ -54,6 +54,10 @@ type Client struct {
 	retries   int
 	streamBuf int
 
+	// sessionQuery is "?session=<name>" when WithSession pinned a
+	// session, built once by New for every request path to end with.
+	sessionQuery string
+
 	// Transient-failure retry (WithRetryBackoff); zero tries = fail
 	// fast.
 	backoffTries int
@@ -126,6 +130,9 @@ func New(base string, opts ...Option) *Client {
 	for _, o := range opts {
 		o(c)
 	}
+	if c.session != "" {
+		c.sessionQuery = "?" + url.Values{"session": {c.session}}.Encode()
+	}
 	return c
 }
 
@@ -182,17 +189,13 @@ type CreateResult struct {
 // url assembles base+path with the client's session (if any) and extra
 // query parameters.
 func (c *Client) url(path string, params url.Values) string {
+	if len(params) == 0 {
+		return c.base + path + c.sessionQuery
+	}
 	if c.session != "" {
-		if params == nil {
-			params = url.Values{}
-		}
 		params.Set("session", c.session)
 	}
-	u := c.base + path
-	if len(params) > 0 {
-		u += "?" + params.Encode()
-	}
-	return u
+	return c.base + path + "?" + params.Encode()
 }
 
 // do runs a request and decodes the JSON response into out (when

@@ -104,12 +104,6 @@ type cursorConflictError struct {
 
 func (e *cursorConflictError) Error() string { return e.apiErr.Error() }
 
-type batchResult struct {
-	Accepted int   `json:"accepted"`
-	Matches  int   `json:"matches"`
-	NextFID  int64 `json:"next_fid"`
-}
-
 func (c *Client) ingestBatch(ctx context.Context, feed tvq.FeedID, frames []tvq.Frame) (batchResult, error) {
 	var body bytes.Buffer
 	fw := c.codec.NewFrameWriter(&body, c.reg)
@@ -152,8 +146,8 @@ func (c *Client) ingestBatch(ctx context.Context, feed tvq.FeedID, frames []tvq.
 	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
 		return batchResult{}, &APIError{StatusCode: resp.StatusCode, Message: errorMessage(data)}
 	}
-	var br batchResult
-	if err := json.Unmarshal(data, &br); err != nil {
+	br, err := decodeAck(data)
+	if err != nil {
 		return batchResult{}, fmt.Errorf("tvqclient: decode ingest response: %w", err)
 	}
 	return br, nil

@@ -4,17 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"iter"
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 
 	"tvq"
-	"tvq/internal/objset"
 )
 
 // Stream attaches to the live match stream of one query subscription
@@ -104,34 +101,4 @@ func (c *Client) stream(ctx context.Context, queryID int, format string) iter.Se
 			yield(tvq.Delivery{}, fmt.Errorf("tvqclient: read stream: %w", err))
 		}
 	}
-}
-
-// wireDelivery is the daemon's delivery schema — identical to the
-// tvq.JSONLSink line format, by design.
-type wireDelivery struct {
-	Feed    int64         `json:"feed"`
-	FID     int64         `json:"fid"`
-	Query   int           `json:"query"`
-	Objects []uint32      `json:"objects"`
-	Frames  []tvq.FrameID `json:"frames"`
-}
-
-func decodeDelivery(line []byte) (tvq.Delivery, error) {
-	var wd wireDelivery
-	if err := json.Unmarshal(line, &wd); err != nil {
-		return tvq.Delivery{}, fmt.Errorf("tvqclient: decode delivery %q: %w", strings.TrimSpace(string(line)), err)
-	}
-	ids := make([]objset.ID, len(wd.Objects))
-	for i, id := range wd.Objects {
-		ids[i] = objset.ID(id)
-	}
-	return tvq.Delivery{
-		Feed: tvq.FeedID(wd.Feed),
-		FID:  wd.FID,
-		Match: tvq.Match{
-			QueryID: wd.Query,
-			Objects: objset.New(ids...),
-			Frames:  wd.Frames,
-		},
-	}, nil
 }
