@@ -1,14 +1,13 @@
 // Command tvqlint is the project's invariant multichecker: it runs the
-// internal/analysis suite — retainset, resultlife, noalloc, wraperr,
-// lockorder — over the given packages and reports violations of the
-// engine's ownership, lifetime and hot-path contracts as compile-time
-// diagnostics.
+// internal/analysis suite — noalloc, wraperr, lockorder — over the
+// given packages and reports violations of the engine's hot-path,
+// error-wrapping and lock-order contracts as compile-time diagnostics.
 //
 // Usage:
 //
 //	go run ./cmd/tvqlint ./...
 //	go run ./cmd/tvqlint -json ./internal/core ./internal/engine
-//	go run ./cmd/tvqlint -only retainset,resultlife ./...
+//	go run ./cmd/tvqlint -only noalloc,lockorder ./...
 //	go run ./cmd/tvqlint -skip noalloc -github ./...
 //
 // Analyzer selection: -only runs exactly the named analyzers, -skip
@@ -38,17 +37,11 @@ import (
 	"tvq/internal/analysis"
 	"tvq/internal/analysis/lockorder"
 	"tvq/internal/analysis/noalloc"
-	"tvq/internal/analysis/resultlife"
-	"tvq/internal/analysis/retainset"
 	"tvq/internal/analysis/wraperr"
 )
 
-// Suite is the gating analyzer set, in diagnostic-priority order: the
-// dataflow analyzers (ownership, result lifetime) first, then the
-// syntactic contract checks.
+// Suite is the gating analyzer set, in diagnostic-priority order.
 var suite = []*analysis.Analyzer{
-	retainset.Analyzer,
-	resultlife.Analyzer,
 	noalloc.Analyzer,
 	wraperr.Analyzer,
 	lockorder.Analyzer,

@@ -7,15 +7,13 @@
 // dependencies; the Analyzer/Pass shape deliberately mirrors
 // go/analysis so the checkers could migrate to it mechanically.
 //
-// The suite exists because the reproduction's hardest bugs were all
-// invariant violations the type system cannot see — generators
-// aliasing caller-owned frame sets (PR 5), decoder-owned sets retained
-// without the Frame.Owned discipline (PR 6), allocation regressions on
-// the zero-alloc MCOS path (PR 4/7). Each analyzer encodes one such
-// contract so the violation is a compile-time diagnostic at the line
-// that introduced it, instead of a runtime harness failure three layers
-// away. DESIGN.md "Static invariants" documents each contract and the
-// bug it came from.
+// The suite exists for invariants the type system cannot see and that
+// a syntactic check can pin at the line that breaks them: allocation
+// on the zero-alloc MCOS path (noalloc), errors wrapped without %w
+// (wraperr) and blocking sends under a mutex (lockorder). Ownership and
+// result-lifetime contracts are held by hostile-caller tests instead;
+// DESIGN.md "Static invariants" documents each contract and what
+// holds it.
 package analysis
 
 import (
@@ -52,11 +50,6 @@ type Pass struct {
 
 	// Report records one diagnostic.
 	Report func(Diagnostic)
-
-	// facts is the run-wide fact table (see facts.go); Run threads one
-	// store through every pass so summaries exported on a dependency
-	// are visible to the same analyzer on its importers.
-	facts *factStore
 }
 
 // Reportf reports a diagnostic at pos with a formatted message.

@@ -17,7 +17,7 @@ var wantRe = regexp.MustCompile("`([^`]*)`")
 // runs the analyzer over it, and compares the diagnostics against the
 // fixture's `// want` comments:
 //
-//	t.window[f.FID] = f.Objects // want `borrowed frame set`
+//	p.buf = make([]uint64, n) // want `make allocates`
 //
 // Every `// want` expectation must be matched by a diagnostic on that
 // line, every diagnostic must be covered by an expectation, and each
@@ -26,63 +26,11 @@ var wantRe = regexp.MustCompile("`([^`]*)`")
 // assertions.
 func RunFixture(t *testing.T, a *Analyzer, dir string) []Finding {
 	t.Helper()
-	return runFixture(t, a, dir, []string{"."})
-}
-
-// RunFixtureTree is RunFixture over a multi-package fixture: it loads
-// every package in the tree rooted at dir (each subdirectory holding
-// .go files), so cross-package cases — the retaining callee in one
-// package, the flagged caller in another — exercise the fact
-// propagation path the single-package loader cannot. Packages are
-// discovered explicitly rather than via ./... because the go tool
-// skips testdata directories when expanding wildcards.
-func RunFixtureTree(t *testing.T, a *Analyzer, dir string) []Finding {
-	t.Helper()
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var patterns []string
-	err = filepath.WalkDir(abs, func(path string, d os.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		ents, err := os.ReadDir(path)
-		if err != nil {
-			return err
-		}
-		for _, e := range ents {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-				rel, err := filepath.Rel(abs, path)
-				if err != nil {
-					return err
-				}
-				if rel == "." {
-					patterns = append(patterns, ".")
-				} else {
-					patterns = append(patterns, "./"+filepath.ToSlash(rel))
-				}
-				break
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(patterns) == 0 {
-		t.Fatalf("fixture tree %s holds no Go packages", dir)
-	}
-	return runFixture(t, a, dir, patterns)
-}
-
-func runFixture(t *testing.T, a *Analyzer, dir string, patterns []string) []Finding {
-	t.Helper()
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := Load(abs, patterns...)
+	pkgs, err := Load(abs, ".")
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}

@@ -12,8 +12,6 @@ import (
 //	//lint:file-ignore <checks> <reason>  suppress for the whole file
 //	//tvq:noalloc                         (func doc) enforce the noalloc contract
 //	//tvq:coldalloc <reason>              mark one deliberate cold-path allocation
-//	//tvq:ephemeral                       (func or interface-method doc) results are
-//	                                      valid only until the next call
 //
 // <checks> is a comma-separated list of analyzer names. The lint:ignore
 // forms follow staticcheck's syntax so editors treat them uniformly; a
@@ -118,24 +116,12 @@ func (ix *ignoreIndex) suppressed(name string, pos token.Position) bool {
 // HasNoallocDirective reports whether the function declaration carries
 // the //tvq:noalloc annotation in its doc comment.
 func HasNoallocDirective(fn *ast.FuncDecl) bool {
-	return hasDocDirective(fn.Doc, "tvq:noalloc")
-}
-
-// HasEphemeralDirective reports whether the doc comment carries the
-// //tvq:ephemeral annotation. It takes the comment group rather than a
-// declaration because the directive is legal on both function
-// declarations and interface methods (whose docs hang off the field).
-func HasEphemeralDirective(doc *ast.CommentGroup) bool {
-	return hasDocDirective(doc, "tvq:ephemeral")
-}
-
-func hasDocDirective(doc *ast.CommentGroup, directive string) bool {
-	if doc == nil {
+	if fn.Doc == nil {
 		return false
 	}
-	for _, c := range doc.List {
+	for _, c := range fn.Doc.List {
 		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if text == directive || strings.HasPrefix(text, directive+" ") {
+		if text == "tvq:noalloc" || strings.HasPrefix(text, "tvq:noalloc ") {
 			return true
 		}
 	}

@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"go/token"
-	"go/types"
 	"sort"
 )
 
@@ -24,14 +23,10 @@ func (f Finding) String() string {
 
 // Run applies every analyzer to every package, filters the diagnostics
 // through //lint:ignore directives, and returns the surviving findings
-// sorted by position. Packages are processed in dependency order —
-// imported packages before their importers — so facts exported by an
-// analyzer on a callee's package (function summaries, lifetime
-// contracts) are available when the caller's package is analyzed.
+// sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	facts := newFactStore()
 	var out []Finding
-	for _, pkg := range sortDeps(pkgs) {
+	for _, pkg := range pkgs {
 		ignores := buildIgnoreIndex(pkg.Fset, pkg.Files)
 		for _, a := range analyzers {
 			pass := &Pass{
@@ -40,7 +35,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				facts:     facts,
 			}
 			pass.Report = func(d Diagnostic) {
 				pos := pkg.Fset.Position(d.Pos)
@@ -63,39 +57,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	}
 	sortFindings(out)
 	return out, nil
-}
-
-// sortDeps orders packages so every package follows the targets it
-// imports (directly or transitively). `go list -deps` already emits
-// dependency order, which Load preserves; the explicit sort makes Run
-// correct for any caller-assembled slice (tests, fixtures).
-func sortDeps(pkgs []*Package) []*Package {
-	byPath := make(map[string]*Package, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.PkgPath] = p
-	}
-	seen := make(map[string]bool, len(pkgs))
-	out := make([]*Package, 0, len(pkgs))
-	// Walk the import graph through non-target packages too: a target
-	// reached only via an intermediate dependency must still precede
-	// its importer.
-	var visit func(path string, tp *types.Package)
-	visit = func(path string, tp *types.Package) {
-		if seen[path] {
-			return
-		}
-		seen[path] = true
-		for _, imp := range tp.Imports() {
-			visit(imp.Path(), imp)
-		}
-		if p, ok := byPath[path]; ok {
-			out = append(out, p)
-		}
-	}
-	for _, p := range pkgs {
-		visit(p.PkgPath, p.Types)
-	}
-	return out
 }
 
 func sortFindings(out []Finding) {

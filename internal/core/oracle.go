@@ -37,8 +37,6 @@ func (o *Oracle) StateCount() int  { return len(o.window) }
 func (o *Oracle) Next() vr.FrameID { return o.next }
 
 // Process implements Generator.
-//
-//tvq:ephemeral
 func (o *Oracle) Process(f vr.Frame) []*State {
 	if f.FID != o.next {
 		panic("core: frames must be processed in order starting at 0")

@@ -198,7 +198,6 @@ func (g *SSG) newNode(objects objset.Set, createdAt vr.FrameID) *ssgNode {
 // result-set maintenance (§4.3.7).
 //
 //tvq:noalloc
-//tvq:ephemeral
 func (g *SSG) Process(f vr.Frame) []*State {
 	if f.FID != g.window.next {
 		panic("core: frames must be processed in order starting at 0")

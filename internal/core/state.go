@@ -367,8 +367,6 @@ type Generator interface {
 	Name() string
 	// Process consumes the next frame; see the interface doc for the
 	// full ownership contract on both sides of the call.
-	//
-	//tvq:ephemeral
 	Process(f vr.Frame) []*State
 	// StateCount reports the number of live states currently maintained,
 	// for instrumentation and benchmarks.

@@ -118,7 +118,6 @@ func (in *Interner) intern(s Set, adopt bool) (handle Handle, created bool) {
 				hd = Handle(len(in.sets))
 				in.sets = append(in.sets, Set{})
 			}
-			//lint:ignore retainset Intern cloned s just above; Adopt's caller handed it over
 			in.sets[hd] = s
 			if insert >= 0 {
 				i = uint64(insert) // reuse the first tombstone on the probe path

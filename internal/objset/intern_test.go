@@ -107,6 +107,45 @@ func TestInternEmptyPanics(t *testing.T) {
 	NewInterner().Intern(Empty)
 }
 
+// TestInternDetachesCallerStorage is Intern's hostile caller: the set
+// is built over a slice the caller keeps (the shape of a Scratch result
+// or a decoder's buffer), and the caller overwrites the slice once
+// Intern returns. The handle's set must not change: Intern retains an
+// owned copy, never the caller's storage.
+func TestInternDetachesCallerStorage(t *testing.T) {
+	in := NewInterner()
+	buf := []ID{2, 3, 5, 7}
+	h, created := in.Intern(FromSorted(buf))
+	if !created {
+		t.Fatal("first intern not created")
+	}
+	for i := range buf {
+		buf[i] = ID(100 + i)
+	}
+	want := New(2, 3, 5, 7)
+	if got := in.Of(h); !got.Equal(want) {
+		t.Fatalf("Of(%d) = %v after the caller reused its slice, want %v", h, got, want)
+	}
+	if got, ok := in.Lookup(want); !ok || got != h {
+		t.Fatalf("Lookup(%v) = %d %v, want %d true", want, got, ok, h)
+	}
+}
+
+// TestAdoptKeepsCallerStorage states the other side of the contract, as
+// Adopt's doc gives it: an adopted set is interned as handed over, so
+// the interner holds the caller's storage, not a copy of it.
+func TestAdoptKeepsCallerStorage(t *testing.T) {
+	in := NewInterner()
+	buf := []ID{2, 3, 5, 7}
+	h, created := in.Adopt(FromSorted(buf))
+	if !created {
+		t.Fatal("first adopt not created")
+	}
+	if got := in.Of(h); len(got.ids) == 0 || &got.ids[0] != &buf[0] {
+		t.Fatalf("Of(%d) = %v does not share the adopted slice", h, got)
+	}
+}
+
 // TestInternerSteadyStateAllocFree pins the zero-allocation contract of
 // the hot operations: lookups and intern hits never allocate, and a
 // release/re-intern cycle of an identical set reuses the freed entry's

@@ -578,8 +578,8 @@ func TestTopOfIDSpace(t *testing.T) {
 // path, including the empty-operand fast paths, returns storage the
 // caller owns. State.fold retains the difference in long-lived state,
 // so an aliased fast-path result would couple that state to the
-// producer's reuse of the receiver (the PR 5 aliasing class —
-// retainset flagged the latent path).
+// producer's reuse of the receiver (the window-aliasing bug class — a
+// static check first found the latent path).
 func TestMinusResultOwned(t *testing.T) {
 	s := New(1, 2, 3)
 	r := s.Minus(Empty) // fast path: empty subtrahend

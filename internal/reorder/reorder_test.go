@@ -522,8 +522,9 @@ func FuzzReorderBuffer(f *testing.F) {
 // a frame pushed without Owned (the JSONL codec path) must not alias
 // the producer's storage while it waits in pending — the producer is
 // free to reuse its scan buffers between pushes. Binary-codec frames
-// arrive Owned and are stored as-is. Found by retainset's
-// interprocedural pass over Buffer.Push.
+// arrive Owned and are stored as-is. A static check over Buffer.Push
+// first found the missing clone; this test and the disorder shape of
+// the root package's TestSessionResultLifetime now hold it.
 func TestPushClonesBorrowedFrames(t *testing.T) {
 	b := New(3, Drop, 0)
 	f := frame(1, 10, 11, 12) // buffered: waits for frame 0
@@ -534,8 +535,9 @@ func TestPushClonesBorrowedFrames(t *testing.T) {
 	if len(out) != 0 {
 		t.Fatalf("frame 1 released early: %v", out)
 	}
-	// Producer reuses the backing storage while frame 1 is pending.
-	f.Objects.IntersectWith(objset.New(10))
+	// Producer reuses the backing storage while frame 1 is pending:
+	// keeping only 12 writes it over 10, so an alias reads {12, 11, 12}.
+	f.Objects.IntersectWith(objset.New(12))
 
 	out = push(t, b, frame(0, 1))
 	if len(out) != 2 {

@@ -3,6 +3,7 @@ package tvq_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -19,6 +20,12 @@ import (
 // of every network ingest loop) without corrupting past or future
 // results. Run under -race (CI does) this also exercises the pooled
 // merge path's happens-before edges with a concurrent consumer.
+//
+// Besides the single engine and both pool shapes, the producer feeds a
+// session opened WithDisorderBound a bounded shuffle of the trace: the
+// reorder stage holds displaced frames across Process calls, so a
+// buffered frame that still aliased the producer's buffer would be
+// released poisoned.
 //
 // Matches of one state share one frame list (queries 1 and 4 have the
 // same body, as have the subscribed 3 and 5), so the harness also pins
@@ -80,8 +87,10 @@ func TestSessionResultLifetime(t *testing.T) {
 	sub.Close()
 	sort.Strings(wantSub)
 
+	const bound = 4
+	kinds := append(slices.Clip(sessionKinds), sessionKind{"disorder", []tvq.Option{tvq.WithDisorderBound(bound)}})
 	for _, method := range []tvq.Method{tvq.MethodNaive, tvq.MethodMFS, tvq.MethodSSG} {
-		for _, kind := range sessionKinds {
+		for _, kind := range kinds {
 			t.Run(fmt.Sprintf("%s/%s", method, kind.name), func(t *testing.T) {
 				s, err := tvq.Open(context.Background(), append([]tvq.Option{
 					tvq.WithQueries(queries...), tvq.WithMethod(method)}, kind.opts...)...)
@@ -136,14 +145,24 @@ func TestSessionResultLifetime(t *testing.T) {
 
 				// The producer decodes every frame into ONE reusable buffer,
 				// hands the session a Frame aliasing it, and overwrites it
-				// immediately after Process returns.
-				buf := make([]uint32, 0, 64)
+				// immediately after Process returns. Each frame lands at an
+				// offset that moves with its id (mod 16, beyond any
+				// displacement the bound allows), so an alias of an earlier
+				// frame reads poison or another frame's ids, never its own,
+				// even when neighbouring frames hold the same objects.
+				frames := tr.Frames()
+				if s.Disordered() {
+					frames = tvq.BoundedShuffle(frames, bound, 1)
+				}
+				buf := make([]uint32, 16+64)
 				shared := 0                        // twin matches seen sharing a frame list
+				buffered := 0                      // most frames the reorder stage held at once
 				var gotLive []string               // rendered as results arrive
 				var heldResults [][]tvq.FeedResult // rendered after the run
-				for _, f := range tr.Frames() {
-					buf = f.Objects.AppendTo(buf[:0])
-					hostile := tvq.Frame{FID: f.FID, Objects: objset.FromSorted(buf), Classes: f.Classes}
+				for _, f := range frames {
+					off := f.FID % 16
+					ids := f.Objects.AppendTo(buf[off:off])
+					hostile := tvq.Frame{FID: f.FID, Objects: objset.FromSorted(ids), Classes: f.Classes}
 					res, err := s.Process([]tvq.FeedFrame{{Frame: hostile}})
 					if err != nil {
 						t.Fatal(err)
@@ -155,9 +174,9 @@ func TestSessionResultLifetime(t *testing.T) {
 						}
 						shared += sharedFrameLists(t, r.Matches, 1, 4) + sharedFrameLists(t, r.Matches, 3, 5)
 					}
+					buffered = max(buffered, s.ReorderDepth())
 					// Poison the shared buffer before the next frame reuses
 					// it: anything aliasing it is now visibly corrupt.
-					buf = buf[:cap(buf)]
 					for j := range buf {
 						buf[j] = 0xfeedface
 					}
@@ -189,6 +208,9 @@ func TestSessionResultLifetime(t *testing.T) {
 				}
 				if shared == 0 {
 					t.Error("no twin matches seen: the sharing check is vacuous")
+				}
+				if s.Disordered() && buffered == 0 {
+					t.Error("the reorder stage never held a frame: the disorder shape is vacuous")
 				}
 
 				delivered := <-heldDeliveries

@@ -19,12 +19,16 @@ import (
 //
 //	go test -run 'TestDifferentialSessionSubscribe/seed=6003' .
 
-// sessionKinds are the execution shapes under test; every one must be
-// observationally identical through the Session API.
-var sessionKinds = []struct {
+// sessionKind is one execution shape: a name and the options that
+// open it.
+type sessionKind struct {
 	name string
 	opts []tvq.Option
-}{
+}
+
+// sessionKinds are the execution shapes under test; every one must be
+// observationally identical through the Session API.
+var sessionKinds = []sessionKind{
 	{"single", nil},
 	{"pool-bygroup", []tvq.Option{tvq.WithWorkers(2), tvq.WithShardMode(tvq.ShardByGroup)}},
 	{"pool-byfeed", []tvq.Option{tvq.WithWorkers(2), tvq.WithShardMode(tvq.ShardByFeed)}},

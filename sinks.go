@@ -188,7 +188,6 @@ func (s *JSONLSink) encode(d Delivery) {
 		}
 		from := len(s.tails)
 		s.tails = s.appendTail(s.tails, m)
-		//lint:ignore retainset a delivered Match is read-only (see Delivery), and the entry lives until the scope ends
 		s.memo = append(s.memo, tailEntry{frames: &m.Frames[0], n: len(m.Frames), objects: m.Objects, from: from, to: len(s.tails)})
 		e = &s.memo[len(s.memo)-1]
 	}
