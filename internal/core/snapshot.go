@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"tvq/internal/arena"
 	"tvq/internal/objset"
 	"tvq/internal/snapshot"
 	"tvq/internal/vr"
@@ -92,17 +93,35 @@ func encodeSet(w *snapshot.Writer, s objset.Set) {
 	w.AppendWith(func(dst []byte) []byte { return vr.AppendSet(dst, s) })
 }
 
-// decodeSet reads an object set through the shared wire decoder, which
+// slabs is what one generator payload decodes into, so that a restore
+// takes a few large blocks instead of several allocations per state:
+// the State structs come from one slice sized by the state count, the
+// frame lists from chunked arenas, and every object set — state,
+// blocker and window ring — from an objset.Slab. Each list and set is
+// capped at its own length: statePool.put keeps a dead state's
+// frames.entries[:0] for the next state, push appends in place and
+// blockers shrink in place, so an uncapped list would let one state
+// overwrite its neighbour.
+type slabs struct {
+	states  []State // not yet handed out
+	entries arena.Chunks[frameEntry]
+	sets    objset.Slab
+	ids     []objset.ID // one set's ids, as the wire decoder appends them
+}
+
+// set reads an object set through the shared wire decoder, which
 // verifies the strictly-increasing invariant objset.FromSorted would
-// otherwise panic on (and uint32 range) before allocating.
-func decodeSet(r *snapshot.Reader) objset.Set {
+// otherwise panic on (and uint32 range) before it sizes anything, and
+// builds it in the slab in the representation objset.Compact picks.
+func (sl *slabs) set(r *snapshot.Reader) objset.Set {
 	var s objset.Set
 	r.Consume(func(data []byte) (int, error) {
-		set, n, err := vr.DecodeSet(data)
+		ids, n, err := vr.AppendSetIDs(sl.ids[:0], data)
+		sl.ids = ids
 		if err != nil {
 			return 0, err
 		}
-		s = set
+		s = sl.sets.FromSorted(ids)
 		return n, nil
 	})
 	return s
@@ -130,10 +149,14 @@ func encodeState(w *snapshot.Writer, s *State, minFID vr.FrameID) {
 	w.Bool(false)
 }
 
-func decodeState(r *snapshot.Reader, next vr.FrameID) *State {
-	s := &State{Objects: decodeSet(r)}
+// state reads one state into the next struct of the slab, which the
+// caller sized by the state count.
+func (sl *slabs) state(r *snapshot.Reader, next vr.FrameID) *State {
+	s := &sl.states[0]
+	sl.states = sl.states[1:]
+	s.Objects = sl.set(r)
 	n := r.Count(2)
-	s.frames.entries = make([]frameEntry, 0, n)
+	s.frames.entries = sl.entries.Take(n)[:0]
 	for i := 0; i < n; i++ {
 		fid := r.Varint()
 		marked := r.Bool()
@@ -147,7 +170,7 @@ func decodeState(r *snapshot.Reader, next vr.FrameID) *State {
 		}
 	}
 	if s.hasExtra = r.Bool(); s.hasExtra {
-		if s.extra = decodeSet(r); s.extra.Intersects(s.Objects) {
+		if s.extra = sl.set(r); s.extra.Intersects(s.Objects) {
 			r.Fail("state %s has blockers %s among its objects", s.Objects, s.extra)
 		}
 	}
@@ -189,10 +212,10 @@ func encodeWindow(w *snapshot.Writer, fw *frameWindow) {
 	}
 }
 
-// decodeWindow reads what encodeWindow wrote into fw, which must be
-// sized for the generator's window and already carry next (≥ 0); a frame
-// outside [next−w, next) has no slot there and is rejected.
-func decodeWindow(r *snapshot.Reader, fw *frameWindow) {
+// window reads what encodeWindow wrote into fw, which must be sized for
+// the generator's window and already carry next (≥ 0); a frame outside
+// [next−w, next) has no slot there and is rejected.
+func (sl *slabs) window(r *snapshot.Reader, fw *frameWindow) {
 	if fw.next < 0 {
 		r.Fail("negative frame cursor %d", fw.next)
 	}
@@ -209,7 +232,7 @@ func decodeWindow(r *snapshot.Reader, fw *frameWindow) {
 			return
 		}
 		prev = fid
-		*fw.slot(fid) = decodeSet(r)
+		*fw.slot(fid) = sl.set(r)
 		if r.Err() != nil {
 			return
 		}
@@ -238,12 +261,16 @@ func (t *table) encode(w *snapshot.Writer) {
 }
 
 func (t *table) decode(r *snapshot.Reader) error {
+	var sl slabs
 	t.window.next = r.Varint()
 	t.metrics = decodeMetrics(r)
-	decodeWindow(r, &t.window)
+	sl.window(r, &t.window)
 	n := r.Count(2)
+	sl.states = make([]State, n)
+	t.states = make([]*State, 0, n)
+	t.intern.Reserve(n)
 	for i := 0; i < n; i++ {
-		s := decodeState(r, t.window.next)
+		s := sl.state(r, t.window.next)
 		if r.Err() != nil {
 			return r.Err()
 		}
@@ -351,15 +378,20 @@ func (g *SSG) encode(w *snapshot.Writer) error {
 }
 
 func (g *SSG) decode(r *snapshot.Reader) error {
+	var sl slabs
 	g.window.next = r.Varint()
 	g.metrics = decodeMetrics(r)
-	decodeWindow(r, &g.window)
+	sl.window(r, &g.window)
 
 	count := r.Count(4)
 	if r.Err() != nil {
 		return r.Err()
 	}
+	sl.states = make([]State, count)
+	slab := make([]ssgNode, count)
 	nodes := make([]*ssgNode, count)
+	g.nodes = make([]*ssgNode, 0, count)
+	g.intern.Reserve(count)
 	// Every edge list, by node index, goes into one arena: list j is
 	// edges[ends[j]:ends[j+1]], node i's children list 2i and its parents
 	// list 2i+1.
@@ -380,7 +412,8 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 
 	minFID := g.window.next - vr.FrameID(g.cfg.Window)
 	for i := 0; i < count; i++ {
-		n := &ssgNode{state: decodeState(r, g.window.next), lastMark: -1}
+		n := &slab[i]
+		n.state, n.lastMark = sl.state(r, g.window.next), -1
 		n.visited = r.Varint()
 		n.createdAt = r.Varint()
 		for j, nc := 0, r.Count(1); j < nc; j++ {
@@ -444,6 +477,7 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
+	g.rootOrder = make([]*ssgNode, 0, len(roots))
 	for _, i := range roots {
 		n := nodes[i]
 		if n.onRootList || len(n.parents) > 0 {
@@ -458,6 +492,7 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
+	g.results = make([]*ssgNode, 0, len(results))
 	for _, i := range results {
 		g.results = append(g.results, nodes[i])
 	}
@@ -465,6 +500,7 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 	// that did not expire before writing may have kept, is removed here as
 	// the ring would have removed it, and leaves the result set with it.
 	// Traversal starts from the roots, so every parentless node is one.
+	g.carveDue(nodes, minFID)
 	for _, n := range nodes {
 		if len(n.parents) == 0 && !n.onRootList {
 			r.Fail("ssg node %s has no parent and is not a root", n.state.Objects)
@@ -475,6 +511,24 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 	g.results = slices.DeleteFunc(g.results, func(n *ssgNode) bool { return n.dead })
 	g.relistFolded(r)
 	return r.Err()
+}
+
+// carveDue sizes each slot of the expiry ring for the nodes file is
+// about to put there, carving the slots from one block. Each slot is
+// capped at its own length, so one that outgrows it later moves out.
+func (g *SSG) carveDue(nodes []*ssgNode, minFID vr.FrameID) {
+	per := make([]int, len(g.due))
+	total := 0
+	for _, n := range nodes {
+		if n.lastMark >= minFID {
+			per[n.lastMark%vr.FrameID(len(per))]++
+			total++
+		}
+	}
+	block := make([]*ssgNode, total)
+	for i, k := range per {
+		g.due[i], block = block[:0:k], block[k:]
+	}
 }
 
 // disagreeingEdges counts the edges (p, c) that p's children list and

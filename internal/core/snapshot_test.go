@@ -535,6 +535,20 @@ func TestDecodeGeneratorRejectsGarbage(t *testing.T) {
 		t.Errorf("negative cursor: err = %v", err)
 	}
 
+	// A state count beyond the bytes left is refused by the count check,
+	// before the struct slabs and the tables are sized from it.
+	for _, kind := range []string{genKindNaive, genKindMFS, genKindSSG} {
+		var huge snapshot.Writer
+		huge.String(kind)
+		huge.Varint(10)
+		encodeMetrics(&huge, Metrics{})
+		huge.Uvarint(0)       // window frames
+		huge.Uvarint(1 << 40) // states
+		if _, err := DecodeGenerator(snapshot.NewReader(huge.Bytes()), cfg); err == nil || !strings.Contains(err.Error(), "exceeds remaining payload") {
+			t.Errorf("%s: a state count over the bytes left: err = %v", kind, err)
+		}
+	}
+
 	// Oracle cannot be snapshotted.
 	var ow snapshot.Writer
 	if err := EncodeGenerator(&ow, NewOracle(cfg)); err == nil {

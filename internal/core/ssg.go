@@ -244,9 +244,11 @@ func (g *SSG) expire(fid, minFID vr.FrameID) {
 // file puts n on the expiry ring under its newest key frame, or removes
 // it when it has none in the window that starts at minFID. It is the one
 // place SSG removes a node: when the ring pops it, or at the end of the
-// frame that created it without a key frame.
+// frame that created it without a key frame. Before frame w−1 the window
+// starts below 0, so a node without a key frame (lastMark −1) is tested
+// against 0: it has no ring slot.
 func (g *SSG) file(n *ssgNode, minFID vr.FrameID) {
-	if n.lastMark < minFID {
+	if n.lastMark < max(minFID, 0) {
 		g.removeNode(n)
 		return
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -93,6 +94,12 @@ type Pool struct {
 	workers []*poolWorker
 	wg      sync.WaitGroup
 	closed  bool
+
+	// groupJobs and groupDone are processByGroup's, kept across batches
+	// (the pool is single-caller): one job per shard, whose out is that
+	// shard's result column, and the WaitGroup they signal.
+	groupJobs []poolJob
+	groupDone sync.WaitGroup
 }
 
 // poolWorker holds the engines of one shard. Its goroutine runs the
@@ -381,29 +388,42 @@ func (p *Pool) oneShard(frames []FeedFrame) (int, bool) {
 // cross-query order within a frame may differ from a single engine's
 // (which appends new groups at the end of its own iteration order);
 // the per-query match streams remain identical.
+//
+// The jobs, their columns and the WaitGroup are the pool's, reused from
+// batch to batch, so a batch allocates only what it hands back.
 func (p *Pool) processByGroup(frames []FeedFrame) []FeedResult {
-	cols := make([][][]query.Match, len(p.workers))
-	var done sync.WaitGroup
-	for s, w := range p.workers {
-		cols[s] = make([][]query.Match, len(frames))
-		done.Add(1)
-		w.in <- &poolJob{frames: frames, out: cols[s], done: &done}
+	if p.groupJobs == nil {
+		p.groupJobs = make([]poolJob, len(p.workers))
 	}
-	done.Wait()
+	jobs := p.groupJobs
+	for s, w := range p.workers {
+		job := &jobs[s]
+		job.frames, job.done = frames, &p.groupDone
+		job.out = slices.Grow(job.out[:0], len(frames))[:len(frames)]
+		p.groupDone.Add(1)
+		w.in <- job
+	}
+	p.groupDone.Wait()
 
 	// A shard's column entry is its engine's caller-owned result, so a
 	// frame only one shard matched keeps that slice without a copy.
-	merged := cols[0]
+	merged := jobs[0].out
 	for i := range frames {
-		for s := 1; s < len(cols); s++ {
+		for s := 1; s < len(jobs); s++ {
 			if len(merged[i]) == 0 {
-				merged[i] = cols[s][i]
+				merged[i] = jobs[s].out[i]
 			} else {
-				merged[i] = append(merged[i], cols[s][i]...)
+				merged[i] = append(merged[i], jobs[s].out[i]...)
 			}
 		}
 	}
-	return assemble(frames, merged)
+	out := assemble(frames, merged)
+	// The results are the caller's now: the pool keeps no reference.
+	for s := range jobs {
+		clear(jobs[s].out)
+		jobs[s].frames = nil
+	}
+	return out
 }
 
 // assemble pairs each input frame with its matches and drops matchless

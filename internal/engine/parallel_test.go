@@ -321,6 +321,39 @@ func TestPoolStateCount(t *testing.T) {
 	}
 }
 
+// TestPoolGroupDispatchAllocFree pins what a ShardByGroup batch costs
+// the pool itself: on a warm two-shard pool, a batch of empty frames,
+// which no engine matches and no generator keeps, allocates nothing.
+// The jobs, their result columns and the WaitGroup are the pool's, kept
+// from batch to batch.
+func TestPoolGroupDispatchAllocFree(t *testing.T) {
+	p, err := NewPool(poolQueries(t), PoolOptions{Workers: 2, Mode: ShardByGroup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if p.Workers() != 2 {
+		t.Fatalf("%d shards, want 2", p.Workers())
+	}
+	batch := make([]FeedFrame, 8)
+	next := vr.FrameID(0)
+	feed := func() {
+		for i := range batch {
+			batch[i] = FeedFrame{Frame: vr.Frame{FID: next}}
+			next++
+		}
+		if res := p.ProcessBatch(batch); len(res) != 0 {
+			t.Fatalf("empty frames matched: %v", res)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		feed()
+	}
+	if n := testing.AllocsPerRun(100, feed); n != 0 {
+		t.Errorf("a warm batch of empty frames allocates %.1f times, want 0", n)
+	}
+}
+
 // TestMatchesConcatenateInGroupOrder: when more than one window group
 // (or group shard) matches a frame, the frame's matches are the groups'
 // matches back to back in ascending window order, exactly as engines

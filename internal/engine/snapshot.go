@@ -178,7 +178,7 @@ func decodeEngine(sr *snapshot.Reader, want Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{opts: opts, classes: make(map[objset.ID]vr.Class)}
+	e := &Engine{opts: opts}
 	e.classOf = func(id objset.ID) vr.Class { return e.classes[id] }
 	e.next = sr.Varint()
 	if e.next < 0 {
@@ -186,6 +186,7 @@ func decodeEngine(sr *snapshot.Reader, want Options) (*Engine, error) {
 	}
 
 	nclasses := sr.Count(2)
+	e.classes = make(map[objset.ID]vr.Class, nclasses)
 	for i := 0; i < nclasses; i++ {
 		id := sr.Uvarint()
 		class := sr.Uvarint()

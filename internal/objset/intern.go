@@ -1,5 +1,7 @@
 package objset
 
+import "slices"
+
 // Interner hash-conses object sets: equal sets (by content, regardless
 // of representation) map to the same stable uint32 Handle, so set
 // equality downstream is one integer compare and maps can key on
@@ -164,8 +166,23 @@ func (in *Interner) Release(h Handle) {
 	in.n--
 }
 
+// Reserve makes room for n more sets, so that interning them neither
+// grows the handle table nor rehashes the slots: a decoder that knows
+// how many sets it restores sizes the table once. The slots are sized
+// for a load of at most one half once the n sets are in.
+func (in *Interner) Reserve(n int) {
+	in.sets = slices.Grow(in.sets, max(0, n-len(in.free)))
+	size := len(in.slots)
+	for size < (in.filled+n)*2 {
+		size *= 2
+	}
+	if size > len(in.slots) {
+		in.rehash(size)
+	}
+}
+
 // grow rebuilds the slot table at the next power of two that keeps the
-// load factor under one half, dropping tombstones.
+// load factor under one quarter, dropping tombstones.
 func (in *Interner) grow() {
 	size := len(in.slots)
 	for size < (in.n+1)*4 {
@@ -173,6 +190,12 @@ func (in *Interner) grow() {
 	}
 	// When live entries are well under capacity the trigger was mostly
 	// tombstones; rebuilding at the same size drops them.
+	in.rehash(size)
+}
+
+// rehash rebuilds the slot table at size, a power of two, dropping
+// tombstones.
+func (in *Interner) rehash(size int) {
 	old := in.slots
 	in.slots = make([]islot, size)
 	in.mask = uint64(size - 1)

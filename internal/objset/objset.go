@@ -115,17 +115,32 @@ func Compact(s Set) Set {
 	if s.words != nil || len(s.ids) == 0 {
 		return s
 	}
-	first, last := s.ids[0], s.ids[len(s.ids)-1]
-	nwords := int(last/64-first/64) + 1
-	if !denseWorthwhile(len(s.ids), nwords) {
+	nwords := denseWords(s.ids)
+	if nwords == 0 {
 		return s
 	}
-	off := first &^ 63
-	words := make([]uint64, nwords)
-	for _, id := range s.ids {
+	return fillDense(s.ids, make([]uint64, nwords))
+}
+
+// denseWords returns the bitmap length of the strictly increasing,
+// non-empty ids when the bitmap form is the cheaper one, and 0 when
+// they are better kept sparse.
+func denseWords(ids []ID) int {
+	nwords := int(ids[len(ids)-1]/64-ids[0]/64) + 1
+	if !denseWorthwhile(len(ids), nwords) {
+		return 0
+	}
+	return nwords
+}
+
+// fillDense sets the bits of ids in words, which must be zeroed and
+// denseWords(ids) long, and returns the dense set they form.
+func fillDense(ids []ID, words []uint64) Set {
+	off := ids[0] &^ 63
+	for _, id := range ids {
 		words[(id-off)/64] |= 1 << ((id - off) % 64)
 	}
-	return Set{words: words, off: off, card: int32(len(s.ids))}
+	return Set{words: words, off: off, card: int32(len(ids))}
 }
 
 // Clone returns a copy of s backed by freshly-owned storage, in the

@@ -98,44 +98,62 @@ func AppendSet(dst []byte, s objset.Set) []byte {
 // ends before the declared count is satisfied — returns a
 // *CorruptError with an offset relative to data.
 func DecodeSet(data []byte) (objset.Set, int, error) {
+	ids, n, err := AppendSetIDs(nil, data)
+	if err != nil {
+		return objset.Set{}, 0, err
+	}
+	return objset.Compact(objset.FromSorted(ids)), n, nil
+}
+
+// AppendSetIDs is DecodeSet for a caller that builds the set itself: it
+// appends the decoded ids, strictly increasing, to dst and returns the
+// extended slice and the number of bytes consumed. It makes the same
+// checks, with the same errors, and grows dst at most once, after the
+// count has been checked against the bytes left.
+func AppendSetIDs(dst []objset.ID, data []byte) ([]objset.ID, int, error) {
 	n, sz := binary.Uvarint(data)
 	if sz <= 0 {
-		return objset.Set{}, 0, corruptf(0, "truncated or malformed set count")
+		return dst, 0, corruptf(0, "truncated or malformed set count")
 	}
 	if n == 0 {
-		return objset.Set{}, sz, nil
+		return dst, sz, nil
 	}
 	// Each id occupies at least one encoded byte, so a count that cannot
 	// fit in the remaining bytes is rejected before any allocation.
 	if n > uint64(len(data)-sz) {
-		return objset.Set{}, 0, corruptf(int64(sz), "set count %d exceeds %d remaining bytes", n, len(data)-sz)
+		return dst, 0, corruptf(int64(sz), "set count %d exceeds %d remaining bytes", n, len(data)-sz)
 	}
-	ids := make([]objset.ID, 0, n)
+	if cap(dst)-len(dst) < int(n) {
+		// A fresh set gets room for exactly its ids: slices.Grow would
+		// round a one-id set up to two, 8 bytes where 4 do. A reused
+		// buffer doubles.
+		dst = append(make([]objset.ID, 0, max(len(dst)+int(n), 2*cap(dst))), dst...)
+	}
 	off := sz
 	var prev uint64
 	for i := uint64(0); i < n; i++ {
 		v, m := binary.Uvarint(data[off:])
 		if m <= 0 {
-			return objset.Set{}, 0, corruptf(int64(off), "truncated or malformed object id delta")
+			return dst, 0, corruptf(int64(off), "truncated or malformed object id delta")
 		}
 		if i == 0 {
 			if v > math.MaxUint32 {
-				return objset.Set{}, 0, corruptf(int64(off), "object id %d overflows uint32", v)
+				return dst, 0, corruptf(int64(off), "object id %d overflows uint32", v)
 			}
 			prev = v
 		} else {
 			if v == 0 {
-				return objset.Set{}, 0, corruptf(int64(off), "zero id delta: object ids must be strictly increasing")
+				return dst, 0, corruptf(int64(off), "zero id delta: object ids must be strictly increasing")
 			}
 			if v > math.MaxUint32-prev {
-				return objset.Set{}, 0, corruptf(int64(off), "object id %d+%d overflows uint32", prev, v)
+				return dst, 0, corruptf(int64(off), "object id %d+%d overflows uint32", prev, v)
 			}
 			prev += v
 		}
-		ids = append(ids, objset.ID(prev))
+		dst = append(dst, objset.ID(prev))
 		off += m
 	}
-	return objset.Compact(objset.FromSorted(ids)), off, nil
+	return dst, off, nil
 }
 
 // binaryCodec is the length-prefixed binary implementation of Codec.
