@@ -241,6 +241,33 @@ func BenchmarkFigure8(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionIngest replays V2 at full scale through
+// Session.ProcessFrame of a single-engine SSG session holding 30 mixed
+// queries at w=300, d=240 (dense-static's shape, one clip): the
+// generator and the evaluation beneath it, plus what the session adds
+// per frame, which the engine-level panels do not see.
+func BenchmarkSessionIngest(b *testing.B) {
+	ds, err := bench.Config{Seed: 1, Scale: 1}.LoadDataset("V2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs := bench.MixedWorkload(30, bench.DefaultWindow, bench.DefaultDuration, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s, err := tvq.Open(nil, tvq.WithQueries(qs...), tvq.WithRegistry(ds.Reg))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, f := range ds.Trace.Frames() {
+			if _, err := s.ProcessFrame(f); err != nil {
+				b.Fatal(err)
+			}
+		}
+		s.Close()
+	}
+	b.ReportMetric(float64(ds.Trace.Len()), "frames/op")
+}
+
 // BenchmarkQueryScaling measures per-frame cost against the number of
 // standing subscriptions, 10 → 10k, drawn from a fixed
 // bench.ScalingShapes-body catalog (the serving fleet model: many

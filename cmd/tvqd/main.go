@@ -46,6 +46,14 @@
 // file, continuing exactly where it stopped. SIGINT/SIGTERM trigger the
 // graceful path: streams end, in-flight batches finish, checkpoints are
 // written, and the listener drains.
+//
+// -debug-addr opens a second listener, off by default, that serves
+// net/http/pprof under /debug/pprof/ and a text dump of runtime/metrics
+// at /debug/metrics. It has its own mux, so the API listener serves
+// neither:
+//
+//	tvqd -addr :7800 -debug-addr 127.0.0.1:7801
+//	go tool pprof http://127.0.0.1:7801/debug/pprof/profile?seconds=20
 package main
 
 import (
@@ -54,6 +62,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -72,43 +81,61 @@ func (q *queryFlags) String() string     { return strings.Join(*q, "; ") }
 func (q *queryFlags) Set(s string) error { *q = append(*q, s); return nil }
 
 func main() {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	os.Exit(tvqd(os.Args[1:], stop, nil))
+}
+
+// tvqd runs the daemon on the command-line arguments args until stop
+// delivers a signal, and returns the process's exit status. If
+// listening is not nil it is told the addresses of the API listener and
+// of the debug listener (nil without -debug-addr) once they are open.
+func tvqd(args []string, stop <-chan os.Signal, listening func(api, debug net.Addr)) int {
+	fs := flag.NewFlagSet("tvqd", flag.ContinueOnError)
 	var (
 		queries      queryFlags
-		addr         = flag.String("addr", ":7800", "listen address")
-		window       = flag.Int("w", 300, "default window size for -q queries, in frames")
-		duration     = flag.Int("d", 240, "default duration threshold for -q queries, in frames")
-		method       = flag.String("method", "ssg", "state maintenance: naive, mfs or ssg")
-		workers      = flag.Int("workers", 1, "engine shards for the boot session; above 1 runs a pooled session")
-		shard        = flag.String("shard", "feed", "pool sharding for the boot session: feed (multi-camera) or group (window groups)")
-		windowMode   = flag.String("window-mode", "sliding", "window semantics: sliding or tumbling")
-		disorder     = flag.Int("disorder", 0, "boot session: absorb ingest batches displaced up to this many frames (0 = strict order)")
-		latePolicy   = flag.String("late-policy", "", "boot session: what happens to frames beyond the disorder bound: drop or error")
-		session      = flag.String("session", "default", "name of the boot session (also the ?session= default)")
-		ckDir        = flag.String("checkpoint-dir", "", "snapshot sessions to <dir>/<name>.tvqsnap and resume from them on restart")
-		every        = flag.String("every", "1000", "checkpoint cadence: a frame count (\"500\") or a wall-clock duration (\"30s\")")
-		maxQueue     = flag.Int("max-queue", 64, "ingest batches queued per session before 429")
-		streamBuffer = flag.Int("stream-buffer", 256, "default per-stream delivery buffer (drop-oldest beyond it)")
-		heartbeat    = flag.Duration("heartbeat", 15*time.Second, "SSE keep-alive interval (0 disables)")
-		drain        = flag.Duration("drain", 10*time.Second, "how long shutdown waits for connections to drain")
+		addr         = fs.String("addr", ":7800", "listen address")
+		debugAddr    = fs.String("debug-addr", "", "serve net/http/pprof and runtime/metrics on this address (off when empty)")
+		window       = fs.Int("w", 300, "default window size for -q queries, in frames")
+		duration     = fs.Int("d", 240, "default duration threshold for -q queries, in frames")
+		method       = fs.String("method", "ssg", "state maintenance: naive, mfs or ssg")
+		workers      = fs.Int("workers", 1, "engine shards for the boot session; above 1 runs a pooled session")
+		shard        = fs.String("shard", "feed", "pool sharding for the boot session: feed (multi-camera) or group (window groups)")
+		windowMode   = fs.String("window-mode", "sliding", "window semantics: sliding or tumbling")
+		disorder     = fs.Int("disorder", 0, "boot session: absorb ingest batches displaced up to this many frames (0 = strict order)")
+		latePolicy   = fs.String("late-policy", "", "boot session: what happens to frames beyond the disorder bound: drop or error")
+		session      = fs.String("session", "default", "name of the boot session (also the ?session= default)")
+		ckDir        = fs.String("checkpoint-dir", "", "snapshot sessions to <dir>/<name>.tvqsnap and resume from them on restart")
+		every        = fs.String("every", "1000", "checkpoint cadence: a frame count (\"500\") or a wall-clock duration (\"30s\")")
+		maxQueue     = fs.Int("max-queue", 64, "ingest batches queued per session before 429")
+		streamBuffer = fs.Int("stream-buffer", 256, "default per-stream delivery buffer (drop-oldest beyond it)")
+		heartbeat    = fs.Duration("heartbeat", 15*time.Second, "SSE keep-alive interval (0 disables)")
+		drain        = fs.Duration("drain", 10*time.Second, "how long shutdown waits for connections to drain")
 	)
-	flag.Var(&queries, "q", "query to subscribe on the boot session (repeatable); append \"@ w:d\" for a per-query window")
-	flag.Parse()
+	fs.Var(&queries, "q", "query to subscribe on the boot session (repeatable); append \"@ w:d\" for a per-query window")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if err := run(cfg{
-		addr: *addr, queries: queries, window: *window, duration: *duration,
+		addr: *addr, debugAddr: *debugAddr, queries: queries, window: *window, duration: *duration,
 		method: *method, workers: *workers, shard: *shard, windowMode: *windowMode,
 		disorder: *disorder, latePolicy: *latePolicy,
 		session: *session, ckDir: *ckDir, every: *every,
 		maxQueue: *maxQueue, streamBuffer: *streamBuffer,
 		heartbeat: *heartbeat, drain: *drain,
-	}); err != nil {
+	}, stop, listening); err != nil {
 		fmt.Fprintln(os.Stderr, "tvqd:", err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 type cfg struct {
-	addr                      string
+	addr, debugAddr           string
 	queries                   []string
 	window, duration          int
 	method, shard, windowMode string
@@ -120,7 +147,24 @@ type cfg struct {
 	heartbeat, drain          time.Duration
 }
 
-func run(c cfg) error {
+func run(c cfg, stop <-chan os.Signal, listening func(api, debug net.Addr)) error {
+	// Both listeners open before the boot session, so a bad address
+	// fails at once; connections wait in the backlog until serving.
+	ln, err := net.Listen("tcp", c.addr)
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
+	var debugLn net.Listener
+	var debugAddr net.Addr
+	if c.debugAddr != "" {
+		if debugLn, err = net.Listen("tcp", c.debugAddr); err != nil {
+			return fmt.Errorf("debug listener: %w", err)
+		}
+		defer debugLn.Close()
+		debugAddr = debugLn.Addr()
+	}
+
 	scfg := server.Config{
 		Registry:         tvq.StandardRegistry(),
 		DefaultSession:   c.session,
@@ -142,7 +186,6 @@ func run(c cfg) error {
 		params.Workers, params.Shard = c.workers, c.shard
 	}
 	params.Disorder, params.LatePolicy = c.disorder, c.latePolicy
-	var err error
 	params.Queries, err = parseQueries(c.queries, c.window, c.duration)
 	if err != nil {
 		return err
@@ -159,22 +202,30 @@ func run(c cfg) error {
 		log.Printf("session %q opened with %d boot queries", c.session, n)
 	}
 
-	httpSrv := &http.Server{Addr: c.addr, Handler: srv.Handler()}
-	errc := make(chan error, 1)
-	go func() {
-		log.Printf("tvqd serving on %s", c.addr)
-		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+	httpSrv := &http.Server{Handler: srv.Handler()}
+	errc := make(chan error, 2)
+	serve := func(s *http.Server, ln net.Listener) {
+		if err := s.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}
-	}()
+	}
+	log.Printf("tvqd serving on %s", ln.Addr())
+	go serve(httpSrv, ln)
+	if debugLn != nil {
+		debugSrv := &http.Server{Handler: debugHandler()}
+		defer debugSrv.Close()
+		log.Printf("tvqd debug listener on %s", debugAddr)
+		go serve(debugSrv, debugLn)
+	}
+	if listening != nil {
+		listening(ln.Addr(), debugAddr)
+	}
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		srv.Shutdown()
 		return err
-	case sig := <-sigc:
+	case sig := <-stop:
 		log.Printf("received %v; draining", sig)
 	}
 

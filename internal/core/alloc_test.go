@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"tvq/internal/objset"
@@ -71,6 +72,58 @@ func TestProcessSteadyStateAllocs(t *testing.T) {
 			t.Logf("%s: %.2f allocs per warm Process frame", tc.name, got)
 			if got > tc.budget {
 				t.Errorf("warm Process allocates %.2f per frame, budget %.0f", got, tc.budget)
+			}
+		})
+	}
+}
+
+// TestAllocsPerCreatedState pins what a warm generator allocates for
+// each state it creates on a churning feed. Everything that dies with
+// a state is recycled — its struct, frame list and blockers, and for
+// SSG its node's edge arrays — so what is left is the interned object
+// set (and for SSG the node struct), which results and stale pointers
+// outlive, plus slack for the table and scratch growth the churn still
+// causes now and then.
+func TestAllocsPerCreatedState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement")
+	}
+	feed := allocFeed(600, 42)
+	cfg := Config{Window: 30, Duration: 4}
+	type counted interface {
+		Generator
+		Metrics() Metrics
+	}
+	for _, tc := range []struct {
+		name   string
+		gen    counted
+		budget float64
+	}{
+		{"naive", NewNaive(cfg), 1.5},
+		{"mfs", NewMFS(cfg), 1.5},
+		{"ssg", NewSSG(cfg), 2.5}, // the node struct and the interned set
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const warm = 200
+			for _, f := range feed[:warm] {
+				tc.gen.Process(f)
+			}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			var before, after runtime.MemStats
+			created := tc.gen.Metrics().StatesCreated
+			runtime.ReadMemStats(&before)
+			for _, f := range feed[warm:] {
+				tc.gen.Process(f)
+			}
+			runtime.ReadMemStats(&after)
+			created = tc.gen.Metrics().StatesCreated - created
+			if created == 0 {
+				t.Fatal("the feed created no states after warm-up")
+			}
+			per := float64(after.Mallocs-before.Mallocs) / float64(created)
+			t.Logf("%s: %.2f allocations per created state (%d created)", tc.name, per, created)
+			if per > tc.budget {
+				t.Errorf("%.2f allocations per created state, budget %.1f", per, tc.budget)
 			}
 		})
 	}

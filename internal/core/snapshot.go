@@ -413,7 +413,7 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 	minFID := g.window.next - vr.FrameID(g.cfg.Window)
 	for i := 0; i < count; i++ {
 		n := &slab[i]
-		n.state, n.lastMark = sl.state(r, g.window.next), -1
+		n.state, n.lastMark, n.decoded = sl.state(r, g.window.next), -1, true
 		n.visited = r.Varint()
 		n.createdAt = r.Varint()
 		for j, nc := 0, r.Count(1); j < nc; j++ {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 
 	"tvq/internal/objset"
@@ -44,10 +45,15 @@ import (
 // the window, the frame on which MFS drops the same state.
 //
 // Node lookup is by interned object-set handle (one hash of the id
-// stream plus an integer compare, no key strings), traversal
-// intersections go into a reusable scratch buffer, and dead states
-// return their storage to a pool, so steady-state maintenance performs
-// no allocations beyond genuine graph growth.
+// stream plus an integer compare, no key strings), and traversal
+// intersections go into a reusable scratch buffer. What dies with a
+// node is recycled: its state's struct, frame list and blocker storage
+// go to a pool, and its edge arrays to bounded free lists (see
+// edgeLists). Once the free lists are warm, a created node allocates
+// its node struct and its interned object set, plus the odd growth of
+// a table or scratch buffer: node structs stay unpooled because stale
+// pointers to dead nodes are told apart by their dead flag, and object
+// sets because results share them (DESIGN.md "State pooling").
 type SSG struct {
 	cfg    Config
 	intern *objset.Interner
@@ -94,6 +100,7 @@ type SSG struct {
 	buf        objset.Scratch
 	em         emitter
 	pool       statePool
+	edges      edgeLists
 	emitStates []*State
 }
 
@@ -107,8 +114,12 @@ type ssgNode struct {
 	onRootList bool
 	filed      bool // on the expiry ring
 	dead       bool
-	children   []*ssgNode
-	parents    []*ssgNode
+	// decoded marks a node restored from a snapshot: its edge lists are
+	// carved from the decoder's shared arena, which a kept array would
+	// pin, so neither they nor what they grow into are recycled.
+	decoded  bool
+	children []*ssgNode
+	parents  []*ssgNode
 
 	// last is the node that held IDn ∩ F the last time that was a proper
 	// subset of IDn. Frames repeat, so it is tried (if still alive and
@@ -475,17 +486,17 @@ func (g *SSG) attachChild(parent, child *ssgNode) {
 			return
 		}
 	}
-	addEdge(parent, child)
+	g.addEdge(parent, child)
 }
 
-func addEdge(parent, child *ssgNode) {
+func (g *SSG) addEdge(parent, child *ssgNode) {
 	for _, c := range parent.children {
 		if c == child {
 			return
 		}
 	}
-	parent.children = append(parent.children, child)
-	child.parents = append(child.parents, parent)
+	parent.children = g.edges.add(parent.children, child, parent.decoded)
+	child.parents = g.edges.add(child.parents, parent, child.decoded)
 }
 
 func detachParent(child, parent *ssgNode) {
@@ -600,14 +611,19 @@ func (g *SSG) removeNode(n *ssgNode) {
 			}
 		}
 	}
-	n.parents = nil
-	children := n.children
-	n.children = nil
+	parents, children := n.parents, n.children
+	n.parents, n.children = nil, nil
 	for _, c := range children {
 		detachParent(c, n)
 		if len(c.parents) == 0 {
 			g.ensureRoot(c)
 		}
+	}
+	// No loop holds either array now: removal runs from expire and file
+	// only, never inside a traversal.
+	if !n.decoded {
+		g.edges.put(parents)
+		g.edges.put(children)
 	}
 	// The node struct itself may still sit on rootOrder, results, the
 	// folded lists or in another node's last until they are next walked
@@ -617,6 +633,75 @@ func (g *SSG) removeNode(n *ssgNode) {
 	g.pool.put(n.state)
 	n.state = nil
 	n.last = nil
+}
+
+// edgeLists recycles the nodes' edge arrays. A node's children and
+// parents die with it and nothing outside the graph holds them, so a
+// dead node's arrays, and an array outgrown by addEdge, are cleared
+// and kept for the next node's edges instead of left to the collector.
+//
+// An array is kept by its capacity class, 2^k for k < edgeClasses, and
+// growth moves a list to the next class, so any array of the right
+// class will do. Each class keeps at most edgeClassSlots>>k arrays in
+// a list whose capacity is fixed when it is made; the surplus, and any
+// array above the largest class, goes to the collector, so what the
+// lists hold is bounded by the classes, not by the churn. Arrays are
+// cleared when kept, so a free array pins no dead node. A list carved
+// from a decode arena (ssgNode.decoded) is never kept, and one whose
+// capacity is no class grows into one.
+type edgeLists struct {
+	free [edgeClasses][][]*ssgNode
+}
+
+const (
+	edgeClasses    = 7   // capacities 1 to 64
+	edgeClassSlots = 512 // node pointers a class keeps, over all its arrays
+)
+
+// add appends n to list, moving the list into a free array of the next
+// class when it is full. The outgrown array is kept unless fixed says
+// it is not the caller's to give away.
+func (e *edgeLists) add(list []*ssgNode, n *ssgNode, fixed bool) []*ssgNode {
+	if len(list) < cap(list) {
+		return append(list, n)
+	}
+	grown := append(e.get(bits.Len(uint(len(list)))), list...)
+	if !fixed {
+		e.put(list)
+	}
+	return append(grown, n)
+}
+
+// get returns an empty array of capacity 2^k, cleared.
+func (e *edgeLists) get(k int) []*ssgNode {
+	if k < edgeClasses {
+		if l := e.free[k]; len(l) > 0 {
+			a := l[len(l)-1]
+			l[len(l)-1] = nil
+			e.free[k] = l[:len(l)-1]
+			return a
+		}
+	}
+	return make([]*ssgNode, 0, 1<<k)
+}
+
+// put clears a and keeps it for reuse if its capacity is a class and
+// the class has room. The caller must hold the only reference to a.
+func (e *edgeLists) put(a []*ssgNode) {
+	c := cap(a)
+	k := bits.TrailingZeros(uint(c))
+	if c == 0 || c != 1<<k || k >= edgeClasses {
+		return
+	}
+	l := e.free[k]
+	if l == nil {
+		l = make([][]*ssgNode, 0, edgeClassSlots>>k)
+	}
+	if len(l) == cap(l) {
+		return
+	}
+	clear(a[:c])
+	e.free[k] = append(l, a[:0])
 }
 
 func (g *SSG) ensureRoot(n *ssgNode) {

@@ -68,6 +68,43 @@ func checkGraphInvariants(t *testing.T, g *SSG) {
 		}
 	}
 
+	// Edge storage: no two live edge lists, and no live list and a free
+	// array, share a backing array, and every free array is cleared to
+	// its capacity, so recycling neither aliases a list nor pins a node.
+	type holder struct {
+		n    *ssgNode // nil for a free array
+		list string
+	}
+	owner := make(map[**ssgNode]holder)
+	claim := func(a []*ssgNode, h holder) {
+		if cap(a) == 0 {
+			return
+		}
+		if prev, ok := owner[&a[:1][0]]; ok {
+			t.Fatalf("%s list of %p shares its backing array with the %s list of %p", h.list, h.n, prev.list, prev.n)
+		}
+		owner[&a[:1][0]] = h
+	}
+	for _, n := range g.nodes {
+		if n != nil {
+			claim(n.children, holder{n, "children"})
+			claim(n.parents, holder{n, "parents"})
+		}
+	}
+	for k, l := range g.edges.free {
+		for i, a := range l {
+			if len(a) != 0 || cap(a) != 1<<k {
+				t.Fatalf("free array %d of class %d has len %d, cap %d", i, k, len(a), cap(a))
+			}
+			for j, p := range a[:cap(a)] {
+				if p != nil {
+					t.Fatalf("free array %d of class %d holds a node at %d", i, k, j)
+				}
+			}
+			claim(a, holder{nil, "free"})
+		}
+	}
+
 	// Reachability: every live node must be reachable from a parentless
 	// node via parent chains (the traversal entry points).
 	for _, n := range g.nodes {

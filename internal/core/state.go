@@ -236,7 +236,9 @@ type State struct {
 	// frames then leaves a frame set whose closure still contains every
 	// blocker, so Objects is not maximal on it (Definition 4 holds).
 	// hasExtra false means no unmarked frame has been folded yet (the
-	// rest-closure is the universe).
+	// rest-closure is the universe); extra then holds no blockers, only
+	// storage a dead state left behind (statePool.put) for the first
+	// unmarked frame to build them in.
 	extra    objset.Set
 	hasExtra bool
 
@@ -277,11 +279,13 @@ func (s *State) fold(fid vr.FrameID, of objset.Set) bool {
 		return false // already present; blockers unchanged
 	}
 	if !s.hasExtra {
-		s.extra = of.Minus(s.Objects)
+		// extra's storage is this state's alone (see statePool.put), so
+		// the difference may be built in it.
+		s.extra = of.MinusInto(s.Objects, s.extra)
 		s.hasExtra = true
 	} else {
-		// extra is uniquely owned by this state (built by Minus above and
-		// only ever shrunk here), so the in-place, allocation-free
+		// extra is uniquely owned by this state (built by MinusInto above
+		// and only ever shrunk here), so the in-place, allocation-free
 		// intersection is safe.
 		s.extra.IntersectWith(of)
 	}
@@ -533,12 +537,15 @@ func (e *emitter) emit(states []*State, duration int, checkMarks bool) []*State 
 }
 
 // statePool recycles State storage across window slides: a state whose
-// frame set expired hands its struct and slice capacity to the next
-// state created, so steady-state churn stops hitting the allocator.
-// Pooled states must already be unreachable from the graph/table; the
-// Process contract (results valid only until the next call) makes the
-// recycling invisible to callers. Object sets are deliberately NOT
-// recycled — query.Match values share their backing storage.
+// frame set expired hands its struct, its frame list's capacity and its
+// blocker storage to the next state created, so steady-state churn
+// stops hitting the allocator. Pooled states must already be
+// unreachable from the graph/table; the Process contract (results valid
+// only until the next call) makes the recycling invisible to callers.
+// Blockers can be recycled because nothing outside the state ever
+// holds them: results carry Objects and frames only. Object sets are
+// deliberately NOT recycled — query.Match values share their backing
+// storage.
 type statePool struct {
 	free []*State
 }
@@ -557,8 +564,7 @@ func (p *statePool) put(s *State) {
 	s.frames.entries = s.frames.entries[:0]
 	s.frames.head = 0
 	s.frames.marks = 0
-	s.extra = objset.Set{}
-	s.hasExtra = false
+	s.hasExtra = false // extra's storage stays for the next blockers
 	s.agg = nil
 	p.free = append(p.free, s)
 }

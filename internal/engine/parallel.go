@@ -95,11 +95,13 @@ type Pool struct {
 	wg      sync.WaitGroup
 	closed  bool
 
-	// groupJobs and groupDone are processByGroup's, kept across batches
-	// (the pool is single-caller): one job per shard, whose out is that
-	// shard's result column, and the WaitGroup they signal.
-	groupJobs []poolJob
-	groupDone sync.WaitGroup
+	// jobs, jobDone and out are a batch's dispatch state, kept across
+	// batches (the pool is single-caller): one job per shard, the
+	// WaitGroup they signal, and processByFeed's shared result column.
+	// A ShardByGroup job's out is its shard's own column instead.
+	jobs    []poolJob
+	jobDone sync.WaitGroup
+	out     [][]query.Match
 }
 
 // poolWorker holds the engines of one shard. Its goroutine runs the
@@ -208,6 +210,7 @@ func newPoolShell(queries []cnf.Query, opts PoolOptions) *Pool {
 		}
 		p.workers = append(p.workers, w)
 	}
+	p.jobs = make([]poolJob, opts.Workers)
 	return p
 }
 
@@ -341,30 +344,39 @@ func (p *Pool) ProcessBatch(frames []FeedFrame) []FeedResult {
 // served batch always does: it carries one feed) runs on the calling
 // goroutine instead: a hand-off would only make the caller wait for the
 // worker.
+//
+// The column, the jobs with their frame and index lists, and the
+// WaitGroup are the pool's, reused from batch to batch, so a batch
+// allocates only what it hands back.
 func (p *Pool) processByFeed(frames []FeedFrame) []FeedResult {
-	out := make([][]query.Match, len(frames))
+	out := slices.Grow(p.out[:0], len(frames))[:len(frames)]
+	p.out = out
+	// The results are the caller's once assembled: the pool keeps no
+	// reference to them, nor to the batch's frames.
+	defer clear(out)
 	if s, ok := p.oneShard(frames); ok {
 		p.workers[s].process(&poolJob{frames: frames, out: out})
 		return assemble(frames, out)
 	}
-	var done sync.WaitGroup
-	jobs := make([]*poolJob, len(p.workers))
+	for s := range p.jobs {
+		job := &p.jobs[s]
+		job.frames, job.idx, job.out, job.done = job.frames[:0], job.idx[:0], out, &p.jobDone
+	}
 	for i, ff := range frames {
-		s := p.shardOf(ff.Feed)
-		if jobs[s] == nil {
-			jobs[s] = &poolJob{out: out, done: &done}
-		}
-		jobs[s].frames = append(jobs[s].frames, ff)
-		jobs[s].idx = append(jobs[s].idx, i)
+		job := &p.jobs[p.shardOf(ff.Feed)]
+		job.frames = append(job.frames, ff)
+		job.idx = append(job.idx, i)
 	}
-	for s, job := range jobs {
-		if job == nil {
-			continue
+	for s := range p.jobs {
+		if job := &p.jobs[s]; len(job.frames) > 0 {
+			p.jobDone.Add(1)
+			p.workers[s].in <- job
 		}
-		done.Add(1)
-		p.workers[s].in <- job
 	}
-	done.Wait()
+	p.jobDone.Wait()
+	for s := range p.jobs {
+		clear(p.jobs[s].frames)
+	}
 	return assemble(frames, out)
 }
 
@@ -392,18 +404,15 @@ func (p *Pool) oneShard(frames []FeedFrame) (int, bool) {
 // The jobs, their columns and the WaitGroup are the pool's, reused from
 // batch to batch, so a batch allocates only what it hands back.
 func (p *Pool) processByGroup(frames []FeedFrame) []FeedResult {
-	if p.groupJobs == nil {
-		p.groupJobs = make([]poolJob, len(p.workers))
-	}
-	jobs := p.groupJobs
+	jobs := p.jobs
 	for s, w := range p.workers {
 		job := &jobs[s]
-		job.frames, job.done = frames, &p.groupDone
+		job.frames, job.done = frames, &p.jobDone
 		job.out = slices.Grow(job.out[:0], len(frames))[:len(frames)]
-		p.groupDone.Add(1)
+		p.jobDone.Add(1)
 		w.in <- job
 	}
-	p.groupDone.Wait()
+	p.jobDone.Wait()
 
 	// A shard's column entry is its engine's caller-owned result, so a
 	// frame only one shard matched keeps that slice without a copy.

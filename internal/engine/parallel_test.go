@@ -354,6 +354,41 @@ func TestPoolGroupDispatchAllocFree(t *testing.T) {
 	}
 }
 
+// TestPoolFeedDispatchAllocFree pins what a ShardByFeed batch that
+// spans shards costs the pool itself: on a warm two-shard pool, a batch
+// of empty frames over two feeds, one on each shard, allocates nothing,
+// which is all the batch hands back. The result column, the jobs with
+// their frame and index lists, and the WaitGroup are the pool's, kept
+// from batch to batch.
+func TestPoolFeedDispatchAllocFree(t *testing.T) {
+	p, err := NewPool(poolQueries(t), PoolOptions{Workers: 2, Mode: ShardByFeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	batch := make([]FeedFrame, 8)
+	next := [2]vr.FrameID{}
+	feed := func() {
+		for i := range batch {
+			f := FeedID(i % 2)
+			batch[i] = FeedFrame{Feed: f, Frame: vr.Frame{FID: next[f]}}
+			next[f]++
+		}
+		if _, one := p.oneShard(batch); one {
+			t.Fatal("the batch maps to one shard")
+		}
+		if res := p.ProcessBatch(batch); len(res) != 0 {
+			t.Fatalf("empty frames matched: %v", res)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		feed()
+	}
+	if n := testing.AllocsPerRun(100, feed); n != 0 {
+		t.Errorf("a warm two-feed batch of empty frames allocates %.1f times, want 0", n)
+	}
+}
+
 // TestMatchesConcatenateInGroupOrder: when more than one window group
 // (or group shard) matches a frame, the frame's matches are the groups'
 // matches back to back in ascending window order, exactly as engines

@@ -735,42 +735,82 @@ func (s Set) Union(t Set) Set {
 // like State.fold retain the difference in long-lived state, and an
 // aliased fast-path result would couple that state to the producer's
 // reuse of s (the PR 5 bug class).
-func (s Set) Minus(t Set) Set {
-	if s.IsEmpty() {
+func (s Set) Minus(t Set) Set { return s.MinusInto(t, Set{}) }
+
+// MinusInto returns s \ t in the representation Compact picks for it,
+// built in spare's storage when that has room and in one exactly sized
+// allocation otherwise. spare's members do not matter, but its storage
+// must be uniquely owned by the caller — typically a dead result of an
+// earlier Minus or MinusInto — and it must not be used afterwards: the
+// result may overwrite it. Like Minus, the result never aliases s or t.
+func (s Set) MinusInto(t Set, spare Set) Set {
+	// The first pass counts the survivors and finds their span, which
+	// decide the representation; the second writes them.
+	n, first, last := 0, ID(0), ID(0)
+	c := newMinusCursor(s, t)
+	for id, ok := c.next(); ok; id, ok = c.next() {
+		if n == 0 {
+			first = id
+		}
+		last, n = id, n+1
+	}
+	if n == 0 {
 		return Set{}
 	}
-	if t.IsEmpty() {
-		return s.Clone()
+	c = newMinusCursor(s, t)
+	if nwords := int(last/64-first/64) + 1; denseWorthwhile(n, nwords) {
+		w := spare.words[:0]
+		if cap(w) < nwords {
+			w = make([]uint64, nwords)
+		} else {
+			w = w[:nwords]
+			clear(w)
+		}
+		off := first &^ 63
+		for id, ok := c.next(); ok; id, ok = c.next() {
+			w[(id-off)/64] |= 1 << ((id - off) % 64)
+		}
+		return Set{words: w, off: off, card: int32(n)}
 	}
-	if s.words == nil && t.words == nil {
-		a, b := s.ids, t.ids
-		var out []ID
-		i, j := 0, 0
-		for i < len(a) {
-			switch {
-			case j >= len(b) || a[i] < b[j]:
-				out = append(out, a[i])
-				i++
-			case a[i] > b[j]:
-				j++
-			default:
-				i++
-				j++
+	ids := spare.ids[:0]
+	if cap(ids) < n {
+		ids = make([]ID, 0, n)
+	}
+	for id, ok := c.next(); ok; id, ok = c.next() {
+		ids = append(ids, id)
+	}
+	return Set{ids: ids}
+}
+
+// minusCursor yields the members of s that t lacks, in increasing order:
+// a merge against a sparse t, a bit probe into a dense one.
+type minusCursor struct {
+	s cursor
+	t Set
+	j int // next unread id of a sparse t
+}
+
+func newMinusCursor(s, t Set) minusCursor { return minusCursor{s: newCursor(s), t: t} }
+
+func (m *minusCursor) next() (ID, bool) {
+	for {
+		id, ok := m.s.next()
+		if !ok {
+			return 0, false
+		}
+		if m.t.words != nil {
+			if !m.t.Contains(id) {
+				return id, true
 			}
+			continue
 		}
-		return Compact(Set{ids: out})
-	}
-	out := make([]ID, 0, s.Len())
-	sc := newCursor(s)
-	for id, ok := sc.next(); ok; id, ok = sc.next() {
-		if !t.Contains(id) {
-			out = append(out, id)
+		for m.j < len(m.t.ids) && m.t.ids[m.j] < id {
+			m.j++
+		}
+		if m.j == len(m.t.ids) || m.t.ids[m.j] != id {
+			return id, true
 		}
 	}
-	if len(out) == 0 {
-		return Set{}
-	}
-	return Compact(Set{ids: out})
 }
 
 // SubsetOf reports whether s ⊆ t. It never allocates.

@@ -592,3 +592,86 @@ func TestMinusResultOwned(t *testing.T) {
 		t.Fatalf("Empty \\ x = %v, want empty", got)
 	}
 }
+
+// TestMinusIntoMatchesCompact: on every representation pairing and with
+// spare storage of either form, too small or roomy, MinusInto returns
+// s ∖ t in exactly the representation Compact picks for the difference,
+// in storage that aliases neither operand.
+func TestMinusIntoMatchesCompact(t *testing.T) {
+	r := rand.New(rand.NewSource(40))
+	spares := func() []Set {
+		return []Set{
+			{},
+			{ids: make([]ID, 1, 2)},
+			{ids: make([]ID, 0, 64)},
+			{words: make([]uint64, 1), off: 0, card: 1},
+			{words: make([]uint64, 3, 80), off: 64, card: 2},
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		a, b := randWideSet(r), randWideSet(r)
+		var ref []ID
+		for _, id := range a.IDs() {
+			if !b.Contains(id) {
+				ref = append(ref, id)
+			}
+		}
+		want := Compact(FromSorted(ref))
+		for _, av := range reprs(a) {
+			for _, bv := range reprs(b) {
+				for k, spare := range spares() {
+					for j := range spare.words {
+						spare.words[j] = ^uint64(0) // stale members must not leak
+					}
+					got := av.MinusInto(bv, spare)
+					if !got.Equal(want) || (got.words != nil) != (want.words != nil) || (got.ids == nil) != (want.ids == nil) {
+						t.Fatalf("%v \\ %v into spare %d = %#v, want %#v", av, bv, k, got, want)
+					}
+					if got.Len() > 0 && (aliases(got, av) || aliases(got, bv)) {
+						t.Fatalf("%v \\ %v aliases an operand", av, bv)
+					}
+				}
+			}
+		}
+	}
+}
+
+// aliases reports whether s's storage begins inside t's.
+func aliases(s, t Set) bool {
+	in := func(p *ID, ids []ID) bool {
+		for i := range ids {
+			if p == &ids[i] {
+				return true
+			}
+		}
+		return false
+	}
+	inw := func(p *uint64, ws []uint64) bool {
+		for i := range ws {
+			if p == &ws[i] {
+				return true
+			}
+		}
+		return false
+	}
+	return len(s.ids) > 0 && in(&s.ids[0], t.ids) || len(s.words) > 0 && inw(&s.words[0], t.words)
+}
+
+// TestMinusIntoReusesSpare: a spare of the difference's form with room
+// for it takes the whole difference, without an allocation.
+func TestMinusIntoReusesSpare(t *testing.T) {
+	s, u := New(1, 5, 9, 200), New(5)
+	sparse := Set{ids: make([]ID, 0, 8)}
+	if n := testing.AllocsPerRun(50, func() { sparse = s.MinusInto(u, sparse) }); n != 0 || sparse.ids == nil {
+		t.Errorf("sparse difference into a roomy spare: %.0f allocations, %#v", n, sparse)
+	}
+	var ids []ID
+	for id := ID(0); id < 40; id++ {
+		ids = append(ids, id)
+	}
+	d, v := New(ids...), New(3, 4)
+	dense := Set{words: make([]uint64, 0, 2)}
+	if n := testing.AllocsPerRun(50, func() { dense = d.MinusInto(v, dense) }); n != 0 || dense.words == nil {
+		t.Errorf("dense difference into a roomy spare: %.0f allocations, %#v", n, dense)
+	}
+}

@@ -67,6 +67,12 @@ type Session struct {
 	// teardown — everything that touches the processor.
 	procMu sync.Mutex
 
+	// one is ProcessFrame's batch, filled and cleared under procMu.
+	// Nothing downstream keeps a batch slice past the call: the reorder
+	// stage copies the frames it buffers, and a pool drops its
+	// references to the batch before it returns.
+	one [1]FeedFrame
+
 	// mu guards the subscription table and lifecycle flags; it is
 	// never held across a Deliver call, so sink consumers can cancel
 	// subscriptions without deadlocking a blocked delivery.
@@ -229,7 +235,11 @@ func (s *Session) processLocked(frames []FeedFrame) ([]FeedFrame, []FeedResult, 
 // ProcessFrame is Process for a single frame of feed 0, returning just
 // its matches.
 func (s *Session) ProcessFrame(f Frame) ([]Match, error) {
-	results, err := s.Process([]FeedFrame{{Frame: f}})
+	s.procMu.Lock()
+	defer s.procMu.Unlock()
+	s.one[0] = FeedFrame{Frame: f}
+	_, results, err := s.processLocked(s.one[:])
+	s.one[0] = FeedFrame{} // the frame's storage is the caller's again
 	if len(results) > 0 {
 		return results[0].Matches, err
 	}

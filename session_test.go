@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"tvq"
+	"tvq/internal/engine"
 )
 
 // sessionTrace builds a small deterministic feed: one car throughout,
@@ -497,4 +498,45 @@ func TestResumeCrossChecks(t *testing.T) {
 		t.Fatalf("matching method rejected: %v", err)
 	}
 	ok.Close()
+}
+
+// TestSessionProcessFrameAllocsLikeEngine: on a warm single-engine
+// session, ProcessFrame of a frame no query matches allocates no more
+// than Engine.ProcessFrame of the same frame does. The session adds no
+// batch of its own per call: its one-frame batch is kept on it.
+func TestSessionProcessFrameAllocsLikeEngine(t *testing.T) {
+	q := tvq.MustQuery(1, "car >= 3", 10, 5)
+	s, err := tvq.Open(nil, tvq.WithQueries(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	eng, err := engine.New([]tvq.Query{q}, engine.Options{Registry: tvq.StandardRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The trace's steady stretch repeats one object set, so a warm
+	// generator creates nothing and both sides see the same work.
+	f := sessionTrace(t).Frame(40)
+	var sessFID, engFID tvq.FrameID
+	viaSession := func() {
+		f.FID, sessFID = sessFID, sessFID+1
+		if ms, err := s.ProcessFrame(f); err != nil || len(ms) != 0 {
+			t.Fatalf("ProcessFrame = %v, %v; want no matches", ms, err)
+		}
+	}
+	viaEngine := func() {
+		f.FID, engFID = engFID, engFID+1
+		if ms := eng.ProcessFrame(f); len(ms) != 0 {
+			t.Fatalf("Engine.ProcessFrame matched: %v", ms)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		viaSession()
+		viaEngine()
+	}
+	sess, alone := testing.AllocsPerRun(200, viaSession), testing.AllocsPerRun(200, viaEngine)
+	if sess > alone {
+		t.Errorf("Session.ProcessFrame allocates %.2f per frame, Engine.ProcessFrame %.2f", sess, alone)
+	}
 }
