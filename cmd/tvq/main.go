@@ -48,6 +48,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -83,23 +84,35 @@ type config struct {
 	path       string
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command on the arguments args, writing matches and the
+// summary to stdout and diagnostics to stderr; it returns the exit
+// status: 2 for a flag error, 1 for a failed run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tvq", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		queries    queryFlags
-		window     = flag.Int("w", 300, "window size in frames")
-		duration   = flag.Int("d", 240, "duration threshold in frames")
-		method     = flag.String("method", "ssg", "state maintenance: naive, mfs or ssg")
-		prune      = flag.Bool("prune", false, "enable result-driven pruning (>=-only query sets)")
-		format     = flag.String("format", "", "trace format: csv, jsonl or binary (default: from extension)")
-		stream     = flag.Bool("stream", false, "decode the trace frame by frame (jsonl or binary) instead of loading it into memory")
-		quiet      = flag.Bool("quiet", false, "print only the match count")
-		workers    = flag.Int("workers", 1, "engine shards; above 1 runs a pooled session over the window groups")
-		checkpoint = flag.String("checkpoint", "", "snapshot session state to this path periodically (see -every)")
-		every      = flag.String("every", "1000", "checkpoint cadence: a frame count (\"500\") or a wall-clock duration (\"30s\")")
-		resume     = flag.String("resume", "", "restore session state from this snapshot and continue the trace")
+		window     = fs.Int("w", 300, "window size in frames")
+		duration   = fs.Int("d", 240, "duration threshold in frames")
+		method     = fs.String("method", "ssg", "state maintenance: naive, mfs or ssg")
+		prune      = fs.Bool("prune", false, "enable result-driven pruning (>=-only query sets)")
+		format     = fs.String("format", "", "trace format: csv, jsonl or binary (default: from extension)")
+		stream     = fs.Bool("stream", false, "decode the trace frame by frame (jsonl or binary) instead of loading it into memory")
+		quiet      = fs.Bool("quiet", false, "print only the match count")
+		workers    = fs.Int("workers", 1, "engine shards; above 1 runs a pooled session over the window groups")
+		checkpoint = fs.String("checkpoint", "", "snapshot session state to this path periodically (see -every)")
+		every      = fs.String("every", "1000", "checkpoint cadence: a frame count (\"500\") or a wall-clock duration (\"30s\")")
+		resume     = fs.String("resume", "", "restore session state from this snapshot and continue the trace")
 	)
-	flag.Var(&queries, "q", "query text (repeatable), e.g. \"car >= 1 AND person >= 2\"; append \"@ w:d\" for a per-query window")
-	flag.Parse()
+	fs.Var(&queries, "q", "query text (repeatable), e.g. \"car >= 1 AND person >= 2\"; append \"@ w:d\" for a per-query window")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	cfg := config{
 		queries:    queries,
@@ -114,9 +127,9 @@ func main() {
 		checkpoint: *checkpoint,
 		every:      *every,
 		resume:     *resume,
-		path:       flag.Arg(0),
+		path:       fs.Arg(0),
 	}
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "method":
 			cfg.methodSet = true
@@ -125,13 +138,15 @@ func main() {
 		}
 	})
 
-	if err := run(cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "tvq:", err)
-		os.Exit(1)
+	if err := query(cfg, stdout, stderr); err != nil {
+		fmt.Fprintln(stderr, "tvq:", err)
+		return 1
 	}
+	return 0
 }
 
-func run(cfg config) error {
+// query runs the configured queries over the trace.
+func query(cfg config, stdout, stderr io.Writer) error {
 	if len(cfg.queries) == 0 && cfg.resume == "" {
 		return fmt.Errorf("no queries; pass at least one -q (or -resume a snapshot)")
 	}
@@ -139,7 +154,7 @@ func run(cfg config) error {
 		return fmt.Errorf("no trace path; pass a file or - for stdin")
 	}
 
-	sess, err := openSession(cfg)
+	sess, err := openSession(cfg, stderr)
 	if err != nil {
 		return err
 	}
@@ -152,7 +167,7 @@ func run(cfg config) error {
 
 	start := sess.NextFID(0)
 	if start > 0 {
-		fmt.Fprintf(os.Stderr, "tvq: resumed at frame %d (%d frames already processed)\n", start, start)
+		fmt.Fprintf(stderr, "tvq: resumed at frame %d (%d frames already processed)\n", start, start)
 	}
 
 	// Assemble the frame source: streamed through the codec's per-frame
@@ -208,7 +223,7 @@ func run(cfg config) error {
 		for _, m := range ms {
 			total++
 			if !cfg.quiet {
-				fmt.Printf("frame %d: %s\n", f.FID, tvq.FormatMatch(m))
+				fmt.Fprintf(stdout, "frame %d: %s\n", f.FID, tvq.FormatMatch(m))
 			}
 		}
 	}
@@ -224,14 +239,14 @@ func run(cfg config) error {
 	if err := sess.Close(); err != nil { // writes the final checkpoint
 		return err
 	}
-	fmt.Printf("%d matches over %d frames (%d queries, method=%s)\n",
+	fmt.Fprintf(stdout, "%d matches over %d frames (%d queries, method=%s)\n",
 		total, frames, nqueries, method)
 	return nil
 }
 
 // openSession assembles the session options from the flags: a fresh
 // Open for a normal run, a Resume when -resume points at a snapshot.
-func openSession(cfg config) (*tvq.Session, error) {
+func openSession(cfg config, stderr io.Writer) (*tvq.Session, error) {
 	ctx := context.Background()
 	opts := []tvq.Option{tvq.WithRegistry(tvq.StandardRegistry())}
 	if cfg.checkpoint != "" {
@@ -275,7 +290,7 @@ func openSession(cfg config) (*tvq.Session, error) {
 		return nil, err
 	}
 	if cfg.workers > 1 && sess.Workers() < cfg.workers {
-		fmt.Fprintf(os.Stderr,
+		fmt.Fprintf(stderr,
 			"tvq: note: %d workers requested but only %d usable; parallelism is bounded by distinct window sizes — give queries different \"@ w:d\" windows to shard wider\n",
 			cfg.workers, sess.Workers())
 	}

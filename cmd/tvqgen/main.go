@@ -13,41 +13,59 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"tvq"
 )
 
-func main() {
-	var (
-		dataset  = flag.String("dataset", "", "standard dataset profile (V1, V2, D1, D2, M1, M2); empty = custom profile from -frames/-objects/-fpo/-opo")
-		frames   = flag.Int("frames", 1000, "custom profile: total frames")
-		objects  = flag.Int("objects", 100, "custom profile: unique objects")
-		fpo      = flag.Float64("fpo", 50, "custom profile: mean frames per object")
-		opo      = flag.Float64("opo", 3, "custom profile: mean occlusions per object")
-		moving   = flag.Bool("moving", false, "custom profile: moving-camera arrival bursts")
-		seed     = flag.Int64("seed", 1, "generation seed")
-		po       = flag.Int("po", 0, "occlusion parameter: reuse each object id up to po times")
-		miss     = flag.Float64("miss", 0, "tracker noise: per-object-frame detection miss probability")
-		swtch    = flag.Float64("switch", 0, "tracker noise: per-object-frame identity switch probability")
-		fp       = flag.Float64("fp", 0, "tracker noise: expected false positives per frame")
-		format   = flag.String("format", "csv", "output format: csv, jsonl or binary")
-		out      = flag.String("o", "-", "output path; - for stdout")
-		stats    = flag.Bool("stats", false, "print dataset statistics instead of the trace")
-		disorder = flag.Int("disorder", 0, "emit frames in a bounded-shuffle order: no frame displaced more than this many positions (jsonl/binary only)")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if err := run(*dataset, *frames, *objects, *fpo, *opo, *moving, *seed, *po,
-		*miss, *swtch, *fp, *format, *out, *stats, *disorder); err != nil {
-		fmt.Fprintln(os.Stderr, "tvqgen:", err)
-		os.Exit(1)
+// run is the command on the arguments args, writing the trace (or the
+// statistics) to stdout unless -o names a file, and diagnostics to
+// stderr; it returns the exit status: 2 for a flag error, 1 for a
+// failed run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tvqgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		dataset  = fs.String("dataset", "", "standard dataset profile (V1, V2, D1, D2, M1, M2); empty = custom profile from -frames/-objects/-fpo/-opo")
+		frames   = fs.Int("frames", 1000, "custom profile: total frames")
+		objects  = fs.Int("objects", 100, "custom profile: unique objects")
+		fpo      = fs.Float64("fpo", 50, "custom profile: mean frames per object")
+		opo      = fs.Float64("opo", 3, "custom profile: mean occlusions per object")
+		moving   = fs.Bool("moving", false, "custom profile: moving-camera arrival bursts")
+		seed     = fs.Int64("seed", 1, "generation seed")
+		po       = fs.Int("po", 0, "occlusion parameter: reuse each object id up to po times")
+		miss     = fs.Float64("miss", 0, "tracker noise: per-object-frame detection miss probability")
+		swtch    = fs.Float64("switch", 0, "tracker noise: per-object-frame identity switch probability")
+		fp       = fs.Float64("fp", 0, "tracker noise: expected false positives per frame")
+		format   = fs.String("format", "csv", "output format: csv, jsonl or binary")
+		out      = fs.String("o", "-", "output path; - for stdout")
+		stats    = fs.Bool("stats", false, "print dataset statistics instead of the trace")
+		disorder = fs.Int("disorder", 0, "emit frames in a bounded-shuffle order: no frame displaced more than this many positions (jsonl/binary only)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+
+	if err := generate(stdout, *dataset, *frames, *objects, *fpo, *opo, *moving, *seed, *po,
+		*miss, *swtch, *fp, *format, *out, *stats, *disorder); err != nil {
+		fmt.Fprintln(stderr, "tvqgen:", err)
+		return 1
+	}
+	return 0
 }
 
-func run(dataset string, frames, objects int, fpo, opo float64, moving bool,
+// generate writes the trace the flags describe to out, or to stdout
+// when out is "-".
+func generate(stdout io.Writer, dataset string, frames, objects int, fpo, opo float64, moving bool,
 	seed int64, po int, miss, swtch, fp float64, format, out string, stats bool, disorder int) error {
 
 	if disorder < 0 {
@@ -88,12 +106,12 @@ func run(dataset string, frames, objects int, fpo, opo float64, moving bool,
 
 	if stats {
 		st := tvq.ComputeStats(trace)
-		fmt.Printf("dataset=%s frames=%d objects=%d obj/frame=%.2f occ/obj=%.2f frames/obj=%.2f\n",
+		fmt.Fprintf(stdout, "dataset=%s frames=%d objects=%d obj/frame=%.2f occ/obj=%.2f frames/obj=%.2f\n",
 			profile.Name, st.Frames, st.Objects, st.ObjPerFrame, st.OccPerObj, st.FramesPerObj)
 		return nil
 	}
 
-	w := os.Stdout
+	w := stdout
 	if out != "-" {
 		f, err := os.Create(out)
 		if err != nil {

@@ -105,25 +105,24 @@ func (s *Session) Watermark(feed FeedID) FrameID {
 }
 
 // reorderLocked (procMu held) routes one arrival batch through the
-// per-feed reorder buffers and returns the released frames — the
-// in-order stream the processor dispatches. Buffers are created lazily
-// per feed, starting at the processor's cursor. A LateError-policy
+// per-feed reorder buffers and appends the released frames — the
+// in-order stream the processor dispatches — to out. Buffers are created
+// lazily per feed, starting at the processor's cursor. A LateError-policy
 // rejection returns the frames released before it (they left the
 // buffers and must still reach the engines) together with the error.
-func (s *Session) reorderLocked(frames []FeedFrame) ([]FeedFrame, error) {
-	out := make([]FeedFrame, 0, len(frames))
-	scratch := make([]vr.Frame, 0, len(frames))
+func (s *Session) reorderLocked(frames []FeedFrame, out []FeedFrame) ([]FeedFrame, error) {
 	for _, ff := range frames {
 		b := s.reorder[ff.Feed]
 		if b == nil {
 			b = reorder.New(s.cfg.disorder, s.cfg.late, s.proc.NextFID(ff.Feed))
 			s.reorder[ff.Feed] = b
 		}
-		released, err := b.Push(ff.Frame, scratch[:0])
+		released, err := b.Push(ff.Frame, s.pushed[:0])
 		for _, f := range released {
 			out = append(out, FeedFrame{Feed: ff.Feed, Frame: f})
 		}
-		scratch = released[:0] // keep grown capacity for the next push
+		clear(released)
+		s.pushed = released[:0] // keep grown capacity for the next push
 		if err != nil {
 			return out, fmt.Errorf("tvq: feed %d: %w", ff.Feed, err)
 		}

@@ -142,8 +142,8 @@ func encodeState(w *snapshot.Writer, s *State, minFID vr.FrameID) {
 		w.Varint(e.fid)
 		w.Bool(e.marked)
 	}
-	w.Bool(s.hasExtra)
-	if s.hasExtra {
+	w.Bool(s.frames.hasExtra)
+	if s.frames.hasExtra {
 		encodeSet(w, s.extra)
 	}
 	w.Bool(false)
@@ -165,11 +165,12 @@ func (sl *slabs) state(r *snapshot.Reader, next vr.FrameID) *State {
 			return s
 		}
 		s.frames.entries = append(s.frames.entries, frameEntry{fid: fid, marked: marked})
+		s.frames.sum += mixFID(fid)
 		if marked {
 			s.frames.marks++
 		}
 	}
-	if s.hasExtra = r.Bool(); s.hasExtra {
+	if s.frames.hasExtra = r.Bool(); s.frames.hasExtra {
 		if s.extra = sl.set(r); s.extra.Intersects(s.Objects) {
 			r.Fail("state %s has blockers %s among its objects", s.Objects, s.extra)
 		}

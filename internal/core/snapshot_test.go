@@ -148,7 +148,7 @@ func TestGeneratorSnapshotResume(t *testing.T) {
 				pruned = pruned || m.StatesPruned > 0
 				terminated = terminated || m.StatesTerminated > 0
 				for _, s := range generatorStates(restored) {
-					extra = extra || s.hasExtra
+					extra = extra || s.frames.hasExtra
 				}
 
 				for _, f := range frames[cut:] {

@@ -31,7 +31,9 @@ import (
 //     test applied to A: a node disjoint from A is skipped with its
 //     subtree, a node meeting A gets the full prune → intersect with F →
 //     apply step. Every state meeting A is reached, because its
-//     ancestors are supersets and meet A too.
+//     ancestors are supersets and meet A too. A node whose parent's
+//     IDparent ∩ F is a subset of it has that same intersection, so it
+//     takes the parent's target without intersecting (see maintain).
 //
 // On the first frame and after an empty frame the under-list is empty
 // and A = F: that case is the paper's ST. Each node carries a 64-bit
@@ -78,6 +80,10 @@ type SSG struct {
 	resultsNext []*ssgNode
 
 	metrics Metrics
+	// inherited counts the nodes maintain decided by their parent's
+	// target rather than by an intersection; it is not a Metrics field,
+	// so snapshots do not carry it.
+	inherited int64
 
 	// window buffers the object set of each live frame for the marking
 	// rule (State.fold) when parents' frames merge into new states, and
@@ -292,7 +298,7 @@ func (g *SSG) traverse(f vr.Frame, prev objset.Set) {
 			g.foldFrame(n, f)
 			continue
 		}
-		g.maintain(n, f)
+		g.maintain(n, f, nil)
 	}
 
 	// Step 2: Algorithm 1 from the roots, entering only subtrees an
@@ -300,7 +306,7 @@ func (g *SSG) traverse(f vr.Frame, prev objset.Set) {
 	if !arrivals.IsEmpty() {
 		asig := arrivals.Sig()
 		for _, r := range g.liveRoots() {
-			g.visit(r, f, arrivals, asig)
+			g.visit(r, f, arrivals, asig, nil)
 		}
 	}
 
@@ -340,8 +346,10 @@ func (g *SSG) change(cur, prev objset.Set) (arrivals objset.Set, departed uint64
 // visited this frame: a node no arrival touches is skipped together with
 // its subtree — the SSG pruning step, on A instead of F. asig is A's
 // signature; a node whose signature misses it is turned away without
-// loading its state.
-func (g *SSG) visit(n *ssgNode, f vr.Frame, arrivals objset.Set, asig uint64) {
+// loading its state. inh is the node the parent resolved to this frame,
+// IDparent ∩ F, or nil (see maintain); n passes its own on to its
+// children.
+func (g *SSG) visit(n *ssgNode, f vr.Frame, arrivals objset.Set, asig uint64, inh *ssgNode) {
 	n.visited = f.FID
 	g.metrics.Intersections++
 	if n.sig&asig == 0 || !n.state.Objects.Intersects(arrivals) {
@@ -355,14 +363,14 @@ func (g *SSG) visit(n *ssgNode, f vr.Frame, arrivals objset.Set, asig uint64) {
 	base := len(g.stack)
 	g.stack = append(g.stack, n.children...)
 	end := len(g.stack)
-	g.maintain(n, f)
+	inh = g.maintain(n, f, inh)
 
 	// A target just attached under n needs no visit of its own (its
 	// bookkeeping happened at creation); any children it acquired were
 	// re-homed siblings already present in the snapshot.
 	for i := base; i < end; i++ {
 		if c := g.stack[i]; c.visited != f.FID {
-			g.visit(c, f, arrivals, asig)
+			g.visit(c, f, arrivals, asig, inh)
 		}
 	}
 	g.stack = g.stack[:base]
@@ -370,24 +378,43 @@ func (g *SSG) visit(n *ssgNode, f vr.Frame, arrivals objset.Set, asig uint64) {
 
 // maintain is what a frame does to one node (Algorithm 1 lines 3-5):
 // materialize IDn ∩ F and fold the frame into it. Invalid nodes were
-// removed before the traversal started (see expire).
-func (g *SSG) maintain(n *ssgNode, f vr.Frame) {
+// removed before the traversal started (see expire). It returns the node
+// holding IDn ∩ F — n itself when n ⊆ F — or nil when that is empty or
+// the §5.3 strategy terminated it.
+//
+// inh, when not nil, is that node for a parent of n, IDparent ∩ F. If
+// inh ⊆ IDn it is also IDn ∩ F: IDn ⊂ IDparent gives IDn ∩ F ⊆ inh, and
+// inh ⊆ F gives inh ⊆ IDn ∩ F. The subset test then decides the node
+// without the intersection, the check of last or the interner; it counts
+// as the intersection it replaces.
+func (g *SSG) maintain(n *ssgNode, f vr.Frame, inh *ssgNode) *ssgNode {
 	g.metrics.Intersections++
+	if inh != nil && inh.sig&^n.sig == 0 && inh.state.Objects.SubsetOf(n.state.Objects) {
+		g.inherited++
+		if inh == n {
+			g.foldFrame(n, f)
+		} else {
+			g.foldInto(inh, n, f)
+			n.last = inh
+		}
+		return inh
+	}
 	inter := n.state.Objects.IntersectInto(f.Objects, &g.buf)
 	if inter.IsEmpty() {
-		return
+		return nil
 	}
 	if inter.Len() == n.state.Objects.Len() {
 		// Step 3 of the Graph Maintenance Procedure: inter ⊆ IDn, so equal
 		// sizes mean the node itself co-occurs in the arriving frame.
 		g.foldFrame(n, f)
-		return
+		return n
 	}
 	if t := n.last; t != nil && !t.dead && t.state.Objects.Equal(inter) {
 		g.foldInto(t, n, f)
-		return
+		return t
 	}
 	n.last = g.target(n, inter, f)
+	return n.last
 }
 
 // target finds or creates the node for inter = IDn ∩ F, a proper subset

@@ -238,6 +238,64 @@ func TestSSGSubtreePruningSavesWork(t *testing.T) {
 	}
 }
 
+// TestSSGInheritsParentTarget walks the smallest graph in which step 2
+// decides a node by its parent's target. R = {1 2 3 4} is the root and
+// C = {1 2 3} its child; frame 3 brings back object 2, so the traversal
+// visits R, whose intersection {1 2} is a new node T, and then C, whose
+// intersection is T again: C must take T from R without intersecting,
+// and T must hold every frame of C it lacked (it was created this frame).
+// T sits under C (it is a subset of C), so its own visit inherits T from
+// C: two nodes decided by inheritance.
+// A random feed then checks that inheritance keeps the results of the
+// generators that do not inherit.
+func TestSSGInheritsParentTarget(t *testing.T) {
+	g := NewSSG(Config{Window: 10, Duration: 1})
+	for fid, ids := range [][]objset.ID{{1, 2, 3, 4}, {1, 2, 3, 5}, {1}, {1, 2}} {
+		g.Process(vr.Frame{FID: vr.FrameID(fid), Objects: objset.New(ids...)})
+	}
+	checkGraphInvariants(t, g)
+	c, tn := lookupNode(g, objset.New(1, 2, 3)), lookupNode(g, objset.New(1, 2))
+	if c == nil || tn == nil {
+		t.Fatal("missing C or T")
+	}
+	if g.inherited != 2 || c.last != tn {
+		t.Fatalf("inherited %d, C.last is T: %v; want 2 and true", g.inherited, c.last == tn)
+	}
+	if got := tn.state.Frames(); !slices.Equal(got, []vr.FrameID{0, 1, 3}) {
+		t.Errorf("T frames %v, want [0 1 3]", got)
+	}
+
+	r := rand.New(rand.NewSource(44))
+	var feed []vr.Frame
+	var ids []objset.ID
+	for fid := 0; fid < 150; fid++ {
+		// A drifting crowd: each frame keeps most of the previous one,
+		// so arrivals are few and subtrees deep, which is where a
+		// parent's target is inherited.
+		keep := []objset.ID{}
+		for _, id := range ids {
+			if r.Intn(5) > 0 {
+				keep = append(keep, id)
+			}
+		}
+		for i := r.Intn(3); i >= 0; i-- {
+			keep = append(keep, objset.ID(r.Intn(16)))
+		}
+		ids = keep
+		feed = append(feed, vr.Frame{FID: vr.FrameID(fid), Objects: objset.New(ids...)})
+	}
+	cfg := Config{Window: 20, Duration: 3}
+	diffAgainstOracle(t, cfg, feed)
+	ssg := NewSSG(cfg)
+	for _, f := range feed {
+		ssg.Process(f)
+	}
+	checkGraphInvariants(t, ssg)
+	if ssg.inherited == 0 {
+		t.Error("no node inherited its parent's target on the random feed")
+	}
+}
+
 // TestSSGLongRunMemoryBounded checks that expiry keeps the graph bounded
 // over long runs, including the nodes no frame reaches any more: the
 // expiry ring, not the traversal, must remove them.
@@ -342,6 +400,15 @@ func TestSSGStateCountAndName(t *testing.T) {
 func TestSSGNodeSize(t *testing.T) {
 	if n := unsafe.Sizeof(ssgNode{}); n != 112 {
 		t.Fatalf("ssgNode is %d bytes, want 112", n)
+	}
+}
+
+// TestStateSize pins State at 176 bytes, a malloc size class: one more
+// word moves every state into the 192-byte class, and states are created
+// and recycled every frame. frameList.hasExtra is what keeps it there.
+func TestStateSize(t *testing.T) {
+	if n := unsafe.Sizeof(State{}); n != 176 {
+		t.Fatalf("State is %d bytes, want 176", n)
 	}
 }
 

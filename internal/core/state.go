@@ -76,10 +76,20 @@ type frameEntry struct {
 // never grows while it holds expired entries — re-slicing the head away
 // instead would leak capacity one window slide at a time and force a
 // steady trickle of reallocations on append.
+//
+// The list also keeps the hash of its frame set, Σ mixFID(fid) over the
+// live entries, updated by the entry an insert adds and by each entry an
+// expiry drops, so hashing a frame set at emission costs nothing however
+// long it is. Snapshots do not carry it; decode rebuilds it.
 type frameList struct {
 	entries []frameEntry
-	head    int32 // 32 bits each: a wider pair moves State up a size class
-	marks   int32 // number of marked live entries
+	head    int32  // 32 bits each: a wider field moves State up a size class
+	marks   int32  // number of marked live entries
+	sum     uint32 // Σ mixFID over the live entries, mod 2^32; see hash
+	// hasExtra is the owning State's flag (see State.extra), kept here in
+	// the padding after sum: as a State field it would move State from the
+	// 176-byte size class to the 192-byte one.
+	hasExtra bool
 }
 
 // live returns the unexpired entries, oldest first. The slice aliases the
@@ -126,6 +136,7 @@ func (fl *frameList) insert(fid vr.FrameID, marked bool) bool {
 		}
 	}
 	fl.push(frameEntry{fid: fid, marked: marked})
+	fl.sum += mixFID(fid)
 	if i < n {
 		live = fl.live()
 		copy(live[i+1:], live[i:])
@@ -143,6 +154,7 @@ func (fl *frameList) expireBefore(min vr.FrameID) {
 		if fl.entries[fl.head].marked {
 			fl.marks--
 		}
+		fl.sum -= mixFID(fl.entries[fl.head].fid)
 		fl.head++
 	}
 	if int(fl.head) == len(fl.entries) {
@@ -169,23 +181,23 @@ func (fl *frameList) fill(dst []vr.FrameID, offset vr.FrameID) {
 	}
 }
 
-// hash returns a 64-bit FNV-1a hash of the exact frame set, used by the
-// emission-time maximality filter to group states with identical frame
-// sets without building key strings. Marks are excluded: grouping is by
-// frame set alone.
-func (fl *frameList) hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, e := range fl.live() {
-		f := e.fid
-		for shift := 0; shift < 64; shift += 8 {
-			h = (h ^ uint64(byte(f>>shift))) * prime64
-		}
-	}
-	return h
+// hash returns the hash of the exact frame set, used by the emission-time
+// maximality filter to group states with identical frame sets without
+// building key strings. Marks are excluded: grouping is by frame set
+// alone. The hash is a sum, so insert and expireBefore keep it for the
+// cost of the entries they add and drop (see frameList); the filter
+// compares frame lists exactly on every hash hit, so a collision costs a
+// comparison, never a wrong group.
+func (fl *frameList) hash() uint32 { return fl.sum }
+
+// mixFID is the term frame fid adds to a frame-set hash: the high half of
+// splitmix64's finalizer, so that sets of nearby frame ids, which is all a
+// window holds, spread over the whole range.
+func mixFID(fid vr.FrameID) uint32 {
+	z := uint64(fid) + 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return uint32((z ^ z>>31) >> 32)
 }
 
 // sameFrames reports whether two frame lists hold identical frame ids
@@ -235,12 +247,11 @@ type State struct {
 	// object set contains none of these blockers — removing all marked
 	// frames then leaves a frame set whose closure still contains every
 	// blocker, so Objects is not maximal on it (Definition 4 holds).
-	// hasExtra false means no unmarked frame has been folded yet (the
-	// rest-closure is the universe); extra then holds no blockers, only
-	// storage a dead state left behind (statePool.put) for the first
-	// unmarked frame to build them in.
-	extra    objset.Set
-	hasExtra bool
+	// frames.hasExtra false means no unmarked frame has been folded yet
+	// (the rest-closure is the universe); extra then holds no blockers,
+	// only storage a dead state left behind (statePool.put) for the
+	// first unmarked frame to build them in.
+	extra objset.Set
 
 	// agg caches per-class object counts; it is computed lazily by the
 	// query-evaluation layer (see Aggregate).
@@ -264,7 +275,7 @@ type State struct {
 // makes pruning on mark-exhaustion safe (Theorem 4).
 func (s *State) fold(fid vr.FrameID, of objset.Set) bool {
 	var kills bool
-	if !s.hasExtra {
+	if !s.frames.hasExtra {
 		// Rest-closure is the universe: only a frame whose object set is
 		// exactly Objects kills everything beyond it. Objects ⊆ of, so
 		// comparing lengths suffices.
@@ -278,11 +289,11 @@ func (s *State) fold(fid vr.FrameID, of objset.Set) bool {
 	if !s.frames.insert(fid, false) {
 		return false // already present; blockers unchanged
 	}
-	if !s.hasExtra {
+	if !s.frames.hasExtra {
 		// extra's storage is this state's alone (see statePool.put), so
 		// the difference may be built in it.
 		s.extra = of.MinusInto(s.Objects, s.extra)
-		s.hasExtra = true
+		s.frames.hasExtra = true
 	} else {
 		// extra is uniquely owned by this state (built by MinusInto above
 		// and only ever shrunk here), so the in-place, allocation-free
@@ -463,13 +474,14 @@ type Metrics struct {
 // determinism.
 //
 // Each generator owns one emitter and reuses its buffers across frames:
-// grouping keys on a 64-bit frame-set hash (with an exact frame-list
-// comparison on hash hits, chained through next on the vanishingly rare
-// collisions), so the steady-state filter performs no allocations — the
-// seed implementation built a byte-string key per state per frame and a
-// fresh map and result slice per call.
+// grouping keys on the 32-bit frame-set hash each frame list keeps up to
+// date (frameList.hash; with an exact frame-list comparison on hash hits,
+// chained through next on the rare collisions), so the steady-state
+// filter performs no allocations and reads no frame list it does not
+// have to compare — the seed implementation built a byte-string key per
+// state per frame and a fresh map and result slice per call.
 type emitter struct {
-	byHash map[uint64]int32
+	byHash map[uint32]int32
 	groups []emitGroup
 	out    []*State
 }
@@ -487,7 +499,7 @@ type emitGroup struct {
 //tvq:noalloc
 func (e *emitter) emit(states []*State, duration int, checkMarks bool) []*State {
 	if e.byHash == nil {
-		e.byHash = make(map[uint64]int32)
+		e.byHash = make(map[uint32]int32)
 	}
 	clear(e.byHash)
 	e.groups = e.groups[:0]
@@ -561,10 +573,9 @@ func (p *statePool) get() *State {
 
 func (p *statePool) put(s *State) {
 	s.Objects = objset.Set{}
-	s.frames.entries = s.frames.entries[:0]
-	s.frames.head = 0
-	s.frames.marks = 0
-	s.hasExtra = false // extra's storage stays for the next blockers
+	// extra's storage stays for the next blockers; hasExtra false says it
+	// holds none.
+	s.frames = frameList{entries: s.frames.entries[:0]}
 	s.agg = nil
 	p.free = append(p.free, s)
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"tvq/internal/objset"
+	"tvq/internal/snapshot"
 	"tvq/internal/vr"
 )
 
@@ -89,6 +90,100 @@ func TestFrameListHashDistinguishesSets(t *testing.T) {
 	}
 }
 
+// sumHash is the frame-set hash computed from scratch over the live
+// entries, which frameList.hash must equal whatever led to them.
+func sumHash(fl *frameList) uint32 {
+	var h uint32
+	for _, e := range fl.live() {
+		h += mixFID(e.fid)
+	}
+	return h
+}
+
+// TestFrameListHashIncremental drives one pooled state's frame list
+// through random in-order and out-of-order inserts (duplicates among
+// them), window expiry, the push slides both force, recycling through a
+// statePool, and an encode → decode round trip, and checks after every
+// step that the kept hash equals the from-scratch sum over live() — and
+// ignores the marks, as grouping must.
+func TestFrameListHashIncremental(t *testing.T) {
+	r := rand.New(rand.NewSource(44))
+	var pool statePool
+	s := pool.get()
+	check := func(step string, fl *frameList) {
+		t.Helper()
+		if got, want := fl.hash(), sumHash(fl); got != want {
+			t.Fatalf("%s: hash %#x, from scratch %#x over %s", step, got, want, fl)
+		}
+		unmarked := frameList{}
+		for _, e := range fl.live() {
+			unmarked.insert(e.fid, !e.marked)
+		}
+		if unmarked.hash() != fl.hash() {
+			t.Fatalf("%s: marks changed the hash of %s", step, fl)
+		}
+	}
+	next := vr.FrameID(0)
+	for step := 0; step < 5000; step++ {
+		const window = 24
+		switch op := r.Intn(20); {
+		case op < 10: // the feed advances: append the next frame
+			s.frames.insert(next, r.Intn(2) == 0)
+			next++
+		case op < 14: // a merge: a frame inside the window, maybe present
+			if next > 0 {
+				s.frames.insert(max(next-1-vr.FrameID(r.Intn(window)), 0), r.Intn(2) == 0)
+			}
+		case op < 18:
+			s.frames.expireBefore(next - window + vr.FrameID(r.Intn(4)))
+		case op < 19: // the state dies and its storage comes back
+			pool.put(s)
+			check("put", &s.frames)
+			if s = pool.get(); s.frames.hash() != 0 {
+				t.Fatalf("pooled state keeps hash %#x", s.frames.hash())
+			}
+		default:
+			var w snapshot.Writer
+			s.Objects = objset.New(1)
+			encodeState(&w, s, 0)
+			sl := slabs{states: make([]State, 1)}
+			got := sl.state(snapshot.NewReader(w.Bytes()), next)
+			check("decode", &got.frames)
+			if got.frames.hash() != s.frames.hash() {
+				t.Fatalf("decode: hash %#x, encoded state's %#x", got.frames.hash(), s.frames.hash())
+			}
+		}
+		check("step", &s.frames)
+	}
+}
+
+// TestEmitHashCollision forces every frame list onto one hash: states
+// with different frame sets must stay in groups of their own (the
+// collision chain compares exactly), and states with the same frame set
+// but different marks must still merge to the largest object set.
+func TestEmitHashCollision(t *testing.T) {
+	mk := func(objects objset.Set, fids []vr.FrameID, marked func(vr.FrameID) bool) *State {
+		s := &State{Objects: objects}
+		for _, fid := range fids {
+			s.frames.insert(fid, marked(fid))
+		}
+		s.frames.sum = 0x5eed // the collision
+		return s
+	}
+	all := func(vr.FrameID) bool { return true }
+	even := func(fid vr.FrameID) bool { return fid%2 == 0 }
+	a := mk(objset.New(1), []vr.FrameID{1, 2, 3}, all)
+	b := mk(objset.New(2), []vr.FrameID{1, 2, 4}, all)
+	c := mk(objset.New(1, 3), []vr.FrameID{1, 2, 3}, even)
+	d := mk(objset.New(5), []vr.FrameID{2, 3}, all)
+	e := mk(objset.New(5, 6, 7), []vr.FrameID{1, 2, 4}, even)
+	out := (&emitter{}).emit([]*State{a, b, c, d, e}, 1, true)
+	want := []*State{c, d, e} // by object set: {1 3} < {5} < {5 6 7}
+	if !slices.Equal(out, want) {
+		t.Fatalf("emit = %v, want %v", out, want)
+	}
+}
+
 func TestFrameListString(t *testing.T) {
 	var fl frameList
 	fl.insert(1, true)
@@ -137,12 +232,12 @@ func TestFoldInvariant(t *testing.T) {
 		}
 		if first {
 			// No unmarked frames: hasExtra must be false.
-			return !s.hasExtra
+			return !s.frames.hasExtra
 		}
 		trueExtra := closure.Minus(objects)
 		// Invariant: extra ⊆ trueExtra, and extra nonempty (an unmarked
 		// fold always leaves at least one blocker).
-		return s.hasExtra && s.extra.SubsetOf(trueExtra) && !s.extra.IsEmpty()
+		return s.frames.hasExtra && s.extra.SubsetOf(trueExtra) && !s.extra.IsEmpty()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

@@ -293,15 +293,25 @@ func (e *Engine) ProcessFrame(f vr.Frame) []query.Match {
 // filterSet keeps only ids whose class is in keep. It reports whether
 // the result is a fresh allocation (some id was dropped) rather than
 // the input set itself, which decides ownership of the filtered frame.
+// A set it drops nothing from, the common case when a group's queries
+// name every class the feed carries, costs a scan and no allocation.
 func filterSet(s objset.Set, classes map[objset.ID]vr.Class, keep map[vr.Class]bool) (objset.Set, bool) {
-	kept := make([]objset.ID, 0, s.Len())
+	var kept []objset.ID // nil until an id is dropped
+	n := 0               // ids kept before the first dropped one
 	s.Range(func(id objset.ID) bool {
-		if keep[classes[id]] {
+		switch {
+		case !keep[classes[id]]:
+			if kept == nil {
+				kept = s.AppendTo(make([]objset.ID, 0, s.Len()))[:n]
+			}
+		case kept != nil:
 			kept = append(kept, id)
+		default:
+			n++
 		}
 		return true
 	})
-	if len(kept) == s.Len() {
+	if kept == nil {
 		return s, false
 	}
 	return objset.FromSorted(kept), true

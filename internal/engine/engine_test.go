@@ -306,3 +306,49 @@ func TestProcessFrameKeepsEvaluatorSlice(t *testing.T) {
 		t.Errorf("ProcessFrame allocates %.0f times per frame, the generator alone %.0f: want at most 2 more (the evaluator's blocks)", full, gen)
 	}
 }
+
+// TestFilterSetAllocatesOnlyWhenDropping: a set whose classes the group
+// keeps comes back as itself, not owned and without an allocation; one
+// with a dropped id comes back as the kept ids, in a fresh set the
+// frame may hand over as owned. Sparse and dense sets both.
+func TestFilterSetAllocatesOnlyWhenDropping(t *testing.T) {
+	reg := vr.StandardRegistry()
+	person, car, truck := reg.Class("person"), reg.Class("car"), reg.Class("truck")
+	keep := map[vr.Class]bool{person: true, car: true}
+	classes := map[objset.ID]vr.Class{}
+	var all, kept []objset.ID
+	for id := objset.ID(0); id < 200; id++ {
+		c := []vr.Class{person, car}[id%2]
+		if id%7 == 3 {
+			c = truck
+		}
+		classes[id] = c
+		all = append(all, id)
+		if keep[c] {
+			kept = append(kept, id)
+		}
+	}
+	for _, ids := range [][]objset.ID{kept[:5], kept, {5}} {
+		for _, s := range []objset.Set{objset.New(ids...), objset.Compact(objset.New(ids...))} {
+			if n := testing.AllocsPerRun(20, func() { filterSet(s, classes, keep) }); n != 0 {
+				t.Errorf("filterSet of %d kept ids allocates %.0f times", s.Len(), n)
+			}
+			if got, fresh := filterSet(s, classes, keep); fresh || !got.Equal(s) {
+				t.Errorf("filterSet of %d kept ids = %v, fresh %v", s.Len(), got, fresh)
+			}
+		}
+	}
+	for _, ids := range [][]objset.ID{all[:6], all, {3}, {3, 4}} {
+		want := []objset.ID{}
+		for _, id := range ids {
+			if keep[classes[id]] {
+				want = append(want, id)
+			}
+		}
+		for _, s := range []objset.Set{objset.New(ids...), objset.Compact(objset.New(ids...))} {
+			if got, fresh := filterSet(s, classes, keep); !fresh || !got.Equal(objset.New(want...)) {
+				t.Errorf("filterSet of %v = %v, fresh %v; want %v, fresh", ids, got, fresh, want)
+			}
+		}
+	}
+}

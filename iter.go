@@ -69,6 +69,7 @@ func (s *Session) stream(ctx context.Context, src func(func(FeedFrame, []Match) 
 	}
 	size := s.batchSize()
 	batch := make([]FeedFrame, 0, size)
+	var released []FeedFrame // a disordered session's dispatched frames
 	flush := func() bool {
 		if len(batch) == 0 {
 			return true
@@ -78,7 +79,7 @@ func (s *Session) stream(ctx context.Context, src func(func(FeedFrame, []Match) 
 		// final flush to dispatch twice.
 		processed := batch
 		batch = batch[:0]
-		dispatched, results, err := s.processDispatched(processed)
+		dispatched, results, err := s.processDispatched(processed, &released)
 		// Yield whatever the batch produced even when err != nil (e.g. a
 		// failed cadence checkpoint): the frames were processed and the
 		// sinks saw the matches, so hiding them from the iterator would

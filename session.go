@@ -73,6 +73,13 @@ type Session struct {
 	// references to the batch before it returns.
 	one [1]FeedFrame
 
+	// released and pushed are the reorder stage's buffers (see
+	// reorderLocked), kept for the next batch under procMu: released
+	// collects the frames a batch dispatches when the caller does not
+	// read them after the call, pushed takes one buffer's releases.
+	released []FeedFrame
+	pushed   []Frame
+
 	// mu guards the subscription table and lifecycle flags; it is
 	// never held across a Deliver call, so sink consumers can cancel
 	// subscriptions without deadlocking a blocked delivery.
@@ -174,7 +181,10 @@ func (s *Session) watchContext(ctx context.Context) {
 // only a ShardByFeed session accepts feeds other than 0 (see MultiFeed),
 // every other shape returns an error for them.
 func (s *Session) Process(frames []FeedFrame) ([]FeedResult, error) {
-	_, results, err := s.processDispatched(frames)
+	s.procMu.Lock()
+	defer s.procMu.Unlock()
+	_, results, err := s.processLocked(frames, &s.released)
+	clear(s.released) // pin no frame past the call
 	return results, err
 }
 
@@ -182,14 +192,20 @@ func (s *Session) Process(frames []FeedFrame) ([]FeedResult, error) {
 // dispatched to the engines this call: the input on a strict session,
 // the reorder stage's in-order releases on a disordered one. Stream
 // uses it to map results back to frames when arrival order and
-// processing order differ.
-func (s *Session) processDispatched(frames []FeedFrame) ([]FeedFrame, []FeedResult, error) {
+// processing order differ; it reads them after procMu is released, so
+// a disordered session collects them in the caller's *released, not in
+// the session's.
+func (s *Session) processDispatched(frames []FeedFrame, released *[]FeedFrame) ([]FeedFrame, []FeedResult, error) {
 	s.procMu.Lock()
 	defer s.procMu.Unlock()
-	return s.processLocked(frames)
+	return s.processLocked(frames, released)
 }
 
-func (s *Session) processLocked(frames []FeedFrame) ([]FeedFrame, []FeedResult, error) {
+// processLocked (procMu held) runs one batch. A disordered session
+// collects the frames its reorder stage releases in *released, whose
+// grown storage is kept there for the next batch; the returned
+// dispatched frames alias it.
+func (s *Session) processLocked(frames []FeedFrame, released *[]FeedFrame) ([]FeedFrame, []FeedResult, error) {
 	if s.isClosed() {
 		return nil, nil, ErrSessionClosed
 	}
@@ -209,7 +225,8 @@ func (s *Session) processLocked(frames []FeedFrame) ([]FeedFrame, []FeedResult, 
 		// before the refusal have left the buffers and must still reach
 		// the engines, so processing proceeds on the releases and the
 		// error is reported after delivery.
-		dispatched, lateErr = s.reorderLocked(frames)
+		dispatched, lateErr = s.reorderLocked(frames, (*released)[:0])
+		*released = dispatched
 	}
 	results := s.proc.Process(dispatched)
 	if err := s.deliverLocked(results); err != nil {
@@ -238,8 +255,9 @@ func (s *Session) ProcessFrame(f Frame) ([]Match, error) {
 	s.procMu.Lock()
 	defer s.procMu.Unlock()
 	s.one[0] = FeedFrame{Frame: f}
-	_, results, err := s.processLocked(s.one[:])
+	_, results, err := s.processLocked(s.one[:], &s.released)
 	s.one[0] = FeedFrame{} // the frame's storage is the caller's again
+	clear(s.released)
 	if len(results) > 0 {
 		return results[0].Matches, err
 	}

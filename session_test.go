@@ -500,6 +500,38 @@ func TestResumeCrossChecks(t *testing.T) {
 	ok.Close()
 }
 
+// TestDisorderedProcessFrameAllocs: on a warm session, an in-order
+// ProcessFrame of a frame no query matches costs a disordered session at
+// most one allocation more than a strict one — the reorder stage's owned
+// copy of the frame it may hold back. Its per-batch buffers are kept on
+// the session.
+func TestDisorderedProcessFrameAllocs(t *testing.T) {
+	q := tvq.MustQuery(1, "car >= 3", 10, 5)
+	f := sessionTrace(t).Frame(40)
+	perFrame := func(opts ...tvq.Option) float64 {
+		s, err := tvq.Open(nil, append(opts, tvq.WithQueries(q))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		var fid tvq.FrameID
+		step := func() {
+			f.FID, fid = fid, fid+1
+			if ms, err := s.ProcessFrame(f); err != nil || len(ms) != 0 {
+				t.Fatalf("ProcessFrame = %v, %v; want no matches", ms, err)
+			}
+		}
+		for i := 0; i < 50; i++ {
+			step()
+		}
+		return testing.AllocsPerRun(200, step)
+	}
+	strict, disordered := perFrame(), perFrame(tvq.WithDisorderBound(4))
+	if disordered > strict+1 {
+		t.Errorf("disordered ProcessFrame allocates %.2f per frame, strict %.2f", disordered, strict)
+	}
+}
+
 // TestSessionProcessFrameAllocsLikeEngine: on a warm single-engine
 // session, ProcessFrame of a frame no query matches allocates no more
 // than Engine.ProcessFrame of the same frame does. The session adds no
