@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -106,6 +107,49 @@ func mcosBench(b *testing.B, name, method string, cfg core.Config, trace *vr.Tra
 	}
 }
 
+// heapPerState feeds a fresh generator of the method the first three
+// quarters of the trace and returns the heap it then holds, read after a
+// GC, per live state: the footprint a state costs, window ring and graph
+// included.
+func heapPerState(method string, cfg core.Config, trace *vr.Trace) float64 {
+	frames := trace.Frames()
+	frames = frames[:len(frames)*3/4]
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	gen := newGen(method, cfg)
+	for _, f := range frames {
+		gen.Process(f)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	states := gen.StateCount()
+	runtime.KeepAlive(gen)
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(states)
+}
+
+// fullScaleMCOSBench runs the three methods over a full-scale dataset at
+// the paper's window and duration, each sub-benchmark also reporting
+// heapB/state, measured once with the timer stopped.
+func fullScaleMCOSBench(b *testing.B, name string) {
+	ds, err := bench.Config{Seed: 1, Scale: 1}.LoadDataset(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.Config{Window: bench.DefaultWindow, Duration: bench.DefaultDuration}
+	for _, m := range bench.MCOSMethods {
+		var heap float64
+		b.Run(m, func(b *testing.B) {
+			mcosBench(b, name, m, cfg, ds.Trace)
+			if heap == 0 {
+				b.StopTimer()
+				heap = heapPerState(m, cfg, ds.Trace)
+			}
+			b.ReportMetric(heap, "heapB/state")
+		})
+	}
+}
+
 // BenchmarkFigure4 measures MCOS generation time over full dataset
 // prefixes for the three methods (Figure 4 varies the prefix length; the
 // benchmark runs the longest prefix — the figure's rightmost point).
@@ -126,34 +170,29 @@ func BenchmarkFigure4(b *testing.B) {
 // mostly repeat their predecessor, the feed State Traversal on the
 // frame's change is built for. Figures 4-6 order the methods
 // SSG < MFS ≤ NAIVE; this is where that ordering shows in ns/op.
-func BenchmarkSSGCoherentFeed(b *testing.B) {
-	ds, err := bench.Config{Seed: 1, Scale: 1}.LoadDataset("V2")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.Config{Window: bench.DefaultWindow, Duration: bench.DefaultDuration}
-	for _, m := range bench.MCOSMethods {
-		b.Run(m, func(b *testing.B) {
-			mcosBench(b, "V2", m, cfg, ds.Trace)
-		})
-	}
-}
+func BenchmarkSSGCoherentFeed(b *testing.B) { fullScaleMCOSBench(b, "V2") }
 
 // BenchmarkSSGDenseGraph runs the three methods over D2 at the same
 // window and duration, full scale: a crowded feed whose SSG holds 8 553
 // live states a frame on average and 17 247 at peak, about five times
 // V2's. There a traversal test costs a cache miss on the node more than
 // set algebra, a regime BenchmarkSSGCoherentFeed does not reach.
-func BenchmarkSSGDenseGraph(b *testing.B) {
+func BenchmarkSSGDenseGraph(b *testing.B) { fullScaleMCOSBench(b, "D2") }
+
+// TestSSGHeapPerState budgets the heap a live SSG state holds on D2 at
+// the paper's window, cut at three quarters: 950 B. Packed 8-byte frame
+// entries put it at about 880 B; 16-byte ones put it near 1 180 B.
+func TestSSGHeapPerState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
 	ds, err := bench.Config{Seed: 1, Scale: 1}.LoadDataset("D2")
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	cfg := core.Config{Window: bench.DefaultWindow, Duration: bench.DefaultDuration}
-	for _, m := range bench.MCOSMethods {
-		b.Run(m, func(b *testing.B) {
-			mcosBench(b, "D2", m, cfg, ds.Trace)
-		})
+	if got := heapPerState("SSG", cfg, ds.Trace); got > 950 {
+		t.Errorf("SSG holds %.0f B of heap per live state on D2, budget 950", got)
 	}
 }
 

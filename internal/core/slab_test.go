@@ -101,7 +101,7 @@ func TestDecodedListsCappedAtLength(t *testing.T) {
 			}
 			next := g.Next()
 			for i, s := range states {
-				s.frames.push(frameEntry{fid: next + vr.FrameID(i)})
+				s.frames.push(newFrameEntry(next+vr.FrameID(i), false))
 			}
 			for i, s := range states {
 				live := s.frames.live()

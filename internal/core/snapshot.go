@@ -134,13 +134,13 @@ func (sl *slabs) set(r *snapshot.Reader) objset.Set {
 func encodeState(w *snapshot.Writer, s *State, minFID vr.FrameID) {
 	encodeSet(w, s.Objects)
 	live := s.frames.live()
-	for len(live) > 0 && live[0].fid < minFID {
+	for len(live) > 0 && live[0].fid() < minFID {
 		live = live[1:]
 	}
 	w.Uvarint(uint64(len(live)))
 	for _, e := range live {
-		w.Varint(e.fid)
-		w.Bool(e.marked)
+		w.Varint(e.fid())
+		w.Bool(e.marked())
 	}
 	w.Bool(s.frames.hasExtra)
 	if s.frames.hasExtra {
@@ -160,11 +160,15 @@ func (sl *slabs) state(r *snapshot.Reader, next vr.FrameID) *State {
 	for i := 0; i < n; i++ {
 		fid := r.Varint()
 		marked := r.Bool()
-		if fid >= next || i > 0 && s.frames.entries[i-1].fid >= fid {
+		if fid < minPackedFID || fid > maxPackedFID {
+			r.Fail("state frame %d (entry %d) outside [%d, %d]", fid, i, minPackedFID, maxPackedFID)
+			return s
+		}
+		if fid >= next || i > 0 && s.frames.entries[i-1].fid() >= fid {
 			r.Fail("state frame %d (entry %d) out of order or not before frame %d", fid, i, next)
 			return s
 		}
-		s.frames.entries = append(s.frames.entries, frameEntry{fid: fid, marked: marked})
+		s.frames.entries = append(s.frames.entries, newFrameEntry(fid, marked))
 		s.frames.sum += mixFID(fid)
 		if marked {
 			s.frames.marks++
@@ -219,6 +223,9 @@ func encodeWindow(w *snapshot.Writer, fw *frameWindow) {
 func (sl *slabs) window(r *snapshot.Reader, fw *frameWindow) {
 	if fw.next < 0 {
 		r.Fail("negative frame cursor %d", fw.next)
+	}
+	if fw.next > maxPackedFID {
+		r.Fail("frame cursor %d past %d", fw.next, maxPackedFID)
 	}
 	n := r.Count(2)
 	prev := vr.FrameID(-1)
@@ -432,8 +439,8 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 			return r.Err()
 		}
 		for _, e := range n.state.frames.live() {
-			if e.marked {
-				n.lastMark = e.fid
+			if e.marked() {
+				n.lastMark = e.fid()
 			}
 		}
 		if n.lastMark < 0 {
@@ -592,7 +599,7 @@ func (g *SSG) relistFolded(r *snapshot.Reader) {
 		if n == nil {
 			continue
 		}
-		if fl := n.state.frames.live(); len(fl) > 0 && fl[len(fl)-1].fid == g.window.next-1 {
+		if fl := n.state.frames.live(); len(fl) > 0 && fl[len(fl)-1].fid() == g.window.next-1 {
 			if !n.state.Objects.SubsetOf(last) {
 				r.Fail("ssg node %s lists frame %d, which lacks it", n.state.Objects, g.window.next-1)
 				return

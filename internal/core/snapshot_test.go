@@ -315,7 +315,7 @@ func TestSSGSnapshotHoldsNoExpiredFrames(t *testing.T) {
 			if n == nil {
 				continue
 			}
-			if fl := n.state.frames.live(); len(fl) == 0 || fl[0].fid < minFID || !n.state.Valid() {
+			if fl := n.state.frames.live(); len(fl) == 0 || fl[0].fid() < minFID || !n.state.Valid() {
 				t.Fatalf("trial %d (w=%d): snapshot holds stale state %v; window starts at %d", trial, cfg.Window, n.state, minFID)
 			}
 		}
@@ -347,10 +347,10 @@ func TestSSGDecodeRejectsNodeWithoutKeyFrame(t *testing.T) {
 		{"unmarked", 6, 40, unmarked, "no key frame"},
 		{"unmarked before w frames", 20, 5, unmarked, "no key frame"},
 		{"negative mark", 20, 5, func([]frameEntry, vr.FrameID) []frameEntry {
-			return []frameEntry{{fid: -3, marked: true}}
+			return []frameEntry{newFrameEntry(-3, true)}
 		}, "no key frame"},
 		{"mark not yet processed", 6, 40, func(_ []frameEntry, next vr.FrameID) []frameEntry {
-			return []frameEntry{{fid: next, marked: true}}
+			return []frameEntry{newFrameEntry(next, true)}
 		}, "not before frame 40"},
 	}
 	for _, tc := range cases {
@@ -372,7 +372,7 @@ func TestSSGDecodeRejectsNodeWithoutKeyFrame(t *testing.T) {
 		victim.frames.entries = tc.entries(victim.frames.live(), g.window.next)
 		victim.frames.head, victim.frames.marks = 0, 0
 		for _, e := range victim.frames.entries {
-			if e.marked {
+			if e.marked() {
 				victim.frames.marks++
 			}
 		}
@@ -389,7 +389,7 @@ func TestSSGDecodeRejectsNodeWithoutKeyFrame(t *testing.T) {
 func unmarked(live []frameEntry, _ vr.FrameID) []frameEntry {
 	out := slices.Clone(live)
 	for i := range out {
-		out[i].marked = false
+		out[i] = newFrameEntry(out[i].fid(), false)
 	}
 	return out
 }
@@ -407,7 +407,7 @@ func TestSSGDecodeDropsExpiredNode(t *testing.T) {
 	w.Uvarint(0) // window frames
 	w.Uvarint(1) // nodes
 	s := &State{Objects: objset.New(1, 2)}
-	s.frames.entries = []frameEntry{{fid: 10, marked: true}, {fid: 11}}
+	s.frames.entries = []frameEntry{newFrameEntry(10, true), newFrameEntry(11, false)}
 	encodeState(&w, s, 0)
 	w.Varint(11) // visited
 	w.Varint(10) // createdAt
@@ -535,6 +535,14 @@ func TestDecodeGeneratorRejectsGarbage(t *testing.T) {
 		t.Errorf("negative cursor: err = %v", err)
 	}
 
+	// A frame cursor or a state's frame id outside the range a packed
+	// frame entry holds.
+	for _, c := range unpackablePayloads() {
+		if _, err := DecodeGenerator(snapshot.NewReader(c.payload), cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+	}
+
 	// A state count beyond the bytes left is refused by the count check,
 	// before the struct slabs and the tables are sized from it.
 	for _, kind := range []string{genKindNaive, genKindMFS, genKindSSG} {
@@ -554,6 +562,47 @@ func TestDecodeGeneratorRejectsGarbage(t *testing.T) {
 	if err := EncodeGenerator(&ow, NewOracle(cfg)); err == nil {
 		t.Error("EncodeGenerator accepted the Oracle")
 	}
+}
+
+// unpackablePayloads are generator payloads that carry a frame id outside
+// [minPackedFID, maxPackedFID]: a frame cursor past it, for each kind,
+// and a state frame past either end, for a table and for an SSG.
+func unpackablePayloads() []struct {
+	name, want string
+	payload    []byte
+} {
+	type payload = struct {
+		name, want string
+		payload    []byte
+	}
+	var out []payload
+	header := func(w *snapshot.Writer, kind string, next vr.FrameID) {
+		w.String(kind)
+		w.Varint(next)
+		encodeMetrics(w, Metrics{})
+		w.Uvarint(0) // window frames
+	}
+	for _, kind := range []string{genKindNaive, genKindMFS, genKindSSG} {
+		var w snapshot.Writer
+		header(&w, kind, maxPackedFID+1)
+		w.Uvarint(0) // states
+		out = append(out, payload{kind + " cursor past 2^62", "frame cursor", w.Bytes()})
+	}
+	for _, kind := range []string{genKindMFS, genKindSSG} {
+		for _, fid := range []vr.FrameID{minPackedFID - 1, maxPackedFID + 1} {
+			var w snapshot.Writer
+			header(&w, kind, 10)
+			w.Uvarint(1) // states
+			encodeSet(&w, objset.New(1))
+			w.Uvarint(1) // frame entries
+			w.Varint(fid)
+			w.Bool(true)
+			w.Bool(false) // no blockers
+			w.Bool(false) // no termination flag
+			out = append(out, payload{fmt.Sprintf("%s state frame %d", kind, fid), "outside", w.Bytes()})
+		}
+	}
+	return out
 }
 
 // A refused generator payload may allocate decodeAllocPerByte bytes per
@@ -586,6 +635,9 @@ func FuzzDecodeGenerator(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(append(c.config, data...))
+	}
+	for _, c := range unpackablePayloads() {
+		f.Add(append([]byte{9, 3, 0, 1}, c.payload...))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {

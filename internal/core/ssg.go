@@ -476,15 +476,16 @@ func (g *SSG) foldMissing(target, parent *ssgNode) {
 	te := target.state.frames.live()
 	i := 0
 	for _, e := range parent.state.frames.live() {
-		for i < len(te) && te[i].fid < e.fid {
+		fid := e.fid()
+		for i < len(te) && te[i].fid() < fid {
 			i++
 		}
-		if i < len(te) && te[i].fid == e.fid {
+		if i < len(te) && te[i].fid() == fid {
 			continue
 		}
-		if of, ok := g.window.at(e.fid); ok {
-			if target.state.fold(e.fid, of) {
-				target.lastMark = max(target.lastMark, e.fid)
+		if of, ok := g.window.at(fid); ok {
+			if target.state.fold(fid, of) {
+				target.lastMark = max(target.lastMark, fid)
 			}
 			te = target.state.frames.live() // insertion may move the entries
 		}

@@ -412,6 +412,15 @@ func TestStateSize(t *testing.T) {
 	}
 }
 
+// TestFrameEntrySize pins a frame-list entry at one word: the frame id
+// and its key-frame mark packed together. Frame lists are the largest
+// part of a generator's heap, and an id beside a bool pads to 16 bytes.
+func TestFrameEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(frameEntry(0)); n != 8 {
+		t.Fatalf("frameEntry is %d bytes, want 8", n)
+	}
+}
+
 // TestCNPSOrderMatchesStableSort checks the counting sort CNPS orders its
 // candidates with against a stable comparison sort by size descending, on
 // random folded lists with many tied sizes.

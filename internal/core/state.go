@@ -59,15 +59,38 @@ func (c Config) validate() error {
 }
 
 // frameEntry records one frame id in a state's frame set together with its
-// key-frame mark (§4.2.3).
-type frameEntry struct {
-	fid    vr.FrameID
-	marked bool
+// key-frame mark (§4.2.3), packed into one word as fid<<1 | mark: half the
+// bytes of an id and a bool side by side, which pad to 16. Packed values
+// order exactly as their frame ids do, so a sorted list of entries is
+// sorted by frame id whatever the marks. The packing holds a frame id in
+// [minPackedFID, maxPackedFID]. Snapshot decode refuses any other; frames
+// are numbered from 0, and a feed at a million frames a second would take
+// 146 000 years to pass maxPackedFID.
+type frameEntry int64
+
+// The range of frame ids a frameEntry holds: fid<<1 must not overflow.
+const (
+	minPackedFID vr.FrameID = -1 << 62
+	maxPackedFID vr.FrameID = 1<<62 - 1
+)
+
+// newFrameEntry packs fid, which must lie in [minPackedFID, maxPackedFID],
+// with its mark.
+func newFrameEntry(fid vr.FrameID, marked bool) frameEntry {
+	e := frameEntry(fid) << 1
+	if marked {
+		e |= 1
+	}
+	return e
 }
 
+func (e frameEntry) fid() vr.FrameID { return vr.FrameID(e >> 1) }
+func (e frameEntry) marked() bool    { return e&1 != 0 }
+
 // frameList is a state's frame set: strictly increasing frame ids, each
-// optionally marked as a key frame. Frames are appended at the tail as the
-// feed advances and expired from the head as the window slides.
+// optionally marked as a key frame, one packed 8-byte frameEntry apiece.
+// Frames are appended at the tail as the feed advances and expired from
+// the head as the window slides.
 //
 // The live entries are entries[head:]. Expiry only advances head, so a
 // window slide costs the frames it expires and nothing else; the dead
@@ -128,19 +151,23 @@ func (fl *frameList) reserve(n, window int) {
 func (fl *frameList) insert(fid vr.FrameID, marked bool) bool {
 	live := fl.live()
 	n := len(live)
+	e := newFrameEntry(fid, marked)
+	// key is the least value an entry of frame fid packs to: entries not
+	// below it hold fid or a later frame.
+	key := newFrameEntry(fid, false)
 	i := n // appending past the tail, the overwhelmingly common case
-	if n > 0 && live[n-1].fid >= fid {
-		i = sort.Search(n, func(i int) bool { return live[i].fid >= fid })
-		if live[i].fid == fid {
+	if n > 0 && live[n-1] >= key {
+		i = sort.Search(n, func(i int) bool { return live[i] >= key })
+		if live[i].fid() == fid {
 			return false
 		}
 	}
-	fl.push(frameEntry{fid: fid, marked: marked})
+	fl.push(e)
 	fl.sum += mixFID(fid)
 	if i < n {
 		live = fl.live()
 		copy(live[i+1:], live[i:])
-		live[i] = frameEntry{fid: fid, marked: marked}
+		live[i] = e
 	}
 	if marked {
 		fl.marks++
@@ -150,11 +177,13 @@ func (fl *frameList) insert(fid vr.FrameID, marked bool) bool {
 
 // expireBefore removes all entries with fid < min.
 func (fl *frameList) expireBefore(min vr.FrameID) {
-	for int(fl.head) < len(fl.entries) && fl.entries[fl.head].fid < min {
-		if fl.entries[fl.head].marked {
+	bound := newFrameEntry(min, false) // every entry of a frame before min packs below it
+	for int(fl.head) < len(fl.entries) && fl.entries[fl.head] < bound {
+		e := fl.entries[fl.head]
+		if e.marked() {
 			fl.marks--
 		}
-		fl.sum -= mixFID(fl.entries[fl.head].fid)
+		fl.sum -= mixFID(e.fid())
 		fl.head++
 	}
 	if int(fl.head) == len(fl.entries) {
@@ -177,7 +206,7 @@ func (fl *frameList) fill(dst []vr.FrameID, offset vr.FrameID) {
 	live := fl.live()
 	_ = dst[:len(live)]
 	for i, e := range live {
-		dst[i] = e.fid + offset
+		dst[i] = e.fid() + offset
 	}
 }
 
@@ -208,7 +237,7 @@ func (fl *frameList) sameFrames(other *frameList) bool {
 		return false
 	}
 	for i, e := range a {
-		if b[i].fid != e.fid {
+		if b[i].fid() != e.fid() {
 			return false
 		}
 	}
@@ -222,10 +251,10 @@ func (fl *frameList) String() string {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		if e.marked {
+		if e.marked() {
 			b.WriteByte('*')
 		}
-		fmt.Fprintf(&b, "%d", e.fid)
+		fmt.Fprintf(&b, "%d", e.fid())
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -324,8 +353,8 @@ func (s *State) FillFrames(dst []vr.FrameID, offset vr.FrameID) { s.frames.fill(
 func (s *State) MarkedFrames() []vr.FrameID {
 	out := make([]vr.FrameID, 0, s.frames.marks)
 	for _, e := range s.frames.live() {
-		if e.marked {
-			out = append(out, e.fid)
+		if e.marked() {
+			out = append(out, e.fid())
 		}
 	}
 	return out

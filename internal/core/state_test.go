@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -36,7 +37,7 @@ func TestFrameListInsert(t *testing.T) {
 	if fl.marks != 2 {
 		t.Errorf("marks = %d, want 2 (7 and 9)", fl.marks)
 	}
-	wantLive := []frameEntry{{5, false}, {7, true}, {9, true}}
+	wantLive := []frameEntry{newFrameEntry(5, false), newFrameEntry(7, true), newFrameEntry(9, true)}
 	if !slices.Equal(fl.live(), wantLive) {
 		t.Errorf("live = %v, want %v", fl.live(), wantLive)
 	}
@@ -95,7 +96,7 @@ func TestFrameListHashDistinguishesSets(t *testing.T) {
 func sumHash(fl *frameList) uint32 {
 	var h uint32
 	for _, e := range fl.live() {
-		h += mixFID(e.fid)
+		h += mixFID(e.fid())
 	}
 	return h
 }
@@ -103,57 +104,108 @@ func sumHash(fl *frameList) uint32 {
 // TestFrameListHashIncremental drives one pooled state's frame list
 // through random in-order and out-of-order inserts (duplicates among
 // them), window expiry, the push slides both force, recycling through a
-// statePool, and an encode → decode round trip, and checks after every
-// step that the kept hash equals the from-scratch sum over live() — and
-// ignores the marks, as grouping must.
+// statePool, and encode → decode round trips, against a map of frame id
+// to mark. After every step each packed entry must unpack to a frame id
+// and mark the map holds, live() must ascend by frame id, marks must
+// count the marked entries, and the kept hash must equal the sum
+// recomputed from scratch over live() — and ignore the marks, as
+// grouping must. It runs from frame 0, from below it, and at both ends
+// of the range a packed entry holds.
 func TestFrameListHashIncremental(t *testing.T) {
-	r := rand.New(rand.NewSource(44))
-	var pool statePool
-	s := pool.get()
-	check := func(step string, fl *frameList) {
-		t.Helper()
-		if got, want := fl.hash(), sumHash(fl); got != want {
-			t.Fatalf("%s: hash %#x, from scratch %#x over %s", step, got, want, fl)
-		}
-		unmarked := frameList{}
-		for _, e := range fl.live() {
-			unmarked.insert(e.fid, !e.marked)
-		}
-		if unmarked.hash() != fl.hash() {
-			t.Fatalf("%s: marks changed the hash of %s", step, fl)
+	for _, fid := range []vr.FrameID{minPackedFID, minPackedFID + 1, -1, 0, 1, maxPackedFID - 1, maxPackedFID} {
+		for _, marked := range []bool{false, true} {
+			if e := newFrameEntry(fid, marked); e.fid() != fid || e.marked() != marked {
+				t.Fatalf("newFrameEntry(%d, %v) unpacks to %d, %v", fid, marked, e.fid(), e.marked())
+			}
 		}
 	}
-	next := vr.FrameID(0)
-	for step := 0; step < 5000; step++ {
-		const window = 24
-		switch op := r.Intn(20); {
-		case op < 10: // the feed advances: append the next frame
-			s.frames.insert(next, r.Intn(2) == 0)
-			next++
-		case op < 14: // a merge: a frame inside the window, maybe present
-			if next > 0 {
-				s.frames.insert(max(next-1-vr.FrameID(r.Intn(window)), 0), r.Intn(2) == 0)
+	const steps, window = 4000, 24
+	for _, base := range []vr.FrameID{0, -700, minPackedFID, maxPackedFID - steps} {
+		r := rand.New(rand.NewSource(44 + base))
+		var pool statePool
+		s := pool.get()
+		model := map[vr.FrameID]bool{}
+		check := func(step string, fl *frameList) {
+			t.Helper()
+			live := fl.live()
+			marks := 0
+			for i, e := range live {
+				fid, marked := e.fid(), e.marked()
+				if newFrameEntry(fid, marked) != e {
+					t.Fatalf("base %d, %s: entry %#x does not repack from %d, %v", base, step, int64(e), fid, marked)
+				}
+				if i > 0 && live[i-1].fid() >= fid {
+					t.Fatalf("base %d, %s: live() not ascending: %s", base, step, fl)
+				}
+				if m, ok := model[fid]; !ok || m != marked {
+					t.Fatalf("base %d, %s: holds frame %d marked %v; model has %v, %v", base, step, fid, marked, ok, m)
+				}
+				if marked {
+					marks++
+				}
 			}
-		case op < 18:
-			s.frames.expireBefore(next - window + vr.FrameID(r.Intn(4)))
-		case op < 19: // the state dies and its storage comes back
-			pool.put(s)
-			check("put", &s.frames)
-			if s = pool.get(); s.frames.hash() != 0 {
-				t.Fatalf("pooled state keeps hash %#x", s.frames.hash())
+			if len(live) != len(model) {
+				t.Fatalf("base %d, %s: %d live entries, model %d", base, step, len(live), len(model))
 			}
-		default:
-			var w snapshot.Writer
-			s.Objects = objset.New(1)
-			encodeState(&w, s, 0)
-			sl := slabs{states: make([]State, 1)}
-			got := sl.state(snapshot.NewReader(w.Bytes()), next)
-			check("decode", &got.frames)
-			if got.frames.hash() != s.frames.hash() {
-				t.Fatalf("decode: hash %#x, encoded state's %#x", got.frames.hash(), s.frames.hash())
+			if int(fl.marks) != marks {
+				t.Fatalf("base %d, %s: marks %d, %d marked entries", base, step, fl.marks, marks)
+			}
+			if got, want := fl.hash(), sumHash(fl); got != want {
+				t.Fatalf("base %d, %s: hash %#x, from scratch %#x over %s", base, step, got, want, fl)
+			}
+			unmarked := frameList{}
+			for _, e := range live {
+				unmarked.insert(e.fid(), !e.marked())
+			}
+			if unmarked.hash() != fl.hash() {
+				t.Fatalf("base %d, %s: marks changed the hash of %s", base, step, fl)
 			}
 		}
-		check("step", &s.frames)
+		insert := func(fid vr.FrameID) {
+			marked := r.Intn(2) == 0
+			_, present := model[fid]
+			if s.frames.insert(fid, marked) == present {
+				t.Fatalf("base %d: insert(%d) reports new = %v with the frame present = %v", base, fid, !present, present)
+			}
+			if !present {
+				model[fid] = marked
+			}
+		}
+		next := base
+		for step := 0; step < steps; step++ {
+			switch op := r.Intn(20); {
+			case op < 10: // the feed advances: append the next frame
+				insert(next)
+				next++
+			case op < 14: // a merge: a frame inside the window, maybe present
+				if next > base {
+					insert(max(next-1-vr.FrameID(r.Intn(window)), base))
+				}
+			case op < 18:
+				cut := max(next-window+vr.FrameID(r.Intn(4)), base)
+				s.frames.expireBefore(cut)
+				maps.DeleteFunc(model, func(fid vr.FrameID, _ bool) bool { return fid < cut })
+			case op < 19: // the state dies and its storage comes back
+				pool.put(s)
+				clear(model)
+				check("put", &s.frames)
+				if s = pool.get(); s.frames.hash() != 0 {
+					t.Fatalf("base %d: pooled state keeps hash %#x", base, s.frames.hash())
+				}
+			default:
+				var w snapshot.Writer
+				s.Objects = objset.New(1)
+				encodeState(&w, s, base)
+				sl := slabs{states: make([]State, 1)}
+				rd := snapshot.NewReader(w.Bytes())
+				got := sl.state(rd, next)
+				if rd.Err() != nil {
+					t.Fatalf("base %d: decode: %v", base, rd.Err())
+				}
+				check("decode", &got.frames)
+			}
+			check("step", &s.frames)
+		}
 	}
 }
 

@@ -244,7 +244,7 @@ func (t *table) unionFids(states []*State) []vr.FrameID {
 	out := t.fidsBuf[:0]
 	if len(states) == 1 {
 		for _, e := range states[0].frames.live() {
-			out = append(out, e.fid)
+			out = append(out, e.fid())
 		}
 		t.fidsBuf = out[:0]
 		return out
@@ -253,7 +253,7 @@ func (t *table) unionFids(states []*State) []vr.FrameID {
 		other := s.frames.live()
 		if len(out) == 0 {
 			for _, e := range other {
-				out = append(out, e.fid)
+				out = append(out, e.fid())
 			}
 			continue
 		}
@@ -263,11 +263,11 @@ func (t *table) unionFids(states []*State) []vr.FrameID {
 		i, j := 0, 0
 		for i < n || j < len(other) {
 			switch {
-			case j >= len(other) || (i < n && out[i] < other[j].fid):
+			case j >= len(other) || (i < n && out[i] < other[j].fid()):
 				out = append(out, out[i])
 				i++
-			case i >= n || other[j].fid < out[i]:
-				out = append(out, other[j].fid)
+			case i >= n || other[j].fid() < out[i]:
+				out = append(out, other[j].fid())
 				j++
 			default:
 				out = append(out, out[i])

@@ -192,6 +192,15 @@ func (b *Buffer) Push(f vr.Frame, out []vr.Frame) ([]vr.Frame, error) {
 		}
 		return out, nil
 	}
+	// The frame at the cursor, with nothing pending behind it, leaves on
+	// this call and is never held: release it as it came, borrowed or
+	// owned, as a strict session would pass it on. Nothing is pending,
+	// so maxSeen < cursor and no gap can be overdue after it.
+	if f.FID == b.cursor && len(b.pending) == 0 {
+		b.maxSeen = f.FID
+		b.cursor++
+		return append(out, f), nil
+	}
 	// A borrowed frame's backing storage may be reused by the producer
 	// while the frame waits in pending (the JSONL codec reuses its scan
 	// buffers; see Frame.Owned). Take an owned copy up front —

@@ -174,7 +174,10 @@ func writeTraceTo(fw FrameWriter, t *Trace) error {
 	return fw.Flush()
 }
 
-// WriteCSV encodes the trace as CSV with header "fid,id,class".
+// WriteCSV encodes the trace as CSV with header "fid,id,class": one row
+// per detection, and an empty-frame row "fid,," for a trailing empty last
+// frame, which no detection row would carry (frames before the last need
+// none: a trace holds every frame up to its last one).
 func WriteCSV(w io.Writer, t *Trace, reg *Registry) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"fid", "id", "class"}); err != nil {
@@ -194,12 +197,18 @@ func WriteCSV(w io.Writer, t *Trace, reg *Registry) error {
 			return fmt.Errorf("vr: write csv row: %w", err)
 		}
 	}
+	if n := t.Len(); n > 0 && t.Frame(n-1).Objects.IsEmpty() {
+		if err := cw.Write([]string{strconv.Itoa(n - 1), "", ""}); err != nil {
+			return fmt.Errorf("vr: write csv row: %w", err)
+		}
+	}
 	cw.Flush()
 	return cw.Error()
 }
 
 // ReadCSV decodes a trace written by WriteCSV. Unknown class names are
-// registered in reg as they are encountered.
+// registered in reg as they are encountered. An empty-frame row "fid,,"
+// extends the trace to frame fid and adds no detection.
 func ReadCSV(r io.Reader, reg *Registry) (*Trace, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 3
@@ -211,6 +220,7 @@ func ReadCSV(r io.Reader, reg *Registry) (*Trace, error) {
 		return nil, fmt.Errorf("vr: unexpected csv header %v", header)
 	}
 	var tuples []Tuple
+	lastEmpty := FrameID(-1) // the highest frame an empty-frame row names
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -222,6 +232,13 @@ func ReadCSV(r io.Reader, reg *Registry) (*Trace, error) {
 		fid, err := strconv.ParseInt(rec[0], 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("vr: bad fid %q: %w", rec[0], err)
+		}
+		if rec[1] == "" && rec[2] == "" {
+			if fid < 0 || fid >= MaxTraceFrames {
+				return nil, fmt.Errorf("vr: empty frame id %d outside [0, %d)", fid, MaxTraceFrames)
+			}
+			lastEmpty = max(lastEmpty, fid)
+			continue
 		}
 		id, err := strconv.ParseUint(rec[1], 10, 32)
 		if err != nil {
@@ -238,7 +255,14 @@ func ReadCSV(r io.Reader, reg *Registry) (*Trace, error) {
 			Class: reg.Class(rec[2]),
 		})
 	}
-	return NewTrace(tuples)
+	tr, err := NewTrace(tuples)
+	if err != nil {
+		return nil, err
+	}
+	for fid := FrameID(tr.Len()); fid <= lastEmpty; fid++ {
+		tr.frames = append(tr.frames, Frame{FID: fid, Objects: objset.New(), Classes: tr.classes})
+	}
+	return tr, nil
 }
 
 // jsonFrame is the JSONL wire format: one frame per line.

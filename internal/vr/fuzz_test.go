@@ -22,6 +22,10 @@ func FuzzReadTraceCSV(f *testing.F) {
 		"bogus,header,row\n",
 		"fid,id,class\n0,notanumber,car\n",
 		"fid,id,class\n0,1\n",
+		"fid,id,class\n0,1,person\n4,,\n", // empty-frame row: trailing empty frames
+		"fid,id,class\n7,,\n",
+		"fid,id,class\n-1,,\n",
+		"fid,id,class\n2,,car\n",
 		"",
 		"\xff\xfe\x00",
 	}
@@ -39,6 +43,11 @@ func FuzzReadTraceCSV(f *testing.F) {
 		var buf bytes.Buffer
 		if err := WriteCSV(&buf, tr, reg); err != nil {
 			t.Fatalf("re-encode of accepted input failed: %v", err)
+		}
+		// And read back as the same trace, trailing empty frames too.
+		again, err := ReadCSV(&buf, reg)
+		if err != nil || !tracesEqual(again, tr) {
+			t.Fatalf("re-encoded trace reads back differently: %v", err)
 		}
 	})
 }

@@ -183,31 +183,68 @@ func tracesEqual(a, b *Trace) bool {
 	return true
 }
 
+// TestCSVRoundTrip: a trace written as CSV reads back whole, trailing
+// empty frames included (one empty-frame row carries them), and as the
+// same trace JSONL and binary read back.
 func TestCSVRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 20; i++ {
-		reg := StandardRegistry()
-		tr := randomTrace(r, 10+r.Intn(20), 8)
+	for i := 0; i < 30; i++ {
+		base := randomTrace(r, r.Intn(30), 8)
+		frames := make([]objset.Set, 0, base.Len()+3)
+		for _, f := range base.Frames() {
+			frames = append(frames, f.Objects)
+		}
+		for n := i % 4; n > 0; n-- {
+			frames = append(frames, objset.New())
+		}
+		tr := NewTraceFromFrames(frames, base.Classes())
 		var buf bytes.Buffer
-		if err := WriteCSV(&buf, tr, reg); err != nil {
+		if err := WriteCSV(&buf, tr, StandardRegistry()); err != nil {
 			t.Fatal(err)
 		}
 		got, err := ReadCSV(&buf, StandardRegistry())
 		if err != nil {
 			t.Fatal(err)
 		}
-		// CSV cannot represent trailing empty frames (no rows); compare
-		// up to the decoded length and require the tail to be empty.
-		if got.Len() > tr.Len() {
-			t.Fatalf("decoded longer than input: %d > %d", got.Len(), tr.Len())
+		if !tracesEqual(got, tr) {
+			t.Fatalf("trace %d: csv reads %d frames of %d", i, got.Len(), tr.Len())
 		}
-		for j := got.Len(); j < tr.Len(); j++ {
-			if !tr.Frame(j).Objects.IsEmpty() {
-				t.Fatalf("lost non-empty frame %d", j)
+		for _, c := range Codecs() {
+			buf.Reset()
+			if err := c.WriteTrace(&buf, tr, StandardRegistry()); err != nil {
+				t.Fatal(err)
+			}
+			other, err := c.ReadTrace(&buf, StandardRegistry())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tracesEqual(got, other) {
+				t.Fatalf("trace %d: csv reads %d frames, %s %d", i, got.Len(), c.Name(), other.Len())
 			}
 		}
-		if !tracesEqual(got, tr.Prefix(got.Len())) {
-			t.Fatal("csv round trip mismatch")
+	}
+}
+
+// TestReadCSVEmptyFrameRow: an empty-frame row extends the trace to its
+// frame and adds no detection, wherever it stands among the rows.
+func TestReadCSVEmptyFrameRow(t *testing.T) {
+	for in, want := range map[string]int{
+		"fid,id,class\n3,,\n":                      4,
+		"fid,id,class\n0,1,person\n5,,\n":          6,
+		"fid,id,class\n5,,\n0,1,person\n":          6,
+		"fid,id,class\n2,,\n6,1,person\n":          7,
+		"fid,id,class\n0,1,person\n0,,\n1,2,car\n": 2,
+	} {
+		tr, err := ReadCSV(strings.NewReader(in), StandardRegistry())
+		if err != nil {
+			t.Fatalf("%q: %v", in, err)
+		}
+		ids := 0
+		for _, f := range tr.Frames() {
+			ids += f.Objects.Len()
+		}
+		if tr.Len() != want || ids != strings.Count(in, "person")+strings.Count(in, "car") {
+			t.Errorf("%q: %d frames holding %d ids, want %d frames", in, tr.Len(), ids, want)
 		}
 	}
 }
@@ -238,6 +275,9 @@ func TestReadCSVRejectsGarbage(t *testing.T) {
 		"fid,id,class\n1,notanint,car\n",
 		"fid,id,class\n-5,2,car\n",
 		"fid,id,class\n1,2\n",
+		"fid,id,class\n-1,,\n",      // empty-frame row before frame 0
+		"fid,id,class\n1048576,,\n", // empty-frame row past MaxTraceFrames
+		"fid,id,class\n1,,car\n",    // a class without an id
 	}
 	for _, c := range cases {
 		if _, err := ReadCSV(strings.NewReader(c), StandardRegistry()); err == nil {
