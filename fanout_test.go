@@ -119,8 +119,19 @@ func TestFanoutSinkConcurrent(t *testing.T) {
 			}
 		}()
 	}
-	for i := 0; i < 2000; i++ {
-		fs.Deliver(tvq.Delivery{FID: int64(i)})
+	// Taps close while deliveries run: a Deliver that blocked on a full
+	// tap under the sink's lock would keep Close from taking it.
+	delivered := make(chan struct{})
+	go func() {
+		for i := 0; i < 2000; i++ {
+			fs.Deliver(tvq.Delivery{FID: int64(i)})
+		}
+		close(delivered)
+	}()
+	select {
+	case <-delivered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Deliver blocked while taps came and went")
 	}
 	close(stop)
 	wg.Wait()

@@ -213,8 +213,6 @@ func (g *SSG) newNode(objects objset.Set, createdAt vr.FrameID) *ssgNode {
 // Process implements Generator: expiry, one round of the ST algorithm
 // followed by CNPS, filing of the nodes the frame created, and
 // result-set maintenance (§4.3.7).
-//
-//tvq:noalloc
 func (g *SSG) Process(f vr.Frame) []*State {
 	if f.FID != g.window.next {
 		panic("core: frames must be processed in order starting at 0")

@@ -200,8 +200,6 @@ func (fl *frameList) fids() []vr.FrameID {
 
 // fill writes the frame ids, each shifted by offset, into dst, which
 // must be exactly len() long.
-//
-//tvq:noalloc
 func (fl *frameList) fill(dst []vr.FrameID, offset vr.FrameID) {
 	live := fl.live()
 	_ = dst[:len(live)]
@@ -345,8 +343,6 @@ func (s *State) Frames() []vr.FrameID { return s.frames.fids() }
 // It is how the evaluation layer materializes a result's frame list
 // into storage it owns, in the numbering of its caller (a dynamically
 // added window group numbers frames from its own start).
-//
-//tvq:noalloc
 func (s *State) FillFrames(dst []vr.FrameID, offset vr.FrameID) { s.frames.fill(dst, offset) }
 
 // MarkedFrames returns the marked (key) frames, oldest first.
@@ -425,8 +421,6 @@ type Generator interface {
 // otherwise returns the set unchanged, costing nothing), or a clone
 // when the frame is borrowed and its storage still belongs to the
 // caller.
-//
-//tvq:noalloc
 func retainObjects(f vr.Frame) objset.Set {
 	if f.Owned {
 		return objset.Compact(f.Objects)
@@ -454,8 +448,6 @@ func (fw *frameWindow) slot(fid vr.FrameID) *objset.Set {
 // push buffers the object set of f, which must be frame next, and
 // returns the buffered set: a generator retains f.Objects past its
 // Process call only through here (see retainObjects).
-//
-//tvq:noalloc
 func (fw *frameWindow) push(f vr.Frame) objset.Set {
 	s := retainObjects(f)
 	*fw.slot(fw.next) = s
@@ -524,8 +516,6 @@ type emitGroup struct {
 
 // emit filters states and returns the result set. The returned slice and
 // its ordering are only valid until the next emit call on this emitter.
-//
-//tvq:noalloc
 func (e *emitter) emit(states []*State, duration int, checkMarks bool) []*State {
 	if e.byHash == nil {
 		e.byHash = make(map[uint32]int32)

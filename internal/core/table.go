@@ -98,8 +98,6 @@ type pending struct {
 }
 
 // Process implements Generator.
-//
-//tvq:noalloc
 func (t *table) Process(f vr.Frame) []*State {
 	if f.FID != t.window.next {
 		panic("core: frames must be processed in order starting at 0")

@@ -322,70 +322,79 @@ func TestPoolStateCount(t *testing.T) {
 }
 
 // TestPoolGroupDispatchAllocFree pins what a ShardByGroup batch costs
-// the pool itself: on a warm two-shard pool, a batch of empty frames,
-// which no engine matches and no generator keeps, allocates nothing.
-// The jobs, their result columns and the WaitGroup are the pool's, kept
-// from batch to batch.
+// the pool itself: on a warm two-shard pool of each method, a batch of
+// empty frames, which no engine matches and no generator keeps,
+// allocates nothing. The jobs, their result columns and the WaitGroup
+// are the pool's, kept from batch to batch, and a generator's Process
+// of an empty frame allocates nothing either.
 func TestPoolGroupDispatchAllocFree(t *testing.T) {
-	p, err := NewPool(poolQueries(t), PoolOptions{Workers: 2, Mode: ShardByGroup})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if p.Workers() != 2 {
-		t.Fatalf("%d shards, want 2", p.Workers())
-	}
-	batch := make([]FeedFrame, 8)
-	next := vr.FrameID(0)
-	feed := func() {
-		for i := range batch {
-			batch[i] = FeedFrame{Frame: vr.Frame{FID: next}}
-			next++
-		}
-		if res := p.ProcessBatch(batch); len(res) != 0 {
-			t.Fatalf("empty frames matched: %v", res)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		feed()
-	}
-	if n := testing.AllocsPerRun(100, feed); n != 0 {
-		t.Errorf("a warm batch of empty frames allocates %.1f times, want 0", n)
+	for _, m := range []Method{MethodNaive, MethodMFS, MethodSSG} {
+		t.Run(string(m), func(t *testing.T) {
+			p, err := NewPool(poolQueries(t), PoolOptions{Workers: 2, Mode: ShardByGroup, Engine: Options{Method: m}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			if p.Workers() != 2 {
+				t.Fatalf("%d shards, want 2", p.Workers())
+			}
+			batch := make([]FeedFrame, 8)
+			next := vr.FrameID(0)
+			feed := func() {
+				for i := range batch {
+					batch[i] = FeedFrame{Frame: vr.Frame{FID: next}}
+					next++
+				}
+				if res := p.ProcessBatch(batch); len(res) != 0 {
+					t.Fatalf("empty frames matched: %v", res)
+				}
+			}
+			for i := 0; i < 4; i++ {
+				feed()
+			}
+			if n := testing.AllocsPerRun(100, feed); n != 0 {
+				t.Errorf("a warm batch of empty frames allocates %.1f times, want 0", n)
+			}
+		})
 	}
 }
 
 // TestPoolFeedDispatchAllocFree pins what a ShardByFeed batch that
-// spans shards costs the pool itself: on a warm two-shard pool, a batch
-// of empty frames over two feeds, one on each shard, allocates nothing,
-// which is all the batch hands back. The result column, the jobs with
-// their frame and index lists, and the WaitGroup are the pool's, kept
-// from batch to batch.
+// spans shards costs the pool itself: on a warm two-shard pool of each
+// method, a batch of empty frames over two feeds, one on each shard,
+// allocates nothing, which is all the batch hands back. The result
+// column, the jobs with their frame and index lists, and the WaitGroup
+// are the pool's, kept from batch to batch.
 func TestPoolFeedDispatchAllocFree(t *testing.T) {
-	p, err := NewPool(poolQueries(t), PoolOptions{Workers: 2, Mode: ShardByFeed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	batch := make([]FeedFrame, 8)
-	next := [2]vr.FrameID{}
-	feed := func() {
-		for i := range batch {
-			f := FeedID(i % 2)
-			batch[i] = FeedFrame{Feed: f, Frame: vr.Frame{FID: next[f]}}
-			next[f]++
-		}
-		if _, one := p.oneShard(batch); one {
-			t.Fatal("the batch maps to one shard")
-		}
-		if res := p.ProcessBatch(batch); len(res) != 0 {
-			t.Fatalf("empty frames matched: %v", res)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		feed()
-	}
-	if n := testing.AllocsPerRun(100, feed); n != 0 {
-		t.Errorf("a warm two-feed batch of empty frames allocates %.1f times, want 0", n)
+	for _, m := range []Method{MethodNaive, MethodMFS, MethodSSG} {
+		t.Run(string(m), func(t *testing.T) {
+			p, err := NewPool(poolQueries(t), PoolOptions{Workers: 2, Mode: ShardByFeed, Engine: Options{Method: m}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			batch := make([]FeedFrame, 8)
+			next := [2]vr.FrameID{}
+			feed := func() {
+				for i := range batch {
+					f := FeedID(i % 2)
+					batch[i] = FeedFrame{Feed: f, Frame: vr.Frame{FID: next[f]}}
+					next[f]++
+				}
+				if _, one := p.oneShard(batch); one {
+					t.Fatal("the batch maps to one shard")
+				}
+				if res := p.ProcessBatch(batch); len(res) != 0 {
+					t.Fatalf("empty frames matched: %v", res)
+				}
+			}
+			for i := 0; i < 4; i++ {
+				feed()
+			}
+			if n := testing.AllocsPerRun(100, feed); n != 0 {
+				t.Errorf("a warm two-feed batch of empty frames allocates %.1f times, want 0", n)
+			}
+		})
 	}
 }
 

@@ -457,6 +457,14 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		restored.Close()
+		byFeed, err := NewPool(qs, PoolOptions{Workers: 1, Mode: ShardByFeed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer byFeed.Close()
+		if _, err := restoreFile(snapFile(t, byFeed), PoolOptions{Mode: ShardByGroup}); !errors.Is(err, ErrSnapshotMismatch) {
+			t.Errorf("ShardByFeed snapshot in ShardByGroup mode: err = %v, want ErrSnapshotMismatch", err)
+		}
 	})
 	t.Run("unknown kind", func(t *testing.T) {
 		var sw snapshot.Writer

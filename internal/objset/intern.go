@@ -56,8 +56,6 @@ func (in *Interner) Len() int { return in.n }
 func (in *Interner) Of(h Handle) Set { return in.sets[h] }
 
 // Lookup returns the handle of s if it is interned. It never allocates.
-//
-//tvq:noalloc
 func (in *Interner) Lookup(s Set) (Handle, bool) {
 	h := s.Hash()
 	i := h & in.mask
@@ -79,8 +77,6 @@ func (in *Interner) Lookup(s Set) (Handle, bool) {
 // retained, so Scratch-backed sets may be interned directly. Interning
 // the empty set is not supported and panics: generators never key state
 // on it, and reserving it would cost every lookup a branch.
-//
-//tvq:noalloc
 func (in *Interner) Intern(s Set) (handle Handle, created bool) {
 	return in.intern(s, false)
 }
@@ -93,7 +89,6 @@ func (in *Interner) Adopt(s Set) (handle Handle, created bool) {
 	return in.intern(s, true)
 }
 
-//tvq:noalloc
 func (in *Interner) intern(s Set, adopt bool) (handle Handle, created bool) {
 	if s.IsEmpty() {
 		panic("objset: cannot intern the empty set")
@@ -144,8 +139,6 @@ func (in *Interner) intern(s Set, adopt bool) (handle Handle, created bool) {
 // never allocates (the freelist append is amortized). Releasing a
 // handle twice, or one never issued, corrupts the table; the caller
 // pairs each Release with the death of the state that owned the handle.
-//
-//tvq:noalloc
 func (in *Interner) Release(h Handle) {
 	s := in.sets[h]
 	hs := s.Hash()

@@ -283,8 +283,6 @@ func (s Set) Equal(t Set) bool {
 // (a proper prefix sorts first). It is a total order consistent with
 // Equal, identical for both representations, and allocation-free — the
 // comparator emit-time sorting uses instead of building Key strings.
-//
-//tvq:noalloc
 func Compare(s, t Set) int {
 	if s.words == nil && t.words == nil {
 		a, b := s.ids, t.ids
@@ -409,8 +407,6 @@ type Scratch struct {
 // returned Set aliases b's storage: it is valid only until b is used
 // again, and must be copied with Clone (or interned) to be retained. In
 // steady state it performs no allocations.
-//
-//tvq:noalloc
 func (s Set) IntersectInto(t Set, b *Scratch) Set {
 	switch {
 	case s.IsEmpty() || t.IsEmpty():
@@ -488,8 +484,6 @@ func (s Set) IntersectInto(t Set, b *Scratch) Set {
 }
 
 // IntersectLen returns |s ∩ t| without allocating.
-//
-//tvq:noalloc
 func (s Set) IntersectLen(t Set) int {
 	switch {
 	case s.IsEmpty() || t.IsEmpty():
@@ -538,8 +532,6 @@ func (s Set) IntersectLen(t Set) int {
 
 // Intersects reports whether s ∩ t is non-empty, with early exit on the
 // first common member. It never allocates.
-//
-//tvq:noalloc
 func (s Set) Intersects(t Set) bool {
 	switch {
 	case s.IsEmpty() || t.IsEmpty():
@@ -814,8 +806,6 @@ func (m *minusCursor) next() (ID, bool) {
 }
 
 // SubsetOf reports whether s ⊆ t. It never allocates.
-//
-//tvq:noalloc
 func (s Set) SubsetOf(t Set) bool {
 	if s.Len() > t.Len() {
 		return false
@@ -885,8 +875,6 @@ func hashID(h uint64, id ID) uint64 {
 
 // Hash returns a 64-bit FNV-1a hash of the set contents, identical for
 // both representations. It never allocates.
-//
-//tvq:noalloc
 func (s Set) Hash() uint64 {
 	h := uint64(fnvOffset64)
 	if s.words == nil {
@@ -910,8 +898,6 @@ func (s Set) Hash() uint64 {
 // whose signatures are disjoint are disjoint. The empty set's signature
 // is 0. It is the same for both representations; a dense set's is the
 // OR of its words, because off is a multiple of 64.
-//
-//tvq:noalloc
 func (s Set) Sig() uint64 {
 	var sig uint64
 	for _, id := range s.ids {

@@ -153,8 +153,6 @@ func (p *plan) len() int { return len(p.slotOf) }
 // add registers one already-validated query: its clauses are
 // normalized, interned bottom-up, and the query gets a dense subscriber
 // slot set in its body's fan-out mask.
-//
-//tvq:noalloc
 func (p *plan) add(q cnf.Query) {
 	p.clauseBuf = p.clauseBuf[:0]
 	for _, d := range q.Clauses {
@@ -209,8 +207,6 @@ func (p *plan) ranks() []int32 {
 // remove deregisters a query, releasing its slot and any predicate,
 // clause or body handles the removal orphans. It reports whether the
 // query was present.
-//
-//tvq:noalloc
 func (p *plan) remove(qid int) bool {
 	slot, ok := p.slotOf[qid]
 	if !ok {

@@ -78,8 +78,6 @@ func NewEvaluator(reg *vr.Registry, queries []cnf.Query) (*Evaluator, error) {
 // reused, new ones are interned, and the query claims a subscriber
 // slot in its body's fan-out mask. On a warm plan (shapes seen before)
 // Add allocates nothing.
-//
-//tvq:noalloc
 func (e *Evaluator) Add(q cnf.Query) error {
 	if err := q.Validate(); err != nil {
 		return err
@@ -103,8 +101,6 @@ func (e *Evaluator) Add(q cnf.Query) error {
 // predicate, clause or body handles no remaining query shares; it
 // reports whether the query was present. Removing the last query
 // leaves a valid empty evaluator.
-//
-//tvq:noalloc
 func (e *Evaluator) Remove(id int) bool {
 	if !e.p.remove(id) {
 		return false

@@ -21,21 +21,31 @@ func TestUnboundCloseWithParkedSend(t *testing.T) {
 		c.Send(7)
 	}()
 
-	// Wait for the sender to register in flight. Had the unbound path
-	// not registered, this loop would fall through on the deadline and
-	// Close would race the parked send.
-	deadline := time.Now().Add(time.Second)
-	for {
-		c.mu.Lock()
-		parked := c.inflight == 1
-		c.mu.Unlock()
-		if parked || time.Now().After(deadline) {
-			break
+	// Wait for the sender to register in flight, then close. Had the
+	// unbound path not registered, the loop would fall through on its
+	// deadline and Close would race the parked send. Both take c.mu, so
+	// a Send parked while holding it would block them for good: they run
+	// apart, under a deadline of their own.
+	closed := make(chan struct{})
+	go func() {
+		deadline := time.Now().Add(time.Second)
+		for {
+			c.mu.Lock()
+			parked := c.inflight == 1
+			c.mu.Unlock()
+			if parked || time.Now().After(deadline) {
+				break
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
+		c.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close blocked behind a Send parked under the lock")
 	}
-
-	c.Close()
 
 	if v, ok := <-c.C(); !ok || v != 7 {
 		t.Fatalf("parked value lost: got (%d, %v), want 7", v, ok)

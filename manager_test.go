@@ -36,6 +36,9 @@ func TestSessionManagerBasics(t *testing.T) {
 	if _, err := m.Get("nope"); !errors.Is(err, tvq.ErrUnknownSession) {
 		t.Errorf("Get unknown: %v, want ErrUnknownSession", err)
 	}
+	if err := m.Close("nope"); !errors.Is(err, tvq.ErrUnknownSession) {
+		t.Errorf("Close unknown: %v, want ErrUnknownSession", err)
+	}
 	if got, err := m.Get("tenant-a"); err != nil || got != a {
 		t.Errorf("Get returned %v, %v", got, err)
 	}

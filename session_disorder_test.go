@@ -8,6 +8,9 @@ import (
 	"testing"
 
 	"tvq"
+	"tvq/internal/engine"
+	"tvq/internal/reorder"
+	"tvq/internal/snapshot"
 )
 
 // Disorder differential harness: a session opened with
@@ -381,6 +384,24 @@ func TestDisorderSnapshotCrossChecks(t *testing.T) {
 
 	if _, err := tvq.Resume(nil, bytes.NewReader(strict), tvq.WithLatePolicy(tvq.LateDrop)); err == nil {
 		t.Errorf("WithLatePolicy alone on a strict snapshot must be rejected")
+	}
+
+	// A reorder buffer that resumes at frame 5 beside an engine at frame
+	// 0: the snapshot's halves disagree.
+	proc, err := engine.Open([]tvq.Query{q}, engine.PoolOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proc.Close()
+	file := sessionFile(t, "session2", nil, proc, func(sw *snapshot.Writer) {
+		sw.Uvarint(3) // bound
+		sw.Uvarint(uint64(tvq.LateDrop))
+		sw.Uvarint(1) // feeds
+		sw.Varint(0)
+		reorder.New(3, reorder.Drop, 5).Encode(sw)
+	})
+	if _, err := tvq.Resume(nil, bytes.NewReader(file)); !errors.Is(err, tvq.ErrSnapshotMismatch) {
+		t.Errorf("reorder cursor beside another engine cursor: err = %v, want ErrSnapshotMismatch", err)
 	}
 }
 

@@ -135,6 +135,19 @@ func TestSessionTypedErrors(t *testing.T) {
 		t.Error("single-engine session accepted feed 3")
 	}
 
+	// Run goes on from the session's cursor, so a trace that ends before
+	// the cursor is the wrong trace.
+	tr := sessionTrace(t)
+	if _, err := single.Run(tr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := single.ProcessFrame(tvq.Frame{FID: tvq.FrameID(tr.Len())}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := single.Run(tr); !errors.Is(err, tvq.ErrSnapshotMismatch) {
+		t.Errorf("Run of a trace that ends before the cursor: err = %v, want ErrSnapshotMismatch", err)
+	}
+
 	// Pooled sessions reject dynamic queries under pruning identically.
 	pooledPruned, err := tvq.Open(nil, tvq.WithQueries(q), tvq.WithPruning(true),
 		tvq.WithWorkers(2), tvq.WithShardMode(tvq.ShardByGroup))
@@ -498,6 +511,18 @@ func TestResumeCrossChecks(t *testing.T) {
 		t.Fatalf("matching method rejected: %v", err)
 	}
 	ok.Close()
+
+	// A subscription record that names no query of the embedded
+	// processor.
+	proc, err := engine.Open([]tvq.Query{tvq.MustQuery(1, "car >= 1", 10, 5)}, engine.PoolOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proc.Close()
+	orphan := sessionFile(t, "session", []int{9}, proc, nil)
+	if _, err := tvq.Resume(nil, bytes.NewReader(orphan)); !errors.Is(err, tvq.ErrSnapshotMismatch) {
+		t.Errorf("subscription without a query: err = %v, want ErrSnapshotMismatch", err)
+	}
 }
 
 // TestDisorderedProcessFrameAllocs: on a warm session, an in-order

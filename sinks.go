@@ -169,8 +169,6 @@ func (s *JSONLSink) Deliver(d Delivery) error {
 // the tail, from the memo when d's state was already encoded in this
 // scope. Empty object sets and frame lists always take the plain path,
 // so null and [] stay apart.
-//
-//tvq:noalloc
 func (s *JSONLSink) encode(d Delivery) {
 	if s.head == 0 || d.Feed != s.feed || d.FID != s.fid {
 		s.rescope(d.Feed, d.FID)
@@ -234,8 +232,6 @@ func (s *JSONLSink) forget() {
 }
 
 // appendTail appends m's `,"objects":[…],"frames":[…]}` and the newline.
-//
-//tvq:noalloc
 func (s *JSONLSink) appendTail(b []byte, m *Match) []byte {
 	b = append(b, `,"objects":`...)
 	if objs := m.Objects; objs.Len() == 0 {
@@ -284,8 +280,6 @@ const maxIDLen = 20
 // digits there and storing the register — no division, and no load of
 // bytes just stored. A gap, a repeat, a descent, a negative id or a
 // carry out of the packed digits (99 → 100) starts over from the value.
-//
-//tvq:noalloc
 func appendFrameIDs(b []byte, fids []FrameID) []byte {
 	// Reserve the worst case up front — every id at full width with its
 	// comma, plus the slack an 8-byte store may spill into — so the loop

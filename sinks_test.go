@@ -74,8 +74,17 @@ func TestCancelUnblocksFullChanSink(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(20 * time.Millisecond) // let the second Deliver park
-	if err := sub.Cancel(); err != nil {
-		t.Fatal(err)
+	// Cancel itself must not wait on the parked Deliver: a Process that
+	// held the session's lock across Deliver would block it for good.
+	cancelled := make(chan error, 1)
+	go func() { cancelled <- sub.Cancel() }()
+	select {
+	case err := <-cancelled:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Cancel blocked behind a Deliver parked on a full sink")
 	}
 
 	select {
@@ -141,8 +150,20 @@ func TestCancelFromConsumerGoroutine(t *testing.T) {
 		}
 		done <- n
 	}()
-	if _, err := s.Run(tr); err != nil {
-		t.Fatal(err)
+	// The consumer cancels while Run may be parked delivering to it:
+	// Run must still end, and the consumer's loop with it.
+	ran := make(chan error, 1)
+	go func() {
+		_, err := s.Run(tr)
+		ran <- err
+	}()
+	select {
+	case err := <-ran:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run still blocked after the consumer cancelled")
 	}
 	select {
 	case n := <-done:

@@ -86,6 +86,32 @@ func procFile(t testing.TB, proc engine.Processor) []byte {
 	return file
 }
 
+// sessionFile writes a session snapshot file of the given kind around
+// proc's snapshot: the recorded subscription ids, the processor, then
+// whatever tail writes (a session2's reorder section).
+func sessionFile(t testing.TB, kind string, subIDs []int, proc engine.Processor, tail func(*snapshot.Writer)) []byte {
+	t.Helper()
+	var sw snapshot.Writer
+	outer := sw.Begin()
+	sw.String(kind)
+	sw.Uvarint(uint64(len(subIDs)))
+	for _, id := range subIDs {
+		sw.Int(id)
+	}
+	blob := sw.BeginBlob()
+	inner := sw.Begin()
+	if err := proc.Snapshot(&sw); err != nil {
+		t.Fatal(err)
+	}
+	sw.End(inner)
+	sw.EndBlob(blob)
+	if tail != nil {
+		tail(&sw)
+	}
+	sw.End(outer)
+	return sw.Bytes()
+}
+
 // frame wraps payload in a snapshot file.
 func frame(payload []byte) []byte {
 	var sw snapshot.Writer
@@ -249,22 +275,12 @@ func TestResumeRefusesNegativeDisorderBound(t *testing.T) {
 	}
 	defer proc.Close()
 	for _, bound := range []uint64{math.MaxUint64, math.MaxInt64 + 1, 3} {
-		var sw snapshot.Writer
-		outer := sw.Begin()
-		sw.String("session2")
-		sw.Uvarint(0) // subscriptions
-		blob := sw.BeginBlob()
-		inner := sw.Begin()
-		if err := proc.Snapshot(&sw); err != nil {
-			t.Fatal(err)
-		}
-		sw.End(inner)
-		sw.EndBlob(blob)
-		sw.Uvarint(bound)
-		sw.Uvarint(0) // late policy
-		sw.Uvarint(0) // feeds
-		sw.End(outer)
-		s, err := tvq.Resume(nil, bytes.NewReader(sw.Bytes()))
+		file := sessionFile(t, "session2", nil, proc, func(sw *snapshot.Writer) {
+			sw.Uvarint(bound)
+			sw.Uvarint(0) // late policy
+			sw.Uvarint(0) // feeds
+		})
+		s, err := tvq.Resume(nil, bytes.NewReader(file))
 		if bound == 3 {
 			if err != nil || s.DisorderBound() != 3 {
 				t.Fatalf("bound 3: Resume = %v", err)
