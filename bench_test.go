@@ -179,20 +179,30 @@ func BenchmarkSSGCoherentFeed(b *testing.B) { fullScaleMCOSBench(b, "V2") }
 // set algebra, a regime BenchmarkSSGCoherentFeed does not reach.
 func BenchmarkSSGDenseGraph(b *testing.B) { fullScaleMCOSBench(b, "D2") }
 
-// TestSSGHeapPerState budgets the heap a live SSG state holds on D2 at
-// the paper's window, cut at three quarters: 950 B. Packed 8-byte frame
-// entries put it at about 880 B; 16-byte ones put it near 1 180 B.
+// TestSSGHeapPerState budgets the heap a live SSG state holds at the
+// paper's window, cut at three quarters of each trace: 700 B on D2 and
+// 780 B on V2, about 5% over what frame lists held as runs and interner
+// tables sized to the live set measure (671 B and 743 B). One 8-byte
+// frame entry per frame put them at 878 B and 1 187 B.
+// internal/core's TestSSGHeapBreakdown logs the parts with -v.
 func TestSSGHeapPerState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	ds, err := bench.Config{Seed: 1, Scale: 1}.LoadDataset("D2")
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := core.Config{Window: bench.DefaultWindow, Duration: bench.DefaultDuration}
-	if got := heapPerState("SSG", cfg, ds.Trace); got > 950 {
-		t.Errorf("SSG holds %.0f B of heap per live state on D2, budget 950", got)
+	for _, tc := range []struct {
+		name   string
+		budget float64
+	}{{"D2", 700}, {"V2", 780}} {
+		ds, err := bench.Config{Seed: 1, Scale: 1}.LoadDataset(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := heapPerState("SSG", cfg, ds.Trace)
+		t.Logf("%s: %.0f B per live state", tc.name, got)
+		if got > tc.budget {
+			t.Errorf("SSG holds %.0f B of heap per live state on %s, budget %.0f", got, tc.name, tc.budget)
+		}
 	}
 }
 

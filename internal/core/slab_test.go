@@ -90,8 +90,8 @@ func TestDecodedListsCappedAtLength(t *testing.T) {
 			before := make([]string, len(states))
 			for i, s := range states {
 				before[i] = s.String()
-				if e := s.frames.entries; cap(e) != len(e) {
-					t.Fatalf("state %s: frame list of %d entries has capacity %d", s, len(e), cap(e))
+				if r := s.frames.runs; cap(r) != len(r) {
+					t.Fatalf("state %s: frame list of %d runs has capacity %d", s, len(r), cap(r))
 				}
 				for _, set := range []objset.Set{s.Objects, s.extra} {
 					if ids := set.IDs(); cap(ids) != len(ids) {
@@ -101,11 +101,12 @@ func TestDecodedListsCappedAtLength(t *testing.T) {
 			}
 			next := g.Next()
 			for i, s := range states {
-				s.frames.push(newFrameEntry(next+vr.FrameID(i), false))
+				// A gap before the new frame starts a run of its own.
+				s.frames.insert(next+1+vr.FrameID(i), false)
 			}
 			for i, s := range states {
-				live := s.frames.live()
-				if got := (&State{Objects: s.Objects, frames: frameList{entries: live[:len(live)-1]}}).String(); got != before[i] {
+				runs := s.frames.runs
+				if got := (&State{Objects: s.Objects, frames: frameList{runs: runs[:len(runs)-1]}}).String(); got != before[i] {
 					t.Fatalf("growing the frame lists changed a neighbour: %s, was %s", got, before[i])
 				}
 			}

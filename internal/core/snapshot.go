@@ -96,17 +96,18 @@ func encodeSet(w *snapshot.Writer, s objset.Set) {
 // slabs is what one generator payload decodes into, so that a restore
 // takes a few large blocks instead of several allocations per state:
 // the State structs come from one slice sized by the state count, the
-// frame lists from chunked arenas, and every object set — state,
+// frame lists' runs from chunked arenas, and every object set — state,
 // blocker and window ring — from an objset.Slab. Each list and set is
 // capped at its own length: statePool.put keeps a dead state's
-// frames.entries[:0] for the next state, push appends in place and
+// frames.runs[:0] for the next state, insert appends in place and
 // blockers shrink in place, so an uncapped list would let one state
 // overwrite its neighbour.
 type slabs struct {
-	states  []State // not yet handed out
-	entries arena.Chunks[frameEntry]
-	sets    objset.Slab
-	ids     []objset.ID // one set's ids, as the wire decoder appends them
+	states []State // not yet handed out
+	runs   arena.Chunks[frameRun]
+	sets   objset.Slab
+	ids    []objset.ID // one set's ids, as the wire decoder appends them
+	list   frameList   // one state's frame list, built before it is carved
 }
 
 // set reads an object set through the shared wire decoder, which
@@ -129,18 +130,16 @@ func (sl *slabs) set(r *snapshot.Reader) objset.Set {
 
 // encodeState writes one state: object set, the frame entries with marks
 // from minFID on (older ones have left the window but may not have been
-// expired yet), rest-closure blockers, and a false byte where a
-// termination flag used to be.
+// expired yet), one (frame id, mark) pair per frame, rest-closure
+// blockers, and a false byte where a termination flag used to be.
 func encodeState(w *snapshot.Writer, s *State, minFID vr.FrameID) {
 	encodeSet(w, s.Objects)
-	live := s.frames.live()
-	for len(live) > 0 && live[0].fid() < minFID {
-		live = live[1:]
-	}
-	w.Uvarint(uint64(len(live)))
-	for _, e := range live {
-		w.Varint(e.fid())
-		w.Bool(e.marked())
+	w.Uvarint(uint64(s.frames.countFrom(minFID)))
+	for _, r := range s.frames.runs {
+		for fid := max(r.first, minFID); fid < r.end(); fid++ {
+			w.Varint(fid)
+			w.Bool(r.marked)
+		}
 	}
 	w.Bool(s.frames.hasExtra)
 	if s.frames.hasExtra {
@@ -150,13 +149,15 @@ func encodeState(w *snapshot.Writer, s *State, minFID vr.FrameID) {
 }
 
 // state reads one state into the next struct of the slab, which the
-// caller sized by the state count.
+// caller sized by the state count. The frames are read into a scratch
+// list, whose runs are then copied into the arena at their own count.
 func (sl *slabs) state(r *snapshot.Reader, next vr.FrameID) *State {
 	s := &sl.states[0]
 	sl.states = sl.states[1:]
 	s.Objects = sl.set(r)
+	fl := frameList{runs: sl.list.runs[:0]}
 	n := r.Count(2)
-	s.frames.entries = sl.entries.Take(n)[:0]
+	prev := vr.FrameID(0)
 	for i := 0; i < n; i++ {
 		fid := r.Varint()
 		marked := r.Bool()
@@ -164,16 +165,17 @@ func (sl *slabs) state(r *snapshot.Reader, next vr.FrameID) *State {
 			r.Fail("state frame %d (entry %d) outside [%d, %d]", fid, i, minPackedFID, maxPackedFID)
 			return s
 		}
-		if fid >= next || i > 0 && s.frames.entries[i-1].fid() >= fid {
+		if fid >= next || i > 0 && prev >= fid {
 			r.Fail("state frame %d (entry %d) out of order or not before frame %d", fid, i, next)
 			return s
 		}
-		s.frames.entries = append(s.frames.entries, newFrameEntry(fid, marked))
-		s.frames.sum += mixFID(fid)
-		if marked {
-			s.frames.marks++
-		}
+		fl.insert(fid, marked)
+		prev = fid
 	}
+	sl.list.runs = fl.runs
+	s.frames = fl
+	s.frames.runs = sl.runs.Take(len(fl.runs))
+	copy(s.frames.runs, fl.runs)
 	if s.frames.hasExtra = r.Bool(); s.frames.hasExtra {
 		if s.extra = sl.set(r); s.extra.Intersects(s.Objects) {
 			r.Fail("state %s has blockers %s among its objects", s.Objects, s.extra)
@@ -313,7 +315,7 @@ func (g *SSG) encode(w *snapshot.Writer) error {
 	encodeWindow(w, &g.window)
 
 	live := make([]*ssgNode, 0, g.live)
-	for _, n := range g.nodes {
+	for _, n := range g.nodes.All() {
 		if n != nil {
 			live = append(live, n)
 		}
@@ -321,12 +323,12 @@ func (g *SSG) encode(w *snapshot.Writer) error {
 	slices.SortFunc(live, func(a, b *ssgNode) int { return objset.Compare(a.state.Objects, b.state.Objects) })
 	// A live node's position in that order, by its handle; a node is in
 	// the graph when its handle leads back to it.
-	idx := make([]int32, len(g.nodes))
+	idx := make([]int32, g.nodes.Len())
 	for i, n := range live {
 		idx[n.handle] = int32(i)
 	}
 	index := func(n *ssgNode) (uint64, error) {
-		if int(n.handle) >= len(g.nodes) || g.nodes[n.handle] != n {
+		if g.node(n.handle) != n {
 			return 0, fmt.Errorf("core: ssg edge to a node outside the graph")
 		}
 		return uint64(idx[n.handle]), nil
@@ -398,7 +400,7 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 	sl.states = make([]State, count)
 	slab := make([]ssgNode, count)
 	nodes := make([]*ssgNode, count)
-	g.nodes = make([]*ssgNode, 0, count)
+	g.nodes.Reserve(count)
 	g.intern.Reserve(count)
 	// Every edge list, by node index, goes into one arena: list j is
 	// edges[ends[j]:ends[j+1]], node i's children list 2i and its parents
@@ -438,11 +440,7 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 			r.Fail("ssg node %s is empty or terminated", n.state.Objects)
 			return r.Err()
 		}
-		for _, e := range n.state.frames.live() {
-			if e.marked() {
-				n.lastMark = e.fid()
-			}
-		}
+		_, n.lastMark, _ = n.state.frames.last()
 		if n.lastMark < 0 {
 			r.Fail("ssg node %s has no key frame before frame %d", n.state.Objects, g.window.next)
 			return r.Err()
@@ -595,11 +593,11 @@ func disagreeingEdges(edges, ends []int32) int {
 // node that is not one is rejected.
 func (g *SSG) relistFolded(r *snapshot.Reader) {
 	last, _ := g.window.at(g.window.next - 1)
-	for _, n := range g.nodes {
+	for _, n := range g.nodes.All() {
 		if n == nil {
 			continue
 		}
-		if fl := n.state.frames.live(); len(fl) > 0 && fl[len(fl)-1].fid() == g.window.next-1 {
+		if newest, _, ok := n.state.frames.last(); ok && newest == g.window.next-1 {
 			if !n.state.Objects.SubsetOf(last) {
 				r.Fail("ssg node %s lists frame %d, which lacks it", n.state.Objects, g.window.next-1)
 				return

@@ -85,7 +85,7 @@ func generatorStates(g Generator) []*State {
 	case *MFS:
 		out = g.states
 	case *SSG:
-		for _, n := range g.nodes {
+		for _, n := range g.nodes.All() {
 			if n != nil {
 				out = append(out, n.state)
 			}
@@ -244,7 +244,7 @@ func TestSSGSnapshotAtQuietCuts(t *testing.T) {
 // yet expired, and its edges.
 func graphDump(g *SSG) string {
 	var b strings.Builder
-	for _, n := range g.nodes {
+	for _, n := range g.nodes.All() {
 		if n == nil {
 			continue
 		}
@@ -311,11 +311,11 @@ func TestSSGSnapshotHoldsNoExpiredFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 		minFID := vr.FrameID(len(feed) - cfg.Window)
-		for _, n := range restored.(*SSG).nodes {
+		for _, n := range restored.(*SSG).nodes.All() {
 			if n == nil {
 				continue
 			}
-			if fl := n.state.frames.live(); len(fl) == 0 || fl[0].fid() < minFID || !n.state.Valid() {
+			if fl := n.state.frames.runs; len(fl) == 0 || fl[0].first < minFID || !n.state.Valid() {
 				t.Fatalf("trial %d (w=%d): snapshot holds stale state %v; window starts at %d", trial, cfg.Window, n.state, minFID)
 			}
 		}
@@ -341,16 +341,16 @@ func TestSSGDecodeRejectsNodeWithoutKeyFrame(t *testing.T) {
 	cases := []struct {
 		name           string
 		window, frames int
-		entries        func(live []frameEntry, next vr.FrameID) []frameEntry
+		runs           func(live []frameRun, next vr.FrameID) []frameRun
 		want           string
 	}{
 		{"unmarked", 6, 40, unmarked, "no key frame"},
 		{"unmarked before w frames", 20, 5, unmarked, "no key frame"},
-		{"negative mark", 20, 5, func([]frameEntry, vr.FrameID) []frameEntry {
-			return []frameEntry{newFrameEntry(-3, true)}
+		{"negative mark", 20, 5, func([]frameRun, vr.FrameID) []frameRun {
+			return []frameRun{{first: -3, n: 1, marked: true}}
 		}, "no key frame"},
-		{"mark not yet processed", 6, 40, func(_ []frameEntry, next vr.FrameID) []frameEntry {
-			return []frameEntry{newFrameEntry(next, true)}
+		{"mark not yet processed", 6, 40, func(_ []frameRun, next vr.FrameID) []frameRun {
+			return []frameRun{{first: next, n: 1, marked: true}}
 		}, "not before frame 40"},
 	}
 	for _, tc := range cases {
@@ -360,7 +360,7 @@ func TestSSGDecodeRejectsNodeWithoutKeyFrame(t *testing.T) {
 			g.Process(f)
 		}
 		var victim *State
-		for _, n := range g.nodes {
+		for _, n := range g.nodes.All() {
 			if n != nil {
 				victim = n.state
 				break
@@ -369,13 +369,7 @@ func TestSSGDecodeRejectsNodeWithoutKeyFrame(t *testing.T) {
 		if victim == nil {
 			t.Fatalf("%s: feed left no states", tc.name)
 		}
-		victim.frames.entries = tc.entries(victim.frames.live(), g.window.next)
-		victim.frames.head, victim.frames.marks = 0, 0
-		for _, e := range victim.frames.entries {
-			if e.marked() {
-				victim.frames.marks++
-			}
-		}
+		setRuns(&victim.frames, tc.runs(victim.frames.runs, g.window.next))
 		var w snapshot.Writer
 		if err := EncodeGenerator(&w, g); err != nil {
 			t.Fatal(err)
@@ -386,12 +380,24 @@ func TestSSGDecodeRejectsNodeWithoutKeyFrame(t *testing.T) {
 	}
 }
 
-func unmarked(live []frameEntry, _ vr.FrameID) []frameEntry {
+func unmarked(live []frameRun, _ vr.FrameID) []frameRun {
 	out := slices.Clone(live)
 	for i := range out {
-		out[i] = newFrameEntry(out[i].fid(), false)
+		out[i].marked = false
 	}
 	return out
+}
+
+// setRuns makes runs fl's frames, counting them and their marks, which
+// is all encodeState reads; the runs need not be maximal.
+func setRuns(fl *frameList, runs []frameRun) {
+	fl.runs, fl.n, fl.marks = runs, 0, 0
+	for _, r := range runs {
+		fl.n += r.n
+		if r.marked {
+			fl.marks += r.n
+		}
+	}
 }
 
 // TestSSGDecodeDropsExpiredNode: a node whose key frames have all left
@@ -407,7 +413,8 @@ func TestSSGDecodeDropsExpiredNode(t *testing.T) {
 	w.Uvarint(0) // window frames
 	w.Uvarint(1) // nodes
 	s := &State{Objects: objset.New(1, 2)}
-	s.frames.entries = []frameEntry{newFrameEntry(10, true), newFrameEntry(11, false)}
+	s.frames.insert(10, true)
+	s.frames.insert(11, false)
 	encodeState(&w, s, 0)
 	w.Varint(11) // visited
 	w.Varint(10) // createdAt

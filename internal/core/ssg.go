@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"tvq/internal/arena"
 	"tvq/internal/objset"
 	"tvq/internal/vr"
 )
@@ -59,7 +60,7 @@ import (
 type SSG struct {
 	cfg    Config
 	intern *objset.Interner
-	nodes  []*ssgNode // indexed by objset.Handle; nil when no such node
+	nodes  arena.Table[*ssgNode] // indexed by objset.Handle; nil when no such node
 	live   int
 
 	// rootOrder lists traversal entry points (parentless nodes) in the
@@ -183,18 +184,16 @@ func (g *SSG) Metrics() Metrics { return g.metrics }
 
 // node returns the live node with interned handle h, or nil.
 func (g *SSG) node(h objset.Handle) *ssgNode {
-	if int(h) < len(g.nodes) {
-		return g.nodes[h]
+	if int(h) < g.nodes.Len() {
+		return *g.nodes.At(int(h))
 	}
 	return nil
 }
 
 // setNode records n as the live node for handle h.
 func (g *SSG) setNode(h objset.Handle, n *ssgNode) {
-	for int(h) >= len(g.nodes) {
-		g.nodes = append(g.nodes, nil)
-	}
-	g.nodes[h] = n
+	g.nodes.Grow(int(h) + 1)
+	*g.nodes.At(int(h)) = n
 	g.live++
 }
 
@@ -421,7 +420,7 @@ func (g *SSG) maintain(n *ssgNode, f vr.Frame, inh *ssgNode) *ssgNode {
 // may be scratch-backed; it is interned (copied) before being retained.
 func (g *SSG) target(n *ssgNode, inter objset.Set, f vr.Frame) *ssgNode {
 	if h, ok := g.intern.Lookup(inter); ok {
-		t := g.nodes[h]
+		t := *g.nodes.At(int(h))
 		g.foldInto(t, n, f)
 		return t
 	}
@@ -430,7 +429,7 @@ func (g *SSG) target(n *ssgNode, inter objset.Set, f vr.Frame) *ssgNode {
 		return nil
 	}
 	t := g.newNode(inter, f.FID)
-	t.state.frames.reserve(n.state.frames.len()+1, g.cfg.Window)
+	t.state.frames.reserve(len(n.state.frames.runs)+1, g.cfg.Window)
 	g.foldInto(t, n, f)
 	g.attachChild(n, t)
 	return t
@@ -470,22 +469,28 @@ func (g *SSG) foldFrame(n *ssgNode, f vr.Frame) {
 // foldMissing folds every frame of parent that target lacks. A frame
 // containing the parent's objects contains the target's (a subset), so
 // the target's frame set stays exact (= all window frames containing it).
+// It walks the two run lists side by side and skips each stretch of the
+// parent's frames that a run of the target already holds.
 func (g *SSG) foldMissing(target, parent *ssgNode) {
-	te := target.state.frames.live()
-	i := 0
-	for _, e := range parent.state.frames.live() {
-		fid := e.fid()
-		for i < len(te) && te[i].fid() < fid {
-			i++
-		}
-		if i < len(te) && te[i].fid() == fid {
-			continue
-		}
-		if of, ok := g.window.at(fid); ok {
-			if target.state.fold(fid, of) {
-				target.lastMark = max(target.lastMark, fid)
+	j := 0 // the target's runs before j end at or before fid
+	for _, pr := range parent.state.frames.runs {
+		for fid := pr.first; fid < pr.end(); fid++ {
+			tr := target.state.frames.runs
+			for j < len(tr) && tr[j].end() <= fid {
+				j++
 			}
-			te = target.state.frames.live() // insertion may move the entries
+			if j < len(tr) && tr[j].first <= fid {
+				fid = min(tr[j].end(), pr.end()) - 1 // held: skip to the run's end
+				continue
+			}
+			if of, ok := g.window.at(fid); ok {
+				if target.state.fold(fid, of) {
+					target.lastMark = max(target.lastMark, fid)
+				}
+				// fid went into run j−1, into run j or into a new run j:
+				// the runs before j−1 did not move.
+				j = max(j-1, 0)
+			}
 		}
 	}
 }
@@ -539,7 +544,7 @@ func detachParent(child, parent *ssgNode) {
 func (g *SSG) ensurePrincipal(f vr.Frame) *ssgNode {
 	var ns *ssgNode
 	if h, ok := g.intern.Lookup(f.Objects); ok {
-		ns = g.nodes[h]
+		ns = *g.nodes.At(int(h))
 	} else {
 		if g.cfg.Terminate != nil && g.cfg.Terminate(f.Objects) {
 			g.metrics.StatesTerminated++
@@ -626,7 +631,7 @@ func (g *SSG) bySize(ns *ssgNode) []*ssgNode {
 func (g *SSG) removeNode(n *ssgNode) {
 	n.dead = true
 	g.metrics.StatesPruned++
-	g.nodes[n.handle] = nil
+	*g.nodes.At(int(n.handle)) = nil
 	g.live--
 	g.intern.Release(n.handle)
 	for _, p := range n.parents {

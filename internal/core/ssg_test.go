@@ -24,7 +24,7 @@ func lookupNode(g *SSG, s objset.Set) *ssgNode {
 // object set's signature, which the traversal's tests trust.
 func checkGraphInvariants(t *testing.T, g *SSG) {
 	t.Helper()
-	for h, n := range g.nodes {
+	for h, n := range g.nodes.All() {
 		if n == nil {
 			continue
 		}
@@ -85,7 +85,7 @@ func checkGraphInvariants(t *testing.T, g *SSG) {
 		}
 		owner[&a[:1][0]] = h
 	}
-	for _, n := range g.nodes {
+	for _, n := range g.nodes.All() {
 		if n != nil {
 			claim(n.children, holder{n, "children"})
 			claim(n.parents, holder{n, "parents"})
@@ -107,13 +107,13 @@ func checkGraphInvariants(t *testing.T, g *SSG) {
 
 	// Reachability: every live node must be reachable from a parentless
 	// node via parent chains (the traversal entry points).
-	for _, n := range g.nodes {
+	for _, n := range g.nodes.All() {
 		if n == nil {
 			continue
 		}
 		cur := n
 		for steps := 0; len(cur.parents) > 0; steps++ {
-			if steps > len(g.nodes) {
+			if steps > g.nodes.Len() {
 				t.Fatalf("parent chain from %v does not terminate", n.state.Objects)
 			}
 			cur = cur.parents[0]
@@ -348,7 +348,7 @@ func TestSSGLongRunMemoryBounded(t *testing.T) {
 						trial, cfg.Window, f.FID, got, held)
 				}
 				minFID := f.FID - vr.FrameID(cfg.Window) + 1
-				for _, n := range ssg.nodes {
+				for _, n := range ssg.nodes.All() {
 					if n == nil {
 						continue
 					}
@@ -412,12 +412,13 @@ func TestStateSize(t *testing.T) {
 	}
 }
 
-// TestFrameEntrySize pins a frame-list entry at one word: the frame id
-// and its key-frame mark packed together. Frame lists are the largest
-// part of a generator's heap, and an id beside a bool pads to 16 bytes.
-func TestFrameEntrySize(t *testing.T) {
-	if n := unsafe.Sizeof(frameEntry(0)); n != 8 {
-		t.Fatalf("frameEntry is %d bytes, want 8", n)
+// TestFrameRunSize pins a frame-list run at two words: a 64-bit first
+// frame id, and a 32-bit length beside its mark in the second. Frame
+// lists are a large part of a generator's heap, and a wider length or a
+// mark of its own would pad the run to 24 bytes.
+func TestFrameRunSize(t *testing.T) {
+	if n := unsafe.Sizeof(frameRun{}); n != 16 {
+		t.Fatalf("frameRun is %d bytes, want 16", n)
 	}
 }
 

@@ -23,6 +23,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -52,143 +53,184 @@ func (c Config) validate() error {
 	if c.Window <= 0 {
 		return fmt.Errorf("core: window must be positive, got %d", c.Window)
 	}
+	if c.Window > math.MaxInt32 { // frame counts are 32-bit (frameList)
+		return fmt.Errorf("core: window %d longer than %d frames", c.Window, math.MaxInt32)
+	}
 	if c.Duration < 0 || c.Duration > c.Window {
 		return fmt.Errorf("core: duration %d out of range [0, %d]", c.Duration, c.Window)
 	}
 	return nil
 }
 
-// frameEntry records one frame id in a state's frame set together with its
-// key-frame mark (§4.2.3), packed into one word as fid<<1 | mark: half the
-// bytes of an id and a bool side by side, which pad to 16. Packed values
-// order exactly as their frame ids do, so a sorted list of entries is
-// sorted by frame id whatever the marks. The packing holds a frame id in
-// [minPackedFID, maxPackedFID]. Snapshot decode refuses any other; frames
-// are numbered from 0, and a feed at a million frames a second would take
+// The range of frame ids a frame list holds, which snapshot decode
+// enforces. The names date from lists of packed fid<<1 | mark words;
+// the range stays so that decode refuses exactly what it refused then,
+// and inside it a run's end, first + n, cannot overflow. Frames are
+// numbered from 0, and a feed at a million frames a second would take
 // 146 000 years to pass maxPackedFID.
-type frameEntry int64
-
-// The range of frame ids a frameEntry holds: fid<<1 must not overflow.
 const (
 	minPackedFID vr.FrameID = -1 << 62
 	maxPackedFID vr.FrameID = 1<<62 - 1
 )
 
-// newFrameEntry packs fid, which must lie in [minPackedFID, maxPackedFID],
-// with its mark.
-func newFrameEntry(fid vr.FrameID, marked bool) frameEntry {
-	e := frameEntry(fid) << 1
-	if marked {
-		e |= 1
-	}
-	return e
+// frameRun is a run of consecutive frame ids that share a key-frame mark
+// (§4.2.3): frames first … first+n−1, every one marked or none.
+type frameRun struct {
+	first  vr.FrameID
+	n      int32 // ≥ 1; a frame list holds at most a window of frames
+	marked bool
 }
 
-func (e frameEntry) fid() vr.FrameID { return vr.FrameID(e >> 1) }
-func (e frameEntry) marked() bool    { return e&1 != 0 }
+// end returns the id after the run's last frame.
+func (r frameRun) end() vr.FrameID { return r.first + vr.FrameID(r.n) }
 
 // frameList is a state's frame set: strictly increasing frame ids, each
-// optionally marked as a key frame, one packed 8-byte frameEntry apiece.
-// Frames are appended at the tail as the feed advances and expired from
-// the head as the window slides.
+// optionally marked as a key frame, stored as maximal runs of consecutive
+// ids with the same mark. A state's frames come in a few long stretches
+// (the frames an object set co-occurs in), so a list holds a few runs
+// where it would hold tens of ids: about 5 runs against 18 ids on the D2
+// trace at w=300. Frames are appended at the tail as the feed advances,
+// which extends the last run; a merge inserts out of order, which
+// extends a run, joins two or adds one between them; expiry trims the
+// head run and drops the runs the window has passed, sliding the rest
+// to the front of the array, so the array never grows while it holds
+// expired runs.
 //
-// The live entries are entries[head:]. Expiry only advances head, so a
-// window slide costs the frames it expires and nothing else; the dead
-// prefix is reclaimed by push, which slides the live entries back to the
-// front of the backing array instead of growing it. The array therefore
-// never grows while it holds expired entries — re-slicing the head away
-// instead would leak capacity one window slide at a time and force a
-// steady trickle of reallocations on append.
+// Two lists with the same frames may split them into different runs, as
+// their marks differ, so comparisons read the ids, not the runs.
 //
 // The list also keeps the hash of its frame set, Σ mixFID(fid) over the
-// live entries, updated by the entry an insert adds and by each entry an
+// live frames, updated by the frame an insert adds and by each frame an
 // expiry drops, so hashing a frame set at emission costs nothing however
 // long it is. Snapshots do not carry it; decode rebuilds it.
 type frameList struct {
-	entries []frameEntry
-	head    int32  // 32 bits each: a wider field moves State up a size class
-	marks   int32  // number of marked live entries
-	sum     uint32 // Σ mixFID over the live entries, mod 2^32; see hash
+	runs  []frameRun
+	n     int32  // frames; 32 bits each: a wider field moves State up a size class
+	marks int32  // marked frames
+	sum   uint32 // Σ mixFID over the frames, mod 2^32; see hash
 	// hasExtra is the owning State's flag (see State.extra), kept here in
 	// the padding after sum: as a State field it would move State from the
 	// 176-byte size class to the 192-byte one.
 	hasExtra bool
 }
 
-// live returns the unexpired entries, oldest first. The slice aliases the
-// list's storage and is valid until the next insert or expireBefore.
-func (fl *frameList) live() []frameEntry { return fl.entries[fl.head:] }
-
-func (fl *frameList) len() int       { return len(fl.entries) - int(fl.head) }
+func (fl *frameList) len() int       { return int(fl.n) }
 func (fl *frameList) hasMarks() bool { return fl.marks > 0 }
 
-// push appends e, reusing the room of the expired prefix before growing.
-// A slide copies the live entries once per cap−len(live) appends, so
-// appending is O(1) amortised unless the live entries fill the array to
-// within a few slots, where it degrades to a copy of the list per append
-// rather than to a larger array.
-func (fl *frameList) push(e frameEntry) {
-	if fl.head > 0 && len(fl.entries) == cap(fl.entries) {
-		fl.entries = fl.entries[:copy(fl.entries, fl.entries[fl.head:])]
-		fl.head = 0
-	}
-	fl.entries = append(fl.entries, e)
-}
-
-// reserve makes room for the n entries a newly created state is about to
+// reserve makes room for the n runs a newly created state is about to
 // absorb from its parents, in one allocation: growing to them one append
-// at a time allocates the list twice over. It leaves room to grow as
-// much again, but no more than a frame set can hold, which is the window.
+// at a time allocates the list twice over. It leaves room to grow by
+// half as much again, for the runs the state's own marks split off, but
+// no more than a frame set can hold, which is the window.
 func (fl *frameList) reserve(n, window int) {
-	if n > cap(fl.entries) {
-		fl.entries = make([]frameEntry, 0, max(n, min(2*n, window)))
+	if n > cap(fl.runs) {
+		fl.runs = make([]frameRun, 0, max(n, min(n+n/2, window)))
 	}
 }
 
-// insert adds fid with the given mark, keeping entries sorted; it reports
-// whether the frame was newly inserted (false when already present, in
-// which case the existing mark is kept).
+// insert adds fid with the given mark, keeping the runs sorted and
+// maximal; it reports whether the frame was newly inserted (false when
+// already present, in which case the existing mark is kept).
 func (fl *frameList) insert(fid vr.FrameID, marked bool) bool {
-	live := fl.live()
-	n := len(live)
-	e := newFrameEntry(fid, marked)
-	// key is the least value an entry of frame fid packs to: entries not
-	// below it hold fid or a later frame.
-	key := newFrameEntry(fid, false)
-	i := n // appending past the tail, the overwhelmingly common case
-	if n > 0 && live[n-1] >= key {
-		i = sort.Search(n, func(i int) bool { return live[i] >= key })
-		if live[i].fid() == fid {
+	runs := fl.runs
+	k := len(runs)
+	switch {
+	case k > 0 && fid == runs[k-1].end() && runs[k-1].marked == marked:
+		runs[k-1].n++ // the next frame, the overwhelmingly common case
+	case k == 0 || fid >= runs[k-1].end():
+		fl.runs = append(runs, frameRun{first: fid, n: 1, marked: marked})
+	default:
+		// i is the first run that ends after fid.
+		i := sort.Search(k, func(i int) bool { return runs[i].end() > fid })
+		if runs[i].first <= fid {
 			return false
 		}
+		fl.insertBefore(i, fid, marked)
 	}
-	fl.push(e)
+	fl.n++
 	fl.sum += mixFID(fid)
-	if i < n {
-		live = fl.live()
-		copy(live[i+1:], live[i:])
-		live[i] = e
-	}
 	if marked {
 		fl.marks++
 	}
 	return true
 }
 
-// expireBefore removes all entries with fid < min.
-func (fl *frameList) expireBefore(min vr.FrameID) {
-	bound := newFrameEntry(min, false) // every entry of a frame before min packs below it
-	for int(fl.head) < len(fl.entries) && fl.entries[fl.head] < bound {
-		e := fl.entries[fl.head]
-		if e.marked() {
-			fl.marks--
+// insertBefore adds fid, which lies in the gap before run i, joining it
+// to the run on either side that it touches and shares a mark with.
+func (fl *frameList) insertBefore(i int, fid vr.FrameID, marked bool) {
+	runs := fl.runs
+	next := &runs[i]
+	joinNext := fid+1 == next.first && next.marked == marked
+	if i > 0 && runs[i-1].end() == fid && runs[i-1].marked == marked {
+		if joinNext {
+			runs[i-1].n += 1 + next.n
+			fl.runs = slices.Delete(runs, i, i+1)
+		} else {
+			runs[i-1].n++
 		}
-		fl.sum -= mixFID(e.fid())
-		fl.head++
+		return
 	}
-	if int(fl.head) == len(fl.entries) {
-		fl.entries, fl.head = fl.entries[:0], 0
+	if joinNext {
+		next.first--
+		next.n++
+		return
 	}
+	fl.runs = slices.Insert(runs, i, frameRun{first: fid, n: 1, marked: marked})
+}
+
+// expireBefore removes all frames with fid < from.
+func (fl *frameList) expireBefore(from vr.FrameID) {
+	runs := fl.runs
+	gone := 0 // runs wholly before from
+	for ; gone < len(runs) && runs[gone].first < from; gone++ {
+		r := &runs[gone]
+		cut := min(r.end(), from)
+		for fid := r.first; fid < cut; fid++ {
+			fl.sum -= mixFID(fid)
+		}
+		k := int32(cut - r.first)
+		fl.n -= k
+		if r.marked {
+			fl.marks -= k
+		}
+		if cut < r.end() {
+			r.first, r.n = cut, r.n-k
+			break
+		}
+	}
+	if gone > 0 {
+		fl.runs = runs[:copy(runs, runs[gone:])]
+	}
+}
+
+// countFrom returns the number of frames with fid ≥ lo.
+func (fl *frameList) countFrom(lo vr.FrameID) int {
+	n := fl.len()
+	for _, r := range fl.runs {
+		if r.first >= lo {
+			break
+		}
+		n -= int(min(r.end(), lo) - r.first)
+	}
+	return n
+}
+
+// last returns the newest frame id and, among the marked ones, the
+// newest key frame, −1 when the list has none; ok is false when the list
+// is empty.
+func (fl *frameList) last() (fid, mark vr.FrameID, ok bool) {
+	k := len(fl.runs)
+	if k == 0 {
+		return 0, -1, false
+	}
+	mark = -1
+	for i := k - 1; i >= 0; i-- {
+		if fl.runs[i].marked {
+			mark = fl.runs[i].end() - 1
+			break
+		}
+	}
+	return fl.runs[k-1].end() - 1, mark, true
 }
 
 // fids returns the frame ids as a fresh slice.
@@ -201,10 +243,13 @@ func (fl *frameList) fids() []vr.FrameID {
 // fill writes the frame ids, each shifted by offset, into dst, which
 // must be exactly len() long.
 func (fl *frameList) fill(dst []vr.FrameID, offset vr.FrameID) {
-	live := fl.live()
-	_ = dst[:len(live)]
-	for i, e := range live {
-		dst[i] = e.fid() + offset
+	_ = dst[:fl.n]
+	i := 0
+	for _, r := range fl.runs {
+		for fid := r.first; fid < r.end(); fid++ {
+			dst[i] = fid + offset
+			i++
+		}
 	}
 }
 
@@ -212,7 +257,7 @@ func (fl *frameList) fill(dst []vr.FrameID, offset vr.FrameID) {
 // maximality filter to group states with identical frame sets without
 // building key strings. Marks are excluded: grouping is by frame set
 // alone. The hash is a sum, so insert and expireBefore keep it for the
-// cost of the entries they add and drop (see frameList); the filter
+// cost of the frames they add and drop (see frameList); the filter
 // compares frame lists exactly on every hash hit, so a collision costs a
 // comparison, never a wrong group.
 func (fl *frameList) hash() uint32 { return fl.sum }
@@ -228,31 +273,51 @@ func mixFID(fid vr.FrameID) uint32 {
 }
 
 // sameFrames reports whether two frame lists hold identical frame ids
-// (the hash fallback of the emission filter's grouping map).
+// (the hash fallback of the emission filter's grouping map). Marks may
+// split the same ids into different runs, so it compares spans: maximal
+// stretches of consecutive ids, whatever their marks.
 func (fl *frameList) sameFrames(other *frameList) bool {
-	a, b := fl.live(), other.live()
-	if len(a) != len(b) {
+	if fl.n != other.n {
 		return false
 	}
-	for i, e := range a {
-		if b[i].fid() != e.fid() {
+	// With equal counts and equal spans so far, b has frames left while a does.
+	a, b := fl.runs, other.runs
+	for len(a) > 0 {
+		var af, ae, bf, be vr.FrameID
+		af, ae, a = nextSpan(a)
+		bf, be, b = nextSpan(b)
+		if af != bf || ae != be {
 			return false
 		}
 	}
 	return true
 }
 
+// nextSpan returns the first span of runs, the ids first … end−1 of its
+// leading runs that follow one another without a gap, and the runs after
+// it. runs must not be empty.
+func nextSpan(runs []frameRun) (first, end vr.FrameID, rest []frameRun) {
+	first, end = runs[0].first, runs[0].end()
+	i := 1
+	for ; i < len(runs) && runs[i].first == end; i++ {
+		end = runs[i].end()
+	}
+	return first, end, runs[i:]
+}
+
 func (fl *frameList) String() string {
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, e := range fl.live() {
-		if i > 0 {
-			b.WriteByte(' ')
+	for _, r := range fl.runs {
+		for fid := r.first; fid < r.end(); fid++ {
+			if b.Len() > 1 {
+				b.WriteByte(' ')
+			}
+			if r.marked {
+				b.WriteByte('*')
+			}
+			fmt.Fprintf(&b, "%d", fid)
 		}
-		if e.marked() {
-			b.WriteByte('*')
-		}
-		fmt.Fprintf(&b, "%d", e.fid())
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -348,9 +413,9 @@ func (s *State) FillFrames(dst []vr.FrameID, offset vr.FrameID) { s.frames.fill(
 // MarkedFrames returns the marked (key) frames, oldest first.
 func (s *State) MarkedFrames() []vr.FrameID {
 	out := make([]vr.FrameID, 0, s.frames.marks)
-	for _, e := range s.frames.live() {
-		if e.marked() {
-			out = append(out, e.fid())
+	for _, r := range s.frames.runs {
+		for fid := r.first; r.marked && fid < r.end(); fid++ {
+			out = append(out, fid)
 		}
 	}
 	return out
@@ -594,7 +659,7 @@ func (p *statePool) put(s *State) {
 	s.Objects = objset.Set{}
 	// extra's storage stays for the next blockers; hasExtra false says it
 	// holds none.
-	s.frames = frameList{entries: s.frames.entries[:0]}
+	s.frames = frameList{runs: s.frames.runs[:0]}
 	s.agg = nil
 	p.free = append(p.free, s)
 }

@@ -1,9 +1,10 @@
 package core
 
 import (
-	"maps"
+	"fmt"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -37,9 +38,14 @@ func TestFrameListInsert(t *testing.T) {
 	if fl.marks != 2 {
 		t.Errorf("marks = %d, want 2 (7 and 9)", fl.marks)
 	}
-	wantLive := []frameEntry{newFrameEntry(5, false), newFrameEntry(7, true), newFrameEntry(9, true)}
-	if !slices.Equal(fl.live(), wantLive) {
-		t.Errorf("live = %v, want %v", fl.live(), wantLive)
+	wantRuns := []frameRun{{5, 1, false}, {7, 1, true}, {9, 1, true}}
+	if !slices.Equal(fl.runs, wantRuns) {
+		t.Errorf("runs = %v, want %v", fl.runs, wantRuns)
+	}
+	// 8 joins the marked runs on either side into one.
+	fl.insert(8, true)
+	if wantRuns = []frameRun{{5, 1, false}, {7, 3, true}}; !slices.Equal(fl.runs, wantRuns) {
+		t.Errorf("runs = %v, want %v", fl.runs, wantRuns)
 	}
 }
 
@@ -91,122 +97,279 @@ func TestFrameListHashDistinguishesSets(t *testing.T) {
 	}
 }
 
-// sumHash is the frame-set hash computed from scratch over the live
-// entries, which frameList.hash must equal whatever led to them.
+// sumHash is the frame-set hash computed from scratch over the frames,
+// which frameList.hash must equal whatever led to them.
 func sumHash(fl *frameList) uint32 {
 	var h uint32
-	for _, e := range fl.live() {
-		h += mixFID(e.fid())
+	for _, fid := range fl.fids() {
+		h += mixFID(fid)
 	}
 	return h
 }
 
+// checkFrameList holds fl against model, the sorted reference of its
+// frames with their marks, and fails t at the first disagreement:
+//   - the runs ascend, are non-empty, neither overlap nor touch with the
+//     same mark (so they are maximal), and expand to exactly the model;
+//   - the kept count, mark count and hash equal those recomputed from
+//     the model, and the hash ignores marks;
+//   - fill with an offset, last and countFrom read the model's frames;
+//   - sameFrames holds against the same frames split into other runs by
+//     other marks, and fails against as many frames that differ in one.
+func checkFrameList(t testing.TB, step string, fl *frameList, model []frameMark) {
+	t.Helper()
+	var got []frameMark
+	for i, r := range fl.runs {
+		if r.n < 1 {
+			t.Fatalf("%s: run %d of %s is empty", step, i, fl)
+		}
+		if i > 0 {
+			if p := fl.runs[i-1]; p.end() > r.first || p.end() == r.first && p.marked == r.marked {
+				t.Fatalf("%s: runs %v and %v overlap or are not maximal", step, p, r)
+			}
+		}
+		for fid := r.first; fid < r.end(); fid++ {
+			got = append(got, frameMark{fid, r.marked})
+		}
+	}
+	if !slices.Equal(got, model) {
+		t.Fatalf("%s: list %s holds %v, model %v", step, fl, got, model)
+	}
+	marks, newestMark := 0, vr.FrameID(-1)
+	var sum uint32
+	for _, m := range model {
+		sum += mixFID(m.fid)
+		if m.marked {
+			marks++
+			newestMark = m.fid
+		}
+	}
+	if fl.len() != len(model) || int(fl.marks) != marks || fl.hash() != sum {
+		t.Fatalf("%s: %s counts %d frames, %d marks, hash %#x; model %d, %d, %#x",
+			step, fl, fl.len(), fl.marks, fl.hash(), len(model), marks, sum)
+	}
+	const offset = 1000
+	dst := make([]vr.FrameID, len(model))
+	fl.fill(dst, offset)
+	for i, m := range model {
+		if dst[i] != m.fid+offset {
+			t.Fatalf("%s: fill with offset %d wrote %v for %v", step, offset, dst, model)
+		}
+	}
+	newest, mark, ok := fl.last()
+	if ok != (len(model) > 0) || ok && (newest != model[len(model)-1].fid || mark != newestMark) {
+		t.Fatalf("%s: last() = %d, %d, %v on %v", step, newest, mark, ok, model)
+	}
+	for _, m := range spread(model) {
+		for _, lo := range []vr.FrameID{m.fid, m.fid + 1} {
+			want := len(model) - sort.Search(len(model), func(i int) bool { return model[i].fid >= lo })
+			if got := fl.countFrom(lo); got != want {
+				t.Fatalf("%s: countFrom(%d) = %d, want %d on %v", step, lo, got, want, model)
+			}
+		}
+	}
+	// The same frames under every other mark, and under marks alternating
+	// every frame: different runs, the same frame set.
+	for _, flip := range []func(int, bool) bool{
+		func(_ int, m bool) bool { return !m },
+		func(i int, _ bool) bool { return i%2 == 0 },
+	} {
+		var other frameList
+		for i, m := range model {
+			other.insert(m.fid, flip(i, m.marked))
+		}
+		if !fl.sameFrames(&other) || !other.sameFrames(fl) || other.hash() != fl.hash() {
+			t.Fatalf("%s: %s and %s hold the same frames: sameFrames %v, hashes %#x %#x",
+				step, fl, &other, fl.sameFrames(&other), fl.hash(), other.hash())
+		}
+	}
+	// As many frames, one of them moved past the newest.
+	for _, moved := range spread(model) {
+		var other frameList
+		for _, m := range model {
+			if m != moved {
+				other.insert(m.fid, m.marked)
+			}
+		}
+		other.insert(model[len(model)-1].fid+1, false)
+		if fl.sameFrames(&other) || other.sameFrames(fl) {
+			t.Fatalf("%s: %s and %s compare equal", step, fl, &other)
+		}
+	}
+}
+
+// spread returns a few frames of model, among them its first and last,
+// for the checks that cost a pass over the list each.
+func spread(model []frameMark) []frameMark {
+	if len(model) <= 3 {
+		return model
+	}
+	return []frameMark{model[0], model[len(model)/3], model[2*len(model)/3], model[len(model)-1]}
+}
+
+// frameMark is one frame of the reference model checkFrameList reads.
+type frameMark struct {
+	fid    vr.FrameID
+	marked bool
+}
+
+// driveFrameList runs ops against one pooled state's frame list and a
+// sorted reference, from frame base, and checks the two agree after
+// every op (checkFrameList). Each op byte picks, by its low bits, what
+// the feed does next, and its high bits parameterize it:
+//   - 0–3: the feed advances: append the next frame, marked or not;
+//   - 4: skip a frame, then append: a gap starts a new run;
+//   - 5–7: a merge: insert a frame of the window, maybe present, which
+//     may extend, join or land between runs;
+//   - 8–10: expire before a cut near the window start, which may fall on
+//     a run's first frame, inside a run or past its end;
+//   - 11: the state dies and its storage comes back through a statePool;
+//   - 12: encode → decode round trip;
+//   - else nothing.
+func driveFrameList(t testing.TB, base vr.FrameID, ops []byte) {
+	t.Helper()
+	const window = 24
+	var pool statePool
+	s := pool.get()
+	var model []frameMark
+	next := base
+	insert := func(fid vr.FrameID, marked bool) {
+		i := sort.Search(len(model), func(i int) bool { return model[i].fid >= fid })
+		present := i < len(model) && model[i].fid == fid
+		if s.frames.insert(fid, marked) == present {
+			t.Fatalf("base %d: insert(%d) reports new = %v with the frame present = %v", base, fid, !present, present)
+		}
+		if !present {
+			model = slices.Insert(model, i, frameMark{fid, marked})
+		}
+	}
+	for step, op := range ops {
+		arg := vr.FrameID(op >> 4)
+		switch op & 15 {
+		case 0, 1, 2, 3:
+			insert(next, op&1 != 0)
+			next++
+		case 4:
+			next++
+			insert(next, op&16 != 0)
+			next++
+		case 5, 6, 7:
+			if next > base {
+				insert(max(next-1-arg%window, base), op&1 != 0)
+			}
+		case 8, 9, 10:
+			cut := max(next-window+arg%8, base)
+			s.frames.expireBefore(cut)
+			model = slices.DeleteFunc(model, func(m frameMark) bool { return m.fid < cut })
+		case 11:
+			pool.put(s)
+			model = model[:0]
+			checkFrameList(t, fmt.Sprintf("base %d step %d put", base, step), &s.frames, model)
+			if s = pool.get(); s.frames.hash() != 0 || s.frames.len() != 0 {
+				t.Fatalf("base %d: pooled state keeps hash %#x, %d frames", base, s.frames.hash(), s.frames.len())
+			}
+		case 12:
+			var w snapshot.Writer
+			s.Objects = objset.New(1)
+			encodeState(&w, s, base)
+			sl := slabs{states: make([]State, 1)}
+			rd := snapshot.NewReader(w.Bytes())
+			got := sl.state(rd, next)
+			if rd.Err() != nil {
+				t.Fatalf("base %d: decode: %v", base, rd.Err())
+			}
+			checkFrameList(t, fmt.Sprintf("base %d step %d decode", base, step), &got.frames, model)
+		}
+		checkFrameList(t, fmt.Sprintf("base %d step %d op %#x", base, step, op), &s.frames, model)
+	}
+}
+
 // TestFrameListHashIncremental drives one pooled state's frame list
 // through random in-order and out-of-order inserts (duplicates among
-// them), window expiry, the push slides both force, recycling through a
-// statePool, and encode → decode round trips, against a map of frame id
-// to mark. After every step each packed entry must unpack to a frame id
-// and mark the map holds, live() must ascend by frame id, marks must
-// count the marked entries, and the kept hash must equal the sum
-// recomputed from scratch over live() — and ignore the marks, as
-// grouping must. It runs from frame 0, from below it, and at both ends
-// of the range a packed entry holds.
+// them), window expiry, recycling through a statePool, and encode →
+// decode round trips, against a sorted reference of frame id and mark
+// (driveFrameList). It runs from frame 0, from below it, and at both
+// ends of the range a frame list holds.
 func TestFrameListHashIncremental(t *testing.T) {
-	for _, fid := range []vr.FrameID{minPackedFID, minPackedFID + 1, -1, 0, 1, maxPackedFID - 1, maxPackedFID} {
-		for _, marked := range []bool{false, true} {
-			if e := newFrameEntry(fid, marked); e.fid() != fid || e.marked() != marked {
-				t.Fatalf("newFrameEntry(%d, %v) unpacks to %d, %v", fid, marked, e.fid(), e.marked())
-			}
-		}
-	}
-	const steps, window = 4000, 24
+	const steps = 3000
 	for _, base := range []vr.FrameID{0, -700, minPackedFID, maxPackedFID - steps} {
 		r := rand.New(rand.NewSource(44 + base))
-		var pool statePool
-		s := pool.get()
-		model := map[vr.FrameID]bool{}
-		check := func(step string, fl *frameList) {
-			t.Helper()
-			live := fl.live()
-			marks := 0
-			for i, e := range live {
-				fid, marked := e.fid(), e.marked()
-				if newFrameEntry(fid, marked) != e {
-					t.Fatalf("base %d, %s: entry %#x does not repack from %d, %v", base, step, int64(e), fid, marked)
-				}
-				if i > 0 && live[i-1].fid() >= fid {
-					t.Fatalf("base %d, %s: live() not ascending: %s", base, step, fl)
-				}
-				if m, ok := model[fid]; !ok || m != marked {
-					t.Fatalf("base %d, %s: holds frame %d marked %v; model has %v, %v", base, step, fid, marked, ok, m)
-				}
-				if marked {
-					marks++
-				}
+		ops := make([]byte, steps)
+		r.Read(ops)
+		driveFrameList(t, base, ops)
+	}
+}
+
+// TestFrameListRunsModel walks a frame list through the run cases one at
+// a time, each checked against the sorted reference: inserts out of
+// order that extend a run at either end, join two runs, or sit between
+// runs of other marks; expiry exactly at a run's first frame, inside a
+// run and at a run's end.
+func TestFrameListRunsModel(t *testing.T) {
+	var fl frameList
+	var model []frameMark
+	step := func(name string, do func()) {
+		t.Helper()
+		do()
+		checkFrameList(t, name, &fl, model)
+	}
+	add := func(fid vr.FrameID, marked bool) func() {
+		return func() {
+			if !fl.insert(fid, marked) {
+				t.Fatalf("insert(%d) reported present", fid)
 			}
-			if len(live) != len(model) {
-				t.Fatalf("base %d, %s: %d live entries, model %d", base, step, len(live), len(model))
-			}
-			if int(fl.marks) != marks {
-				t.Fatalf("base %d, %s: marks %d, %d marked entries", base, step, fl.marks, marks)
-			}
-			if got, want := fl.hash(), sumHash(fl); got != want {
-				t.Fatalf("base %d, %s: hash %#x, from scratch %#x over %s", base, step, got, want, fl)
-			}
-			unmarked := frameList{}
-			for _, e := range live {
-				unmarked.insert(e.fid(), !e.marked())
-			}
-			if unmarked.hash() != fl.hash() {
-				t.Fatalf("base %d, %s: marks changed the hash of %s", base, step, fl)
-			}
-		}
-		insert := func(fid vr.FrameID) {
-			marked := r.Intn(2) == 0
-			_, present := model[fid]
-			if s.frames.insert(fid, marked) == present {
-				t.Fatalf("base %d: insert(%d) reports new = %v with the frame present = %v", base, fid, !present, present)
-			}
-			if !present {
-				model[fid] = marked
-			}
-		}
-		next := base
-		for step := 0; step < steps; step++ {
-			switch op := r.Intn(20); {
-			case op < 10: // the feed advances: append the next frame
-				insert(next)
-				next++
-			case op < 14: // a merge: a frame inside the window, maybe present
-				if next > base {
-					insert(max(next-1-vr.FrameID(r.Intn(window)), base))
-				}
-			case op < 18:
-				cut := max(next-window+vr.FrameID(r.Intn(4)), base)
-				s.frames.expireBefore(cut)
-				maps.DeleteFunc(model, func(fid vr.FrameID, _ bool) bool { return fid < cut })
-			case op < 19: // the state dies and its storage comes back
-				pool.put(s)
-				clear(model)
-				check("put", &s.frames)
-				if s = pool.get(); s.frames.hash() != 0 {
-					t.Fatalf("base %d: pooled state keeps hash %#x", base, s.frames.hash())
-				}
-			default:
-				var w snapshot.Writer
-				s.Objects = objset.New(1)
-				encodeState(&w, s, base)
-				sl := slabs{states: make([]State, 1)}
-				rd := snapshot.NewReader(w.Bytes())
-				got := sl.state(rd, next)
-				if rd.Err() != nil {
-					t.Fatalf("base %d: decode: %v", base, rd.Err())
-				}
-				check("decode", &got.frames)
-			}
-			check("step", &s.frames)
+			i := sort.Search(len(model), func(i int) bool { return model[i].fid >= fid })
+			model = slices.Insert(model, i, frameMark{fid, marked})
 		}
 	}
+	expire := func(from vr.FrameID) func() {
+		return func() {
+			fl.expireBefore(from)
+			model = slices.DeleteFunc(model, func(m frameMark) bool { return m.fid < from })
+		}
+	}
+	for fid := vr.FrameID(10); fid < 14; fid++ {
+		step("tail", add(fid, true))
+	}
+	step("gap", add(20, true))
+	step("mark flip", add(21, false))
+	step("extend a run's end out of order", add(14, true))
+	step("extend a run's start out of order", add(19, true))
+	step("between, other mark", add(17, false))
+	step("touch the run after, other mark", add(18, false))
+	step("join two runs", add(16, false))
+	step("join two runs", add(15, true))
+	if len(fl.runs) != 4 { // *10-*15 16-18 *19-*20 21
+		t.Fatalf("runs %v, want 4", fl.runs)
+	}
+	step("expire at a run's first frame", expire(10))
+	step("expire inside a run", expire(12))
+	step("expire at a run's end", expire(16))
+	step("expire across runs", expire(20))
+	step("expire everything", expire(30))
+	if cap(fl.runs) == 0 {
+		t.Error("expiring everything dropped the list's storage")
+	}
+	step("start again", add(40, false))
+}
+
+// FuzzFrameList runs driveFrameList on op strings the fuzzer writes,
+// from a base it picks inside the range a frame list holds, so that
+// each op sequence is checked against the sorted reference after every
+// step.
+func FuzzFrameList(f *testing.F) {
+	f.Add(int64(0), []byte{0, 1, 0x20, 4, 0x15, 0x36, 0x08, 12, 11, 3})
+	f.Add(int64(-3), []byte{1, 1, 4, 4, 0x25, 0x45, 0x18, 0x29, 12, 0, 0, 0x0a})
+	f.Add(int64(maxPackedFID), []byte{3, 2, 1, 0, 0x16, 0x17, 12, 0x3a, 11, 1})
+	f.Fuzz(func(t *testing.T, base int64, ops []byte) {
+		const room = 1 << 20 // more frames than any op string advances
+		if len(ops) > 1024 {
+			ops = ops[:1024]
+		}
+		b := vr.FrameID(base)
+		b = min(max(b, minPackedFID), maxPackedFID-room)
+		driveFrameList(t, b, ops)
+	})
 }
 
 // TestEmitHashCollision forces every frame list onto one hash: states

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"tvq/internal/objset"
 	"tvq/internal/vr"
 )
@@ -38,7 +41,7 @@ type table struct {
 	pendIdx map[objset.Handle]int32
 	pool    statePool
 	all     []*State
-	fidsBuf []vr.FrameID
+	spans   []frameRun
 }
 
 func newTable(cfg Config, useMarks bool) *table {
@@ -182,11 +185,13 @@ func (t *table) Process(f vr.Frame) []*State {
 		s.Objects = t.intern.Of(p.h)
 		t.setState(p.h, s)
 		t.metrics.StatesCreated++
-		fids := t.unionFids(p.parents)
-		s.frames.reserve(len(fids)+1, t.cfg.Window)
-		for _, fid := range fids {
-			of, _ := t.window.at(fid)
-			t.fold(s, fid, of)
+		spans := t.unionSpans(p.parents)
+		s.frames.reserve(len(spans)+1, t.cfg.Window)
+		for _, sp := range spans {
+			for fid := sp.first; fid < sp.end(); fid++ {
+				of, _ := t.window.at(fid)
+				t.fold(s, fid, of)
+			}
 		}
 		t.fold(s, f.FID, fo)
 	}
@@ -235,49 +240,30 @@ func (t *table) fold(s *State, fid vr.FrameID, of objset.Set) {
 	}
 }
 
-// unionFids merges the frame ids of several states into one ascending,
-// deduplicated slice backed by the table's reusable buffer; the result
-// is only valid until the next call.
-func (t *table) unionFids(states []*State) []vr.FrameID {
-	out := t.fidsBuf[:0]
-	if len(states) == 1 {
-		for _, e := range states[0].frames.live() {
-			out = append(out, e.fid())
-		}
-		t.fidsBuf = out[:0]
-		return out
-	}
+// unionSpans merges the frame sets of several states into spans of
+// consecutive ids, ascending and neither overlapping nor touching, in the
+// table's reusable buffer; the result is only valid until the next call.
+// Marks are dropped: each span is a frameRun whose mark means nothing.
+func (t *table) unionSpans(states []*State) []frameRun {
+	out := t.spans[:0]
 	for _, s := range states {
-		other := s.frames.live()
-		if len(out) == 0 {
-			for _, e := range other {
-				out = append(out, e.fid())
-			}
+		out = append(out, s.frames.runs...)
+	}
+	if len(states) > 1 {
+		slices.SortFunc(out, func(a, b frameRun) int { return cmp.Compare(a.first, b.first) })
+	}
+	// Coalesce in place: out[:k] holds the spans merged so far.
+	k := 0
+	for _, r := range out {
+		if k > 0 && r.first <= out[k-1].end() {
+			out[k-1].n = int32(max(out[k-1].end(), r.end()) - out[k-1].first)
 			continue
 		}
-		// Merge in place: append the merged sequence after the current
-		// prefix, then copy it down.
-		n := len(out)
-		i, j := 0, 0
-		for i < n || j < len(other) {
-			switch {
-			case j >= len(other) || (i < n && out[i] < other[j].fid()):
-				out = append(out, out[i])
-				i++
-			case i >= n || other[j].fid() < out[i]:
-				out = append(out, other[j].fid())
-				j++
-			default:
-				out = append(out, out[i])
-				i++
-				j++
-			}
-		}
-		m := copy(out, out[n:])
-		out = out[:m]
+		out[k] = r
+		k++
 	}
-	t.fidsBuf = out[:0]
-	return out
+	t.spans = out[:0]
+	return out[:k]
 }
 
 // collect gathers the live states into the table's reusable buffer, in

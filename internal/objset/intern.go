@@ -1,46 +1,51 @@
 package objset
 
-import "slices"
+import (
+	"unsafe"
+
+	"tvq/internal/arena"
+)
 
 // Interner hash-conses object sets: equal sets (by content, regardless
 // of representation) map to the same stable uint32 Handle, so set
 // equality downstream is one integer compare and maps can key on
 // handles instead of allocated key strings.
 //
-// The table is open-addressed with tombstone deletion, so steady-state
-// Lookup/Intern/Release perform no allocations: the only allocations
-// are the owned copy made when a new set is first interned and the
-// occasional table growth, both amortized over the set's lifetime.
-// Handles of released sets are recycled; the caller owns the life cycle
-// (typically: one Release when the state keyed by the handle dies),
-// which keeps the table proportional to the live state count rather
-// than the stream length.
+// The slot table is open-addressed with linear probing, 8 bytes a slot
+// (a 32-bit hash and a handle), and doubles before more than half its
+// slots are live. Release deletes by shifting the entries after the
+// freed slot back toward their home slots, so the table never holds
+// tombstones and never has to be rebuilt to drop them. Steady-state
+// Lookup/Intern/Release therefore perform no allocations: the only
+// allocations are the owned copy made when a new set is first interned
+// and the occasional table growth, both amortized over the set's
+// lifetime. Handles of released sets are recycled, and the handle
+// table grows in segments that are never copied once full (see
+// arena.Table); the caller owns the life cycle (typically: one Release
+// when the state keyed by the handle dies), which keeps both tables
+// proportional to the live state count rather than the stream length.
 //
 // An Interner is not safe for concurrent use.
 type Interner struct {
-	sets []Set // handle → owned set contents; zero Set when released
+	sets arena.Table[Set] // handle → owned set contents; zero Set when released
 	free []Handle
 
-	slots  []islot
-	mask   uint64
-	n      int // live entries
-	filled int // live + tombstones, for the growth trigger
+	slots []islot
+	mask  uint32
+	n     int // live entries
 }
 
 // Handle is a stable identifier for an interned set. Handles are only
 // meaningful within the Interner that issued them.
 type Handle uint32
 
+// islot is one slot of the table: the low 32 bits of the set's hash,
+// which place it and turn away most unequal sets without loading them,
+// and its handle.
 type islot struct {
-	hash uint64
-	ref  uint32 // handle+2; 0 = empty, 1 = tombstone
+	hash uint32
+	ref  uint32 // handle+1; 0 = empty
 }
-
-const (
-	slotEmpty     = 0
-	slotTombstone = 1
-	slotBase      = 2
-)
 
 // NewInterner returns an empty intern table.
 func NewInterner() *Interner {
@@ -50,24 +55,28 @@ func NewInterner() *Interner {
 // Len returns the number of live interned sets.
 func (in *Interner) Len() int { return in.n }
 
+// TableBytes returns the bytes of the interner's own tables, the handle
+// table, the slots and the free list, not counting the sets' storage.
+func (in *Interner) TableBytes() int {
+	return in.sets.Cap()*int(unsafe.Sizeof(Set{})) + 8*cap(in.slots) + 4*cap(in.free)
+}
+
 // Of returns the set interned under h. The set is owned by the
 // interner: callers may share it (Set is immutable) but must not apply
 // owner-only mutations, and must not use h after releasing it.
-func (in *Interner) Of(h Handle) Set { return in.sets[h] }
+func (in *Interner) Of(h Handle) Set { return *in.sets.At(int(h)) }
 
 // Lookup returns the handle of s if it is interned. It never allocates.
 func (in *Interner) Lookup(s Set) (Handle, bool) {
-	h := s.Hash()
-	i := h & in.mask
-	for {
+	h := uint32(s.Hash())
+	for i := h & in.mask; ; i = (i + 1) & in.mask {
 		sl := in.slots[i]
-		switch {
-		case sl.ref == slotEmpty:
+		if sl.ref == 0 {
 			return 0, false
-		case sl.ref != slotTombstone && sl.hash == h && in.sets[sl.ref-slotBase].Equal(s):
-			return Handle(sl.ref - slotBase), true
 		}
-		i = (i + 1) & in.mask
+		if sl.hash == h && in.sets.At(int(sl.ref-1)).Equal(s) {
+			return Handle(sl.ref - 1), true
+		}
 	}
 }
 
@@ -93,80 +102,82 @@ func (in *Interner) intern(s Set, adopt bool) (handle Handle, created bool) {
 	if s.IsEmpty() {
 		panic("objset: cannot intern the empty set")
 	}
-	h := s.Hash()
+	h := uint32(s.Hash())
 	i := h & in.mask
-	insert := -1
-	for {
-		sl := in.slots[i]
-		switch {
-		case sl.ref == slotEmpty:
-			if in.filled*4 >= len(in.slots)*3 {
-				in.grow()
-				return in.intern(s, adopt)
-			}
-			if !adopt {
-				s = s.Clone()
-			}
-			var hd Handle
-			if n := len(in.free); n > 0 {
-				hd = in.free[n-1]
-				in.free = in.free[:n-1]
-			} else {
-				hd = Handle(len(in.sets))
-				in.sets = append(in.sets, Set{})
-			}
-			in.sets[hd] = s
-			if insert >= 0 {
-				i = uint64(insert) // reuse the first tombstone on the probe path
-			} else {
-				in.filled++
-			}
-			in.slots[i] = islot{hash: h, ref: uint32(hd) + slotBase}
-			in.n++
-			return hd, true
-		case sl.ref == slotTombstone:
-			if insert < 0 {
-				insert = int(i)
-			}
-		case sl.hash == h && in.sets[sl.ref-slotBase].Equal(s):
-			return Handle(sl.ref - slotBase), false
+	for ; in.slots[i].ref != 0; i = (i + 1) & in.mask {
+		if sl := in.slots[i]; sl.hash == h && in.sets.At(int(sl.ref-1)).Equal(s) {
+			return Handle(sl.ref - 1), false
 		}
-		i = (i + 1) & in.mask
 	}
+	if 2*(in.n+1) > len(in.slots) {
+		in.rehash(2 * len(in.slots))
+		for i = h & in.mask; in.slots[i].ref != 0; i = (i + 1) & in.mask {
+		}
+	}
+	if !adopt {
+		s = s.Clone()
+	}
+	var hd Handle
+	if n := len(in.free); n > 0 {
+		hd = in.free[n-1]
+		in.free = in.free[:n-1]
+	} else {
+		hd = Handle(in.sets.Len())
+		in.sets.Grow(int(hd) + 1)
+	}
+	*in.sets.At(int(hd)) = s
+	in.slots[i] = islot{hash: h, ref: uint32(hd) + 1}
+	in.n++
+	return hd, true
 }
 
 // Release removes the set interned under h and recycles the handle. It
 // never allocates (the freelist append is amortized). Releasing a
 // handle twice, or one never issued, corrupts the table; the caller
 // pairs each Release with the death of the state that owned the handle.
+//
+// The slot is freed by Knuth's deletion for linear probing (TAOCP
+// 6.4, Algorithm R): each later entry of the probe run that may sit in
+// the hole without leaving its probe path moves into it, and its old
+// slot becomes the hole, until an empty slot ends the run.
 func (in *Interner) Release(h Handle) {
-	s := in.sets[h]
-	hs := s.Hash()
-	i := hs & in.mask
-	for {
-		sl := in.slots[i]
-		if sl.ref >= slotBase && Handle(sl.ref-slotBase) == h {
-			in.slots[i].ref = slotTombstone
-			break
-		}
-		if sl.ref == slotEmpty {
+	set := in.sets.At(int(h))
+	i := uint32(set.Hash()) & in.mask
+	for in.slots[i].ref != uint32(h)+1 {
+		if in.slots[i].ref == 0 {
 			panic("objset: Release of un-interned handle")
 		}
 		i = (i + 1) & in.mask
 	}
-	in.sets[h] = Set{}
+	for j := i; ; {
+		j = (j + 1) & in.mask
+		sl := in.slots[j]
+		if sl.ref == 0 {
+			break
+		}
+		// sl stays when its home slot lies cyclically in (i, j]: it
+		// would not be found in the hole.
+		if home := sl.hash & in.mask; i < j && i < home && home <= j || j < i && (i < home || home <= j) {
+			continue
+		}
+		in.slots[i] = sl
+		i = j
+	}
+	in.slots[i] = islot{}
+	*set = Set{}
 	in.free = append(in.free, h)
 	in.n--
 }
 
 // Reserve makes room for n more sets, so that interning them neither
 // grows the handle table nor rehashes the slots: a decoder that knows
-// how many sets it restores sizes the table once. The slots are sized
-// for a load of at most one half once the n sets are in.
+// how many sets it restores sizes both tables once, the handle table
+// exactly. The slots are sized for a load of at most one half once the
+// n sets are in.
 func (in *Interner) Reserve(n int) {
-	in.sets = slices.Grow(in.sets, max(0, n-len(in.free)))
+	in.sets.Reserve(in.sets.Len() + max(0, n-len(in.free)))
 	size := len(in.slots)
-	for size < (in.filled+n)*2 {
+	for size < (in.n+n)*2 {
 		size *= 2
 	}
 	if size > len(in.slots) {
@@ -174,33 +185,19 @@ func (in *Interner) Reserve(n int) {
 	}
 }
 
-// grow rebuilds the slot table at the next power of two that keeps the
-// load factor under one quarter, dropping tombstones.
-func (in *Interner) grow() {
-	size := len(in.slots)
-	for size < (in.n+1)*4 {
-		size *= 2
-	}
-	// When live entries are well under capacity the trigger was mostly
-	// tombstones; rebuilding at the same size drops them.
-	in.rehash(size)
-}
-
-// rehash rebuilds the slot table at size, a power of two, dropping
-// tombstones.
+// rehash rebuilds the slot table at size, a power of two.
 func (in *Interner) rehash(size int) {
 	old := in.slots
 	in.slots = make([]islot, size)
-	in.mask = uint64(size - 1)
-	in.filled = in.n
+	in.mask = uint32(size - 1)
 	for _, sl := range old {
-		if sl.ref < slotBase {
+		if sl.ref == 0 {
 			continue
 		}
 		i := sl.hash & in.mask
-		for in.slots[i].ref != slotEmpty {
+		for in.slots[i].ref != 0 {
 			i = (i + 1) & in.mask
 		}
-		in.slots[i] = islot{hash: sl.hash, ref: sl.ref}
+		in.slots[i] = sl
 	}
 }

@@ -176,3 +176,76 @@ func TestInternerSteadyStateAllocFree(t *testing.T) {
 		t.Errorf("Intern hit allocates %.1f per run of 64", n)
 	}
 }
+
+// TestInternerReleaseShiftsProbeRuns interns sets that all share one
+// home slot, and others whose home slots lie inside that probe run,
+// then releases them in random orders: every set still interned must
+// be found after each release, none released may be, and the table
+// must stay at its size, with no tombstones to purge.
+func TestInternerReleaseShiftsProbeRuns(t *testing.T) {
+	r := rand.New(rand.NewSource(48))
+	for trial := 0; trial < 50; trial++ {
+		in := NewInterner()
+		in.Reserve(64)
+		size := len(in.slots)
+		var sets []Set
+		for id := ID(1); len(sets) < 30; id++ {
+			s := New(id)
+			if home := uint32(s.Hash()) & in.mask; home < 4 || home > uint32(size)-3 {
+				sets = append(sets, s) // clustered at the wrap-around
+			}
+		}
+		handles := make([]Handle, len(sets))
+		for i, s := range sets {
+			handles[i], _ = in.Intern(s)
+		}
+		for _, i := range r.Perm(len(sets)) {
+			in.Release(handles[i])
+			sets[i] = Set{}
+			for j, s := range sets {
+				if s.IsEmpty() {
+					continue
+				}
+				if h, ok := in.Lookup(s); !ok || h != handles[j] {
+					t.Fatalf("trial %d: lost %v after a release", trial, s)
+				}
+			}
+		}
+		if in.Len() != 0 || len(in.slots) != size {
+			t.Fatalf("trial %d: %d left, %d slots, want 0 and %d", trial, in.Len(), len(in.slots), size)
+		}
+		for _, sl := range in.slots {
+			if sl.ref != 0 {
+				t.Fatalf("trial %d: slot %v left behind", trial, sl)
+			}
+		}
+	}
+}
+
+// TestInternerChurnAllocFree adopts and releases sets at a steady live
+// count: with no tombstones there is nothing to purge, so once the
+// tables have grown a cycle allocates nothing.
+func TestInternerChurnAllocFree(t *testing.T) {
+	in := NewInterner()
+	sets := make([]Set, 512)
+	for i := range sets {
+		sets[i] = New(ID(i), ID(i+1000))
+	}
+	handles := make([]Handle, 0, len(sets))
+	cycle := func() {
+		for _, s := range sets[:256] {
+			h, _ := in.Adopt(s)
+			handles = append(handles, h)
+		}
+		for _, h := range handles {
+			in.Release(h)
+		}
+		handles = handles[:0]
+		sets = append(sets[256:], sets[:256]...)
+	}
+	cycle()
+	cycle()
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Errorf("an adopt/release cycle of 256 sets allocates %.1f times", n)
+	}
+}

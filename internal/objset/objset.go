@@ -166,6 +166,10 @@ func (s Set) Clone() Set {
 	}
 }
 
+// Bytes returns the capacity of the set's storage in bytes, ids or
+// bitmap words, without the Set header: what the set holds on the heap.
+func (s Set) Bytes() int { return 4*cap(s.ids) + 8*cap(s.words) }
+
 // Len returns the number of objects in the set.
 func (s Set) Len() int {
 	if s.words != nil {

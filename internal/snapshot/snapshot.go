@@ -59,8 +59,27 @@ const headerSize = 20
 
 // Writer accumulates a snapshot payload, or whole snapshot files when
 // Begin and End frame it. The zero value is ready to use.
+//
+// The buffer doubles when it fills: append grows a large slice by about
+// a quarter at a time, so a payload of megabytes would allocate several
+// times its size in buffers it outgrows. Doubling allocates at most
+// twice the payload over its growth, and the buffer a writer keeps for
+// its next snapshot is at most twice the largest it wrote.
 type Writer struct {
 	buf []byte
+}
+
+// minRoom is the least capacity a writer allocates, and the room
+// AppendWith leaves before an encoder appends a value of unknown length.
+const minRoom = 512
+
+// room makes room for n more bytes, doubling the buffer when it is full.
+func (w *Writer) room(n int) {
+	if len(w.buf)+n > cap(w.buf) {
+		grown := make([]byte, len(w.buf), max(2*cap(w.buf), len(w.buf)+n, minRoom))
+		copy(grown, w.buf)
+		w.buf = grown
+	}
 }
 
 // Bytes returns the accumulated payload.
@@ -68,11 +87,13 @@ func (w *Writer) Bytes() []byte { return w.buf }
 
 // Uvarint appends an unsigned varint.
 func (w *Writer) Uvarint(x uint64) {
+	w.room(binary.MaxVarintLen64)
 	w.buf = binary.AppendUvarint(w.buf, x)
 }
 
 // Varint appends a signed (zig-zag) varint.
 func (w *Writer) Varint(x int64) {
+	w.room(binary.MaxVarintLen64)
 	w.buf = binary.AppendVarint(w.buf, x)
 }
 
@@ -81,6 +102,7 @@ func (w *Writer) Int(x int) { w.Varint(int64(x)) }
 
 // Bool appends a boolean as one byte.
 func (w *Writer) Bool(b bool) {
+	w.room(1)
 	if b {
 		w.buf = append(w.buf, 1)
 	} else {
@@ -91,14 +113,17 @@ func (w *Writer) Bool(b bool) {
 // String appends a length-prefixed string.
 func (w *Writer) String(s string) {
 	w.Uvarint(uint64(len(s)))
+	w.room(len(s))
 	w.buf = append(w.buf, s...)
 }
 
 // AppendWith hands the payload buffer to an append-style encoder (such
 // as vr.AppendSet) and adopts what it returns, so shared wire
 // primitives write straight into the payload with no intermediate
-// allocation. fn must only append.
+// allocation. fn must only append; a value longer than minRoom bytes may
+// grow the buffer by append's step instead of doubling it.
 func (w *Writer) AppendWith(fn func(dst []byte) []byte) {
+	w.room(minRoom)
 	w.buf = fn(w.buf)
 }
 
@@ -111,7 +136,9 @@ func (w *Writer) Reset() { w.buf = w.buf[:0] }
 // copied to be framed.
 func (w *Writer) Begin() int {
 	at := len(w.buf)
-	w.buf = append(w.buf, make([]byte, headerSize)...)
+	w.room(headerSize)
+	w.buf = w.buf[:at+headerSize]
+	clear(w.buf[at:])
 	return at
 }
 
@@ -123,6 +150,7 @@ func (w *Writer) End(mark int) {
 	binary.LittleEndian.PutUint32(hdr[8:12], Version)
 	binary.LittleEndian.PutUint64(hdr[12:20], uint64(len(payload)))
 	sum := sha256.Sum256(payload)
+	w.room(len(sum))
 	w.buf = append(w.buf, sum[:]...)
 }
 
@@ -132,7 +160,9 @@ func (w *Writer) End(mark int) {
 // a String's, and Reader.Blob reads them.
 func (w *Writer) BeginBlob() int {
 	at := len(w.buf)
-	w.buf = append(w.buf, make([]byte, binary.MaxVarintLen64)...)
+	w.room(binary.MaxVarintLen64)
+	w.buf = w.buf[:at+binary.MaxVarintLen64]
+	clear(w.buf[at:])
 	return at
 }
 

@@ -240,3 +240,30 @@ func TestReadRejectsTruncation(t *testing.T) {
 		}
 	}
 }
+
+// TestWriterGrowsByDoubling writes a payload of about a megabyte one
+// primitive at a time: the buffer must grow by doubling, a dozen
+// allocations from minRoom, and end at most twice the payload; a second
+// payload of the same size into the reset writer allocates nothing.
+func TestWriterGrowsByDoubling(t *testing.T) {
+	var w Writer
+	write := func() {
+		w.Reset()
+		mark := w.Begin()
+		for i := 0; i < 100_000; i++ {
+			w.Varint(int64(i) << 20)
+			w.Bool(i%2 == 0)
+			w.String("ab")
+		}
+		w.End(mark)
+	}
+	if n := testing.AllocsPerRun(1, write); n > 12 {
+		t.Errorf("a %d-byte payload took %.0f allocations, want at most 12", len(w.Bytes()), n)
+	}
+	if cap(w.Bytes()) > 2*len(w.Bytes()) {
+		t.Errorf("buffer of %d bytes holds a %d-byte payload, want at most twice", cap(w.Bytes()), len(w.Bytes()))
+	}
+	if n := testing.AllocsPerRun(1, write); n != 0 {
+		t.Errorf("rewriting into the kept buffer took %.0f allocations", n)
+	}
+}

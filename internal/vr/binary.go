@@ -331,7 +331,10 @@ type binaryFrameWriter struct {
 	reg      *Registry
 	classIdx map[Class]uint64 // registry class → stream index
 	buf      []byte           // reusable record-body scratch
-	started  bool
+	// pfx is the record-length scratch. A local array would escape:
+	// bufio.Writer may pass a slice of it on to the io.Writer beneath.
+	pfx     [binary.MaxVarintLen64]byte
+	started bool
 }
 
 func (fw *binaryFrameWriter) header() error {
@@ -350,9 +353,8 @@ func (fw *binaryFrameWriter) header() error {
 
 // writeRecord emits one length-prefixed record.
 func (fw *binaryFrameWriter) writeRecord(body []byte) error {
-	var pfx [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(pfx[:], uint64(len(body)))
-	if _, err := fw.bw.Write(pfx[:n]); err != nil {
+	n := binary.PutUvarint(fw.pfx[:], uint64(len(body)))
+	if _, err := fw.bw.Write(fw.pfx[:n]); err != nil {
 		return fmt.Errorf("vr: write record: %w", err)
 	}
 	if _, err := fw.bw.Write(body); err != nil {

@@ -416,3 +416,30 @@ func FuzzDecodeFrameBinary(f *testing.F) {
 		}
 	})
 }
+
+// TestBinaryWriteFrameAllocs pins a warm WriteFrame, one whose classes
+// the stream has already defined, at no allocations: the record body
+// goes into the writer's scratch, and so does the length prefix, which
+// as a local array escaped through bufio.Writer to the io.Writer beneath.
+func TestBinaryWriteFrameAllocs(t *testing.T) {
+	tr := randomTrace(rand.New(rand.NewSource(5)), 40, 12)
+	fw := Binary.NewFrameWriter(io.Discard, StandardRegistry())
+	frames := tr.Frames()
+	for _, f := range frames {
+		if err := fw.WriteFrame(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	n := testing.AllocsPerRun(200, func() {
+		f := frames[i%len(frames)]
+		f.FID = FrameID(i + len(frames))
+		i++
+		if err := fw.WriteFrame(f); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("a warm WriteFrame allocates %.1f times, want 0", n)
+	}
+}
