@@ -180,10 +180,10 @@ func BenchmarkSSGCoherentFeed(b *testing.B) { fullScaleMCOSBench(b, "V2") }
 func BenchmarkSSGDenseGraph(b *testing.B) { fullScaleMCOSBench(b, "D2") }
 
 // TestSSGHeapPerState budgets the heap a live SSG state holds at the
-// paper's window, cut at three quarters of each trace: 700 B on D2 and
-// 780 B on V2, about 5% over what frame lists held as runs and interner
-// tables sized to the live set measure (671 B and 743 B). One 8-byte
-// frame entry per frame put them at 878 B and 1 187 B.
+// paper's window, cut at three quarters of each trace: 615 B on D2 and
+// 700 B on V2, about 5% over what 32-byte object sets measure (584 B
+// and 666 B). 56-byte sets put them at 671 B and 743 B, and one 8-byte
+// frame entry per frame before that at 878 B and 1 187 B.
 // internal/core's TestSSGHeapBreakdown logs the parts with -v.
 func TestSSGHeapPerState(t *testing.T) {
 	if raceEnabled {
@@ -193,7 +193,7 @@ func TestSSGHeapPerState(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		budget float64
-	}{{"D2", 700}, {"V2", 780}} {
+	}{{"D2", 615}, {"V2", 700}} {
 		ds, err := bench.Config{Seed: 1, Scale: 1}.LoadDataset(tc.name)
 		if err != nil {
 			t.Fatal(err)

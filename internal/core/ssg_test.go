@@ -403,12 +403,13 @@ func TestSSGNodeSize(t *testing.T) {
 	}
 }
 
-// TestStateSize pins State at 176 bytes, a malloc size class: one more
-// word moves every state into the 192-byte class, and states are created
-// and recycled every frame. frameList.hasExtra is what keeps it there.
+// TestStateSize pins State at 128 bytes, a malloc size class: one more
+// word moves every state into the 144-byte class, and states are created
+// and recycled every frame. Its two 32-byte object sets and
+// frameList.hasExtra are what keep it there.
 func TestStateSize(t *testing.T) {
-	if n := unsafe.Sizeof(State{}); n != 176 {
-		t.Fatalf("State is %d bytes, want 176", n)
+	if n := unsafe.Sizeof(State{}); n != 128 {
+		t.Fatalf("State is %d bytes, want 128", n)
 	}
 }
 

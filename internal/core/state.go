@@ -110,7 +110,7 @@ type frameList struct {
 	sum   uint32 // Σ mixFID over the frames, mod 2^32; see hash
 	// hasExtra is the owning State's flag (see State.extra), kept here in
 	// the padding after sum: as a State field it would move State from the
-	// 176-byte size class to the 192-byte one.
+	// 128-byte size class to the 144-byte one.
 	hasExtra bool
 }
 

@@ -12,6 +12,8 @@
 //     than the id slice. Intersection, subset and difference become
 //     word-parallel loops (64 ids per step).
 //
+// Both forms live in the one backing slice of a 32-byte header; see Set.
+//
 // The two forms are semantically identical: Equal, Hash, Compare, Key and
 // every algebraic operation agree regardless of representation (this is
 // enforced by property tests). A Set is never mutated after creation
@@ -29,8 +31,10 @@ package objset
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
+	"unsafe"
 )
 
 // ID identifies one tracked object. Identifiers are assigned by the
@@ -43,15 +47,34 @@ type ID = uint32
 //
 // The zero value is the empty set.
 type Set struct {
-	ids []ID // sparse form: strictly increasing; nil when dense or empty
+	// ids is the one backing slice of both forms. Sparse (card == 0): the
+	// members, strictly increasing; nil or empty for the empty set. Dense
+	// (card ≥ 1): the storage of the bitmap words, two ids a word, read
+	// through words. Dense storage is always allocated as []uint64, so it
+	// is 8-byte aligned; it never comes from an []ID buffer.
+	ids []ID
 
-	// Dense form: bit b of words[w] set means id off+64*w+b is a member.
-	// Invariants: words is nil when sparse or empty; otherwise words is
-	// non-empty, words[0] != 0, words[len-1] != 0, off is a multiple of
-	// 64, and card is the total popcount (≥ 1).
-	words []uint64
-	off   ID
-	card  int32
+	// Dense form: bit b of words()[w] set means id off+64*w+b is a member.
+	// Invariants: words() is non-empty, its first and last words are
+	// non-zero, off is a multiple of 64, and card is the total popcount.
+	// A sparse set has off 0.
+	off  ID
+	card int32
+}
+
+// words returns a dense set's bitmap, with the capacity of its storage.
+// It and dense are the only places the package converts between the
+// two element types.
+func (s Set) words() []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(s.ids))), cap(s.ids)/2)[:len(s.ids)/2]
+}
+
+// dense returns the dense set of card ≥ 1 members whose bitmap is w,
+// non-empty and trimmed, with bit 0 of w[0] standing for off. The set
+// keeps w's storage, capacity included.
+func dense(w []uint64, off ID, card int) Set {
+	ids := unsafe.Slice((*ID)(unsafe.Pointer(unsafe.SliceData(w))), 2*cap(w))[:2*len(w)]
+	return Set{ids: ids, off: off, card: int32(card)}
 }
 
 // Empty is the empty object set.
@@ -112,7 +135,7 @@ func denseWorthwhile(n, nwords int) bool {
 // copies; the input is never modified, so compacting a shared set is
 // safe.
 func Compact(s Set) Set {
-	if s.words != nil || len(s.ids) == 0 {
+	if s.card != 0 || len(s.ids) == 0 {
 		return s
 	}
 	nwords := denseWords(s.ids)
@@ -140,7 +163,7 @@ func fillDense(ids []ID, words []uint64) Set {
 	for _, id := range ids {
 		words[(id-off)/64] |= 1 << ((id - off) % 64)
 	}
-	return Set{words: words, off: off, card: int32(len(ids))}
+	return dense(words, off, len(ids))
 }
 
 // Clone returns a copy of s backed by freshly-owned storage, in the
@@ -148,15 +171,16 @@ func fillDense(ids []ID, words []uint64) Set {
 // result from IntersectInto past the next use of the Scratch.
 func (s Set) Clone() Set {
 	switch {
-	case s.words != nil:
+	case s.card != 0:
 		// Re-evaluate the representation: an intersection can leave a
 		// sparse-worthy population spread over many words.
-		if !denseWorthwhile(int(s.card), len(s.words)) {
+		sw := s.words()
+		if !denseWorthwhile(int(s.card), len(sw)) {
 			return Set{ids: s.AppendTo(make([]ID, 0, s.card))}
 		}
-		w := make([]uint64, len(s.words))
-		copy(w, s.words)
-		return Set{words: w, off: s.off, card: s.card}
+		w := make([]uint64, len(sw))
+		copy(w, sw)
+		return dense(w, s.off, int(s.card))
 	case len(s.ids) > 0:
 		ids := make([]ID, len(s.ids))
 		copy(ids, s.ids)
@@ -168,25 +192,27 @@ func (s Set) Clone() Set {
 
 // Bytes returns the capacity of the set's storage in bytes, ids or
 // bitmap words, without the Set header: what the set holds on the heap.
-func (s Set) Bytes() int { return 4*cap(s.ids) + 8*cap(s.words) }
+func (s Set) Bytes() int { return 4 * cap(s.ids) }
 
 // Len returns the number of objects in the set.
 func (s Set) Len() int {
-	if s.words != nil {
+	if s.card != 0 {
 		return int(s.card)
 	}
 	return len(s.ids)
 }
 
-// IsEmpty reports whether the set has no members.
-func (s Set) IsEmpty() bool { return s.words == nil && len(s.ids) == 0 }
+// IsEmpty reports whether the set has no members. A dense set's
+// storage holds at least one word, so the length of ids decides for
+// both forms.
+func (s Set) IsEmpty() bool { return len(s.ids) == 0 }
 
 // IDs returns the members in increasing order. For a sparse set the
 // returned slice is shared and must not be modified; for a dense set it
 // is freshly materialized. Prefer Range or AppendTo in allocation-
 // sensitive code.
 func (s Set) IDs() []ID {
-	if s.words != nil {
+	if s.card != 0 {
 		return s.AppendTo(make([]ID, 0, s.card))
 	}
 	return s.ids
@@ -195,10 +221,10 @@ func (s Set) IDs() []ID {
 // AppendTo appends the members in increasing order to dst and returns
 // the extended slice.
 func (s Set) AppendTo(dst []ID) []ID {
-	if s.words == nil {
+	if s.card == 0 {
 		return append(dst, s.ids...)
 	}
-	for wi, w := range s.words {
+	for wi, w := range s.words() {
 		base := s.off + ID(wi)*64
 		for w != 0 {
 			dst = append(dst, base+ID(bits.TrailingZeros64(w)))
@@ -211,7 +237,7 @@ func (s Set) AppendTo(dst []ID) []ID {
 // Range calls f on every member in increasing order until f returns
 // false. It never allocates.
 func (s Set) Range(f func(ID) bool) {
-	if s.words == nil {
+	if s.card == 0 {
 		for _, id := range s.ids {
 			if !f(id) {
 				return
@@ -219,7 +245,7 @@ func (s Set) Range(f func(ID) bool) {
 		}
 		return
 	}
-	for wi, w := range s.words {
+	for wi, w := range s.words() {
 		base := s.off + ID(wi)*64
 		for w != 0 {
 			if !f(base + ID(bits.TrailingZeros64(w))) {
@@ -232,12 +258,12 @@ func (s Set) Range(f func(ID) bool) {
 
 // Contains reports whether id is a member of s.
 func (s Set) Contains(id ID) bool {
-	if s.words != nil {
+	if s.card != 0 {
 		if id < s.off {
 			return false
 		}
-		w := int(id-s.off) / 64
-		return w < len(s.words) && s.words[w]&(1<<((id-s.off)%64)) != 0
+		w, i := s.words(), int(id-s.off)/64
+		return i < len(w) && w[i]&(1<<((id-s.off)%64)) != 0
 	}
 	i := sort.Search(len(s.ids), func(i int) bool { return s.ids[i] >= id })
 	return i < len(s.ids) && s.ids[i] == id
@@ -249,38 +275,22 @@ func (s Set) Equal(t Set) bool {
 	if s.Len() != t.Len() {
 		return false
 	}
-	switch {
-	case s.words == nil && t.words == nil:
-		for i, id := range s.ids {
-			if t.ids[i] != id {
-				return false
-			}
-		}
-		return true
-	case s.words != nil && t.words != nil:
-		// The trim invariant (no zero words at either end) makes the
-		// dense form canonical: equal sets have equal off and words.
-		if s.off != t.off || len(s.words) != len(t.words) {
+	if (s.card == 0) == (t.card == 0) {
+		// Same form: a sparse set's ids are its members, and the trim
+		// invariant (no zero words at either end) makes the dense form
+		// canonical, so equal sets have equal off and storage contents.
+		return s.off == t.off && slices.Equal(s.ids, t.ids)
+	}
+	sp, d := s, t
+	if sp.card != 0 {
+		sp, d = t, s
+	}
+	for _, id := range sp.ids {
+		if !d.Contains(id) {
 			return false
 		}
-		for i, w := range s.words {
-			if t.words[i] != w {
-				return false
-			}
-		}
-		return true
-	default:
-		sp, d := s, t
-		if sp.words != nil {
-			sp, d = t, s
-		}
-		for _, id := range sp.ids {
-			if !d.Contains(id) {
-				return false
-			}
-		}
-		return true // lengths match and every sparse member is in d
 	}
+	return true // lengths match and every sparse member is in d
 }
 
 // Compare orders sets by their ascending id sequences lexicographically
@@ -288,24 +298,8 @@ func (s Set) Equal(t Set) bool {
 // Equal, identical for both representations, and allocation-free — the
 // comparator emit-time sorting uses instead of building Key strings.
 func Compare(s, t Set) int {
-	if s.words == nil && t.words == nil {
-		a, b := s.ids, t.ids
-		n := min(len(a), len(b))
-		for i := 0; i < n; i++ {
-			if a[i] != b[i] {
-				if a[i] < b[i] {
-					return -1
-				}
-				return 1
-			}
-		}
-		switch {
-		case len(a) < len(b):
-			return -1
-		case len(a) > len(b):
-			return 1
-		}
-		return 0
+	if s.card == 0 && t.card == 0 {
+		return slices.Compare(s.ids, t.ids)
 	}
 	sc, tc := newCursor(s), newCursor(t)
 	for {
@@ -338,11 +332,11 @@ type cursor struct {
 }
 
 func newCursor(s Set) cursor {
-	c := cursor{ids: s.ids, words: s.words, off: s.off}
-	if len(s.words) > 0 {
-		c.w = s.words[0]
+	if s.card == 0 {
+		return cursor{ids: s.ids}
 	}
-	return c
+	w := s.words()
+	return cursor{words: w, off: s.off, w: w[0]}
 }
 
 func (c *cursor) next() (ID, bool) {
@@ -368,7 +362,7 @@ func (c *cursor) next() (ID, bool) {
 	return id, true
 }
 
-// denseOverlap computes the index windows of s.words and t.words that
+// denseOverlap computes the index windows of s's and t's words that
 // cover the same id range; ok is false when the ranges are disjoint.
 // Range ends are computed in uint64: a set whose ids reach the top
 // 64-id block has an exclusive end of exactly 2^32, which would wrap
@@ -376,8 +370,8 @@ func (c *cursor) next() (ID, bool) {
 // including itself.
 func denseOverlap(s, t Set) (si, ti, n int, ok bool) {
 	sOff, tOff := uint64(s.off), uint64(t.off)
-	sEnd := sOff + uint64(len(s.words))*64
-	tEnd := tOff + uint64(len(t.words))*64
+	sEnd := sOff + uint64(len(s.words()))*64
+	tEnd := tOff + uint64(len(t.words()))*64
 	lo, hi := sOff, sEnd
 	if tOff > lo {
 		lo = tOff
@@ -415,7 +409,7 @@ func (s Set) IntersectInto(t Set, b *Scratch) Set {
 	switch {
 	case s.IsEmpty() || t.IsEmpty():
 		return Set{}
-	case s.words != nil && t.words != nil:
+	case s.card != 0 && t.card != 0:
 		si, ti, n, ok := denseOverlap(s, t)
 		if !ok {
 			return Set{}
@@ -424,9 +418,10 @@ func (s Set) IntersectInto(t Set, b *Scratch) Set {
 			b.words = make([]uint64, n, n+n/2)
 		}
 		w := b.words[:n]
+		sw, tw := s.words()[si:si+n], t.words()[ti:ti+n]
 		card := 0
-		for i := 0; i < n; i++ {
-			v := s.words[si+i] & t.words[ti+i]
+		for i := range w {
+			v := sw[i] & tw[i]
 			w[i] = v
 			card += bits.OnesCount64(v)
 		}
@@ -442,8 +437,8 @@ func (s Set) IntersectInto(t Set, b *Scratch) Set {
 		for w[len(w)-1] == 0 {
 			w = w[:len(w)-1]
 		}
-		return Set{words: w, off: off, card: int32(card)}
-	case s.words == nil && t.words == nil:
+		return dense(w, off, card)
+	case s.card == 0 && t.card == 0:
 		a, c := s.ids, t.ids
 		if a[len(a)-1] < c[0] || c[len(c)-1] < a[0] {
 			return Set{}
@@ -470,7 +465,7 @@ func (s Set) IntersectInto(t Set, b *Scratch) Set {
 	default:
 		// Mixed: walk the sparse side, probe the dense side.
 		sp, d := s, t
-		if sp.words != nil {
+		if sp.card != 0 {
 			sp, d = t, s
 		}
 		out := b.ids[:0]
@@ -492,17 +487,18 @@ func (s Set) IntersectLen(t Set) int {
 	switch {
 	case s.IsEmpty() || t.IsEmpty():
 		return 0
-	case s.words != nil && t.words != nil:
+	case s.card != 0 && t.card != 0:
 		si, ti, n, ok := denseOverlap(s, t)
 		if !ok {
 			return 0
 		}
+		sw, tw := s.words()[si:si+n], t.words()[ti:ti+n]
 		c := 0
-		for i := 0; i < n; i++ {
-			c += bits.OnesCount64(s.words[si+i] & t.words[ti+i])
+		for i, w := range sw {
+			c += bits.OnesCount64(w & tw[i])
 		}
 		return c
-	case s.words == nil && t.words == nil:
+	case s.card == 0 && t.card == 0:
 		a, b := s.ids, t.ids
 		n := 0
 		i, j := 0, 0
@@ -521,7 +517,7 @@ func (s Set) IntersectLen(t Set) int {
 		return n
 	default:
 		sp, d := s, t
-		if sp.words != nil {
+		if sp.card != 0 {
 			sp, d = t, s
 		}
 		n := 0
@@ -540,18 +536,19 @@ func (s Set) Intersects(t Set) bool {
 	switch {
 	case s.IsEmpty() || t.IsEmpty():
 		return false
-	case s.words != nil && t.words != nil:
+	case s.card != 0 && t.card != 0:
 		si, ti, n, ok := denseOverlap(s, t)
 		if !ok {
 			return false
 		}
-		for i := 0; i < n; i++ {
-			if s.words[si+i]&t.words[ti+i] != 0 {
+		sw, tw := s.words()[si:si+n], t.words()[ti:ti+n]
+		for i, w := range sw {
+			if w&tw[i] != 0 {
 				return true
 			}
 		}
 		return false
-	case s.words == nil && t.words == nil:
+	case s.card == 0 && t.card == 0:
 		a, b := s.ids, t.ids
 		if a[len(a)-1] < b[0] || b[len(b)-1] < a[0] {
 			return false
@@ -570,7 +567,7 @@ func (s Set) Intersects(t Set) bool {
 		return false
 	default:
 		sp, d := s, t
-		if sp.words != nil {
+		if sp.card != 0 {
 			sp, d = t, s
 		}
 		for _, id := range sp.ids {
@@ -592,10 +589,10 @@ func (s *Set) IntersectWith(t Set) {
 		return
 	case t.IsEmpty():
 		*s = Set{}
-	case s.words == nil:
+	case s.card == 0:
 		// Sparse receiver: filter in place (write index trails read).
 		out := s.ids[:0]
-		if t.words == nil {
+		if t.card == 0 {
 			i, j := 0, 0
 			a, b := s.ids, t.ids
 			for i < len(a) && j < len(b) {
@@ -618,7 +615,7 @@ func (s *Set) IntersectWith(t Set) {
 			}
 		}
 		s.ids = out
-	case t.words != nil:
+	case t.card != 0:
 		// Dense receiver, dense argument: restrict to the overlap window
 		// and AND word-wise.
 		si, ti, n, ok := denseOverlap(*s, t)
@@ -626,10 +623,10 @@ func (s *Set) IntersectWith(t Set) {
 			*s = Set{}
 			return
 		}
-		w := s.words[si : si+n]
+		w, tw := s.words()[si:si+n], t.words()[ti:ti+n]
 		card := 0
 		for i := range w {
-			w[i] &= t.words[ti+i]
+			w[i] &= tw[i]
 			card += bits.OnesCount64(w[i])
 		}
 		s.finishInPlace(w, s.off+ID(si)*64, card)
@@ -638,9 +635,10 @@ func (s *Set) IntersectWith(t Set) {
 		// argument's members in its id range. The word's exclusive end
 		// is computed in uint64 — for the top 64-id block base+64 would
 		// wrap to 0 in ID arithmetic.
+		w := s.words()
 		j := 0
 		card := 0
-		for wi := range s.words {
+		for wi := range w {
 			base := s.off + ID(wi)*64
 			var mask uint64
 			for j < len(t.ids) && t.ids[j] < base {
@@ -650,10 +648,10 @@ func (s *Set) IntersectWith(t Set) {
 				mask |= 1 << (t.ids[j] - base)
 				j++
 			}
-			s.words[wi] &= mask
-			card += bits.OnesCount64(s.words[wi])
+			w[wi] &= mask
+			card += bits.OnesCount64(w[wi])
 		}
-		s.finishInPlace(s.words, s.off, card)
+		s.finishInPlace(w, s.off, card)
 	}
 }
 
@@ -671,7 +669,7 @@ func (s *Set) finishInPlace(w []uint64, off ID, card int) {
 	for w[len(w)-1] == 0 {
 		w = w[:len(w)-1]
 	}
-	s.words, s.off, s.card = w, off, int32(card)
+	*s = dense(w, off, card)
 }
 
 // Union returns s ∪ t.
@@ -682,7 +680,7 @@ func (s Set) Union(t Set) Set {
 	if t.IsEmpty() {
 		return s
 	}
-	if s.words == nil && t.words == nil {
+	if s.card == 0 && t.card == 0 {
 		a, b := s.ids, t.ids
 		out := make([]ID, 0, len(a)+len(b))
 		i, j := 0, 0
@@ -755,18 +753,20 @@ func (s Set) MinusInto(t Set, spare Set) Set {
 	}
 	c = newMinusCursor(s, t)
 	if nwords := int(last/64-first/64) + 1; denseWorthwhile(n, nwords) {
-		w := spare.words[:0]
-		if cap(w) < nwords {
-			w = make([]uint64, nwords)
-		} else {
-			w = w[:nwords]
+		// Only a dense spare's storage is aligned for words; a sparse
+		// result may take either form's.
+		var w []uint64
+		if spare.card != 0 && cap(spare.ids)/2 >= nwords {
+			w = spare.words()[:nwords]
 			clear(w)
+		} else {
+			w = make([]uint64, nwords)
 		}
 		off := first &^ 63
 		for id, ok := c.next(); ok; id, ok = c.next() {
 			w[(id-off)/64] |= 1 << ((id - off) % 64)
 		}
-		return Set{words: w, off: off, card: int32(n)}
+		return dense(w, off, n)
 	}
 	ids := spare.ids[:0]
 	if cap(ids) < n {
@@ -794,7 +794,7 @@ func (m *minusCursor) next() (ID, bool) {
 		if !ok {
 			return 0, false
 		}
-		if m.t.words != nil {
+		if m.t.card != 0 {
 			if !m.t.Contains(id) {
 				return id, true
 			}
@@ -817,18 +817,20 @@ func (s Set) SubsetOf(t Set) bool {
 	switch {
 	case s.IsEmpty():
 		return true
-	case s.words != nil && t.words != nil:
+	case s.card != 0 && t.card != 0:
 		si, ti, n, ok := denseOverlap(s, t)
-		if !ok || si != 0 || n != len(s.words) {
+		sw := s.words()
+		if !ok || si != 0 || n != len(sw) {
 			return false // part of s's range lies outside t's
 		}
-		for i := 0; i < n; i++ {
-			if s.words[si+i]&^t.words[ti+i] != 0 {
+		tw := t.words()[ti : ti+n]
+		for i, w := range sw {
+			if w&^tw[i] != 0 {
 				return false
 			}
 		}
 		return true
-	case s.words == nil && t.words != nil:
+	case s.card == 0 && t.card != 0:
 		for _, id := range s.ids {
 			if !t.Contains(id) {
 				return false
@@ -881,13 +883,13 @@ func hashID(h uint64, id ID) uint64 {
 // both representations. It never allocates.
 func (s Set) Hash() uint64 {
 	h := uint64(fnvOffset64)
-	if s.words == nil {
+	if s.card == 0 {
 		for _, id := range s.ids {
 			h = hashID(h, id)
 		}
 		return h
 	}
-	for wi, w := range s.words {
+	for wi, w := range s.words() {
 		base := s.off + ID(wi)*64
 		for w != 0 {
 			h = hashID(h, base+ID(bits.TrailingZeros64(w)))
@@ -904,11 +906,14 @@ func (s Set) Hash() uint64 {
 // OR of its words, because off is a multiple of 64.
 func (s Set) Sig() uint64 {
 	var sig uint64
+	if s.card != 0 {
+		for _, w := range s.words() {
+			sig |= w
+		}
+		return sig
+	}
 	for _, id := range s.ids {
 		sig |= 1 << (id % 64)
-	}
-	for _, w := range s.words {
-		sig |= w
 	}
 	return sig
 }

@@ -5,7 +5,17 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestSetSize pins Set at 32 bytes: one slice header for both forms,
+// the dense offset and the cardinality. Every state, interned handle,
+// match and delivery holds one or two sets by value.
+func TestSetSize(t *testing.T) {
+	if n := unsafe.Sizeof(Set{}); n != 32 {
+		t.Fatalf("Set is %d bytes, want 32", n)
+	}
+}
 
 func TestNewDedupesAndSorts(t *testing.T) {
 	s := New(5, 1, 3, 1, 5, 2)
@@ -329,7 +339,7 @@ func forceDense(s Set) Set {
 	for _, id := range ids {
 		words[(id-off)/64] |= 1 << ((id - off) % 64)
 	}
-	return Set{words: words, off: off, card: int32(len(ids))}
+	return dense(words, off, len(ids))
 }
 
 func forceSparse(s Set) Set {
@@ -496,11 +506,11 @@ func TestCompactRoundTrip(t *testing.T) {
 	for i := range ids {
 		ids[i] = ID(i * 2)
 	}
-	if d := Compact(New(ids...)); d.words == nil {
+	if d := Compact(New(ids...)); d.card == 0 {
 		t.Error("dense window-local set stayed sparse")
 	}
 	// Wide-spread ids must stay sparse.
-	if s := Compact(New(1, 1000, 100000, 1000000)); s.words != nil {
+	if s := Compact(New(1, 1000, 100000, 1000000)); s.card != 0 {
 		t.Error("wide-spread set went dense")
 	}
 }
@@ -553,7 +563,7 @@ func TestTopOfIDSpace(t *testing.T) {
 		ids[i] = ^ID(0) - ID(63-i) // 4294967232..4294967295
 	}
 	s := New(ids...)
-	if s.words == nil {
+	if s.card == 0 {
 		t.Fatal("top-block set did not go dense")
 	}
 	if !s.SubsetOf(s) || s.Intersect(s).Len() != 64 || !s.Intersects(s) {
@@ -604,8 +614,8 @@ func TestMinusIntoMatchesCompact(t *testing.T) {
 			{},
 			{ids: make([]ID, 1, 2)},
 			{ids: make([]ID, 0, 64)},
-			{words: make([]uint64, 1), off: 0, card: 1},
-			{words: make([]uint64, 3, 80), off: 64, card: 2},
+			dense(make([]uint64, 1), 0, 1),
+			dense(make([]uint64, 3, 80), 64, 2),
 		}
 	}
 	for i := 0; i < 2000; i++ {
@@ -620,11 +630,14 @@ func TestMinusIntoMatchesCompact(t *testing.T) {
 		for _, av := range reprs(a) {
 			for _, bv := range reprs(b) {
 				for k, spare := range spares() {
-					for j := range spare.words {
-						spare.words[j] = ^uint64(0) // stale members must not leak
+					if spare.card != 0 {
+						w := spare.words()
+						for j := range w {
+							w[j] = ^uint64(0) // stale members must not leak
+						}
 					}
 					got := av.MinusInto(bv, spare)
-					if !got.Equal(want) || (got.words != nil) != (want.words != nil) || (got.ids == nil) != (want.ids == nil) {
+					if !got.Equal(want) || (got.card != 0) != (want.card != 0) || (got.ids == nil) != (want.ids == nil) {
 						t.Fatalf("%v \\ %v into spare %d = %#v, want %#v", av, bv, k, got, want)
 					}
 					if got.Len() > 0 && (aliases(got, av) || aliases(got, bv)) {
@@ -638,23 +651,12 @@ func TestMinusIntoMatchesCompact(t *testing.T) {
 
 // aliases reports whether s's storage begins inside t's.
 func aliases(s, t Set) bool {
-	in := func(p *ID, ids []ID) bool {
-		for i := range ids {
-			if p == &ids[i] {
-				return true
-			}
+	for i := range t.ids {
+		if len(s.ids) > 0 && &s.ids[0] == &t.ids[i] {
+			return true
 		}
-		return false
 	}
-	inw := func(p *uint64, ws []uint64) bool {
-		for i := range ws {
-			if p == &ws[i] {
-				return true
-			}
-		}
-		return false
-	}
-	return len(s.ids) > 0 && in(&s.ids[0], t.ids) || len(s.words) > 0 && inw(&s.words[0], t.words)
+	return false
 }
 
 // TestMinusIntoReusesSpare: a spare of the difference's form with room
@@ -670,8 +672,8 @@ func TestMinusIntoReusesSpare(t *testing.T) {
 		ids = append(ids, id)
 	}
 	d, v := New(ids...), New(3, 4)
-	dense := Set{words: make([]uint64, 0, 2)}
-	if n := testing.AllocsPerRun(50, func() { dense = d.MinusInto(v, dense) }); n != 0 || dense.words == nil {
-		t.Errorf("dense difference into a roomy spare: %.0f allocations, %#v", n, dense)
+	roomy := dense(make([]uint64, 0, 2), 0, 1)
+	if n := testing.AllocsPerRun(50, func() { roomy = d.MinusInto(v, roomy) }); n != 0 || roomy.card == 0 {
+		t.Errorf("dense difference into a roomy spare: %.0f allocations, %#v", n, roomy)
 	}
 }

@@ -23,11 +23,11 @@ func TestSlabFromSorted(t *testing.T) {
 		}
 		s := sl.FromSorted(ids)
 		c := Compact(FromSorted(append([]ID(nil), ids...)))
-		if !s.Equal(c) || (s.words == nil) != (c.words == nil) {
-			t.Fatalf("slab set %s (dense %v), Compact %s (dense %v)", s, s.words != nil, c, c.words != nil)
+		if !s.Equal(c) || (s.card == 0) != (c.card == 0) {
+			t.Fatalf("slab set %s (dense %v), Compact %s (dense %v)", s, s.card != 0, c, c.card != 0)
 		}
-		if cap(s.ids) != len(s.ids) || cap(s.words) != len(s.words) {
-			t.Fatalf("set %s: ids %d/%d, words %d/%d (len/cap)", s, len(s.ids), cap(s.ids), len(s.words), cap(s.words))
+		if cap(s.ids) != len(s.ids) {
+			t.Fatalf("set %s (dense %v): storage %d/%d (len/cap)", s, s.card != 0, len(s.ids), cap(s.ids))
 		}
 		clear(ids)
 		sets, want = append(sets, s), append(want, c)

@@ -5,9 +5,23 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"tvq"
 )
+
+// TestMatchAndDeliverySize pins Match at 64 bytes and Delivery at 80,
+// malloc size classes: evaluation copies a fresh Match for every
+// (query, state) pair a frame matches, and every sink receives a
+// Delivery by value.
+func TestMatchAndDeliverySize(t *testing.T) {
+	if n := unsafe.Sizeof(tvq.Match{}); n != 64 {
+		t.Errorf("Match is %d bytes, want 64", n)
+	}
+	if n := unsafe.Sizeof(tvq.Delivery{}); n != 80 {
+		t.Errorf("Delivery is %d bytes, want 80", n)
+	}
+}
 
 // waitGoroutines polls until the goroutine count drops back to at most
 // base (runtime bookkeeping can lag a hair behind channel operations).
