@@ -659,7 +659,9 @@ func BenchmarkJSONLSinkDeliver(b *testing.B) {
 // dominates: 1000 subscriptions round-robin over 32 ≥-only bodies with
 // thresholds 1–3 (the sparse-fanout shape) against one frame's result
 // states of M1. One op is 100 EvaluateStates calls; the cost should
-// follow matches/call, and allocs/op must stay at two per call.
+// follow matches/call. The states do not change between calls, so
+// every frame list comes from its state's frame log, and allocs/op must
+// stay at one per call, the []Match.
 func BenchmarkEvaluateFanout(b *testing.B) {
 	const calls = 100
 	ds := loadBenchDataset(b, "M1")

@@ -472,6 +472,10 @@ func (g *SSG) foldFrame(n *ssgNode, f vr.Frame) {
 // It walks the two run lists side by side and skips each stretch of the
 // parent's frames that a run of the target already holds.
 func (g *SSG) foldMissing(target, parent *ssgNode) {
+	if target.state.frames.len() == 0 {
+		g.copyFrames(target, parent)
+		return
+	}
 	j := 0 // the target's runs before j end at or before fid
 	for _, pr := range parent.state.frames.runs {
 		for fid := pr.first; fid < pr.end(); fid++ {
@@ -495,6 +499,40 @@ func (g *SSG) foldMissing(target, parent *ssgNode) {
 	}
 }
 
+// copyFrames is foldMissing into a target that holds no frame yet: it
+// takes the parent's in-window frames, all unmarked. Every such frame's
+// object set contains IDparent ⊋ IDtarget, so the first one folded
+// leaves blockers that hold IDparent ∖ IDtarget, every later one keeps
+// them, and none is ever marked. The blockers are built as fold builds
+// them: from the first frame by MinusInto, then intersected with each
+// later frame in order.
+func (g *SSG) copyFrames(target, parent *ssgNode) {
+	fl, s := &target.state.frames, target.state
+	from := g.window.next - vr.FrameID(len(g.window.sets))
+	for _, pr := range parent.state.frames.runs {
+		first := max(pr.first, from)
+		if first >= pr.end() {
+			continue
+		}
+		if k := len(fl.runs); k > 0 && fl.runs[k-1].end() == first {
+			fl.runs[k-1].n += int32(pr.end() - first) // parent runs split by marks only
+		} else {
+			fl.runs = append(fl.runs, frameRun{first: first, n: int32(pr.end() - first)})
+		}
+		for fid := first; fid < pr.end(); fid++ {
+			of := *g.window.slot(fid)
+			if !fl.hasExtra {
+				s.extra = of.MinusInto(s.Objects, s.extra)
+				fl.hasExtra = true
+			} else {
+				s.extra.IntersectWith(of)
+			}
+			fl.sum += mixFID(fid)
+			fl.n++
+		}
+	}
+}
+
 // attachChild adds edge (parent, child) and restores Property 2 one level
 // deep (§4.3.4): an existing child contained in the new one is re-homed
 // under it; if the new child is contained in an existing one it belongs
@@ -505,14 +543,14 @@ func (g *SSG) attachChild(parent, child *ssgNode) {
 		if sib == child {
 			return
 		}
-		if sib.state.Objects.ProperSubsetOf(child.state.Objects) {
+		if sib.sig&^child.sig == 0 && sib.state.Objects.ProperSubsetOf(child.state.Objects) {
 			// Move sib under child: (parent, sib) → (child, sib). The
 			// recursive attach keeps Property 2 among child's children.
 			parent.children = append(parent.children[:i], parent.children[i+1:]...)
 			i--
 			detachParent(sib, parent)
 			g.attachChild(child, sib)
-		} else if child.state.Objects.ProperSubsetOf(sib.state.Objects) {
+		} else if child.sig&^sib.sig == 0 && child.state.Objects.ProperSubsetOf(sib.state.Objects) {
 			g.attachChild(sib, child)
 			return
 		}
@@ -580,7 +618,7 @@ next:
 		// every skipped candidate keeps its generating parent and stays
 		// reachable for traversal).
 		for _, s := range selected {
-			if c.state.Objects.ProperSubsetOf(s.state.Objects) {
+			if c.sig&^s.sig == 0 && c.state.Objects.ProperSubsetOf(s.state.Objects) {
 				continue next
 			}
 		}

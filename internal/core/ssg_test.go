@@ -458,3 +458,51 @@ func TestCNPSOrderMatchesStableSort(t *testing.T) {
 		}
 	}
 }
+
+// TestCopyFramesEqualsFolding holds copyFrames, foldMissing into a
+// target that holds no frame yet, to folding the parent's in-window
+// frames one at a time: the same runs (none marked), counts, hash and
+// blockers, for a target one object smaller than each live node of a
+// graph that has run past its first window.
+func TestCopyFramesEqualsFolding(t *testing.T) {
+	r := rand.New(rand.NewSource(50))
+	copied := 0
+	for trial := 0; trial < 10; trial++ {
+		w := 4 + r.Intn(12)
+		g := NewSSG(Config{Window: w, Duration: 1})
+		for i, f := range flickerFeed(r, 3*w, 7) {
+			g.Process(f)
+			if i < w {
+				continue
+			}
+			for h := 0; h < g.nodes.Len(); h++ {
+				n := g.node(objset.Handle(h))
+				if n == nil || n.state.Objects.Len() < 2 {
+					continue
+				}
+				ids := n.state.Objects.IDs()
+				sub := objset.New(ids[1:]...)
+				got := &ssgNode{state: &State{Objects: sub}, lastMark: -1}
+				g.copyFrames(got, n)
+				want := &State{Objects: sub}
+				for _, pr := range n.state.frames.runs {
+					for fid := pr.first; fid < pr.end(); fid++ {
+						if of, ok := g.window.at(fid); ok && want.fold(fid, of) {
+							t.Fatalf("folding %v's frame %d into %v marked it", n.state, fid, sub)
+						}
+					}
+				}
+				gf, wf := &got.state.frames, &want.frames
+				if !slices.Equal(gf.runs, wf.runs) || gf.n != wf.n || gf.marks != wf.marks || gf.sum != wf.sum ||
+					gf.hasExtra != wf.hasExtra || !got.state.extra.Equal(want.extra) {
+					t.Fatalf("frame %d, parent %v: copied %v blockers %v, folded %v blockers %v",
+						i, n.state, got.state, got.state.extra, want, want.extra)
+				}
+				copied++
+			}
+		}
+	}
+	if copied < 100 {
+		t.Fatalf("%d targets copied: the feeds do not exercise copyFrames", copied)
+	}
+}

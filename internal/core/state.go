@@ -410,6 +410,48 @@ func (s *State) Frames() []vr.FrameID { return s.frames.fids() }
 // added window group numbers frames from its own start).
 func (s *State) FillFrames(dst []vr.FrameID, offset vr.FrameID) { s.frames.fill(dst, offset) }
 
+// ExtendsFrames compares the state's frame ids, each shifted by offset,
+// with ids, a strictly increasing list of frame ids such as one the
+// state filled earlier. It reports whether the state's frames are a
+// suffix of ids, ids[skip:], followed by at most one newer frame; when
+// FrameCount() is len(ids)−skip+1, next is that frame, shifted.
+//
+// It reads only the ends of each run: ids is strictly increasing, so a
+// stretch of it whose first and last entries are a run's first and last
+// frame holds exactly that run's frames. The cost is O(runs + skip),
+// not O(frames).
+func (s *State) ExtendsFrames(ids []vr.FrameID, offset vr.FrameID) (skip int, next vr.FrameID, ok bool) {
+	runs := s.frames.runs
+	if len(runs) == 0 {
+		return len(ids), 0, true
+	}
+	for skip < len(ids) && ids[skip] < runs[0].first+offset {
+		skip++
+	}
+	ids = ids[skip:]
+	if n := s.frames.len(); n < len(ids) || n > len(ids)+1 {
+		return 0, 0, false
+	}
+	i := 0 // ids before i are matched
+	for k, r := range runs {
+		first := r.first + offset
+		m := min(int(r.n), len(ids)-i) // the run's frames that ids covers
+		if m > 0 && (ids[i] != first || ids[i+m-1] != first+vr.FrameID(m-1)) {
+			return 0, 0, false
+		}
+		i += m
+		if m < int(r.n) {
+			// The frame past ids: there is one at most (the count), and it
+			// must end the list.
+			if k != len(runs)-1 {
+				return 0, 0, false
+			}
+			next = first + vr.FrameID(m)
+		}
+	}
+	return skip, next, true
+}
+
 // MarkedFrames returns the marked (key) frames, oldest first.
 func (s *State) MarkedFrames() []vr.FrameID {
 	out := make([]vr.FrameID, 0, s.frames.marks)

@@ -215,8 +215,10 @@ type frameMark struct {
 
 // driveFrameList runs ops against one pooled state's frame list and a
 // sorted reference, from frame base, and checks the two agree after
-// every op (checkFrameList). Each op byte picks, by its low bits, what
-// the feed does next, and its high bits parameterize it:
+// every op (checkFrameList), as does State.ExtendsFrames against the
+// list the previous op left (checkExtendsFrames). Each op byte picks,
+// by its low bits, what the feed does next, and its high bits
+// parameterize it:
 //   - 0–3: the feed advances: append the next frame, marked or not;
 //   - 4: skip a frame, then append: a gap starts a new run;
 //   - 5–7: a merge: insert a frame of the window, maybe present, which
@@ -232,6 +234,7 @@ func driveFrameList(t testing.TB, base vr.FrameID, ops []byte) {
 	var pool statePool
 	s := pool.get()
 	var model []frameMark
+	var logged []vr.FrameID // the frames after the last op, for checkExtendsFrames
 	next := base
 	insert := func(fid vr.FrameID, marked bool) {
 		i := sort.Search(len(model), func(i int) bool { return model[i].fid >= fid })
@@ -280,8 +283,35 @@ func driveFrameList(t testing.TB, base vr.FrameID, ops []byte) {
 			}
 			checkFrameList(t, fmt.Sprintf("base %d step %d decode", base, step), &got.frames, model)
 		}
-		checkFrameList(t, fmt.Sprintf("base %d step %d op %#x", base, step, op), &s.frames, model)
+		name := fmt.Sprintf("base %d step %d op %#x", base, step, op)
+		checkFrameList(t, name, &s.frames, model)
+		logged = checkExtendsFrames(t, name, s, logged, model)
 	}
+}
+
+// checkExtendsFrames holds State.ExtendsFrames against model: the
+// state's frames, shifted by an offset, must be reported as logged with
+// its frames before the state's first dropped and at most one newer
+// frame added exactly when they are. It returns the state's frames,
+// shifted, as the next step's log.
+func checkExtendsFrames(t testing.TB, step string, s *State, logged []vr.FrameID, model []frameMark) []vr.FrameID {
+	t.Helper()
+	const offset = 1000
+	cur := make([]vr.FrameID, len(model))
+	for i, m := range model {
+		cur[i] = m.fid + offset
+	}
+	skip := len(logged)
+	if len(cur) > 0 {
+		skip = sort.Search(len(logged), func(i int) bool { return logged[i] >= cur[0] })
+	}
+	rest := logged[skip:]
+	want := len(cur) >= len(rest) && len(cur) <= len(rest)+1 && slices.Equal(cur[:len(rest)], rest)
+	gotSkip, next, ok := s.ExtendsFrames(logged, offset)
+	if ok != want || ok && (gotSkip != skip || len(cur) > len(rest) && next != cur[len(cur)-1]) {
+		t.Fatalf("%s: ExtendsFrames(%v) on %v = %d, %d, %v; want skip %d, ok %v", step, logged, cur, gotSkip, next, ok, skip, want)
+	}
+	return cur
 }
 
 // TestFrameListHashIncremental drives one pooled state's frame list

@@ -259,12 +259,13 @@ func (e *Engine) ProcessFrame(f vr.Frame) []query.Match {
 		}
 		// states is only valid until the group's next Process call
 		// (generators reuse emission buffers and recycle dead states);
-		// EvaluateStatesFrom copies everything a Match retains — each
-		// matched state's frame list once, already in engine numbering
-		// (generators number frames from zero, the group began at
-		// g.start), shared read-only by that state's matches — which is
-		// what makes the returned matches durable past this call (see the
-		// ownership notes on core.Generator).
+		// no Match retains a state. Its frame list is the evaluator's,
+		// already in engine numbering (generators number frames from
+		// zero, the group began at g.start), shared read-only by that
+		// state's matches, and never written where a match can see it
+		// (query.Match.Frames) — which is what makes the returned matches
+		// durable past this call (see the ownership notes on
+		// core.Generator).
 		states := g.gen.Process(gf)
 		var matches []query.Match
 		if e.opts.Windows != Tumbling || (gf.FID+1)%vr.FrameID(g.window) == 0 {

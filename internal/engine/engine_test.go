@@ -253,8 +253,9 @@ func TestSurveillanceScenario(t *testing.T) {
 
 // TestProcessFrameKeepsEvaluatorSlice pins that a frame one window group
 // matched costs what the group's generator allocates plus the
-// evaluator's two blocks (its matches and their frame ids) and nothing
-// more: the engine returns the evaluator's slice instead of copying it.
+// evaluator's []Match and nothing more: the state's frame list slides
+// in its frame log, and the engine returns the evaluator's slice
+// instead of copying it.
 // A twin engine fed the same frames runs only its generator, which
 // prices the generator's share; the class filter is off in both, so the
 // filtered copy of a frame's set is not counted.
@@ -302,8 +303,8 @@ func TestProcessFrameKeepsEvaluatorSlice(t *testing.T) {
 	if matched != 3*(runs+1) {
 		t.Fatalf("%d matches over %d frames, want 3 per frame", matched, runs+1)
 	}
-	if full > gen+2 {
-		t.Errorf("ProcessFrame allocates %.0f times per frame, the generator alone %.0f: want at most 2 more (the evaluator's blocks)", full, gen)
+	if full > gen+1 {
+		t.Errorf("ProcessFrame allocates %.0f times per frame, the generator alone %.0f: want at most 1 more (the []Match; the state's frame log is refilled once in 11 frames)", full, gen)
 	}
 }
 

@@ -738,20 +738,26 @@ func (s Set) Minus(t Set) Set { return s.MinusInto(t, Set{}) }
 // earlier Minus or MinusInto — and it must not be used afterwards: the
 // result may overwrite it. Like Minus, the result never aliases s or t.
 func (s Set) MinusInto(t Set, spare Set) Set {
-	// The first pass counts the survivors and finds their span, which
-	// decide the representation; the second writes them.
+	// One cursor pass counts the survivors and finds their span, which
+	// decide the representation, and buffers the first minusStack of
+	// them on the stack. When that is all of them they are written from
+	// the buffer; otherwise a second pass writes them.
+	var stack [minusStack]ID
+	buf := stack[:0]
 	n, first, last := 0, ID(0), ID(0)
 	c := newMinusCursor(s, t)
 	for id, ok := c.next(); ok; id, ok = c.next() {
 		if n == 0 {
 			first = id
 		}
+		if n < minusStack {
+			buf = append(buf, id)
+		}
 		last, n = id, n+1
 	}
 	if n == 0 {
 		return Set{}
 	}
-	c = newMinusCursor(s, t)
 	if nwords := int(last/64-first/64) + 1; denseWorthwhile(n, nwords) {
 		// Only a dense spare's storage is aligned for words; a sparse
 		// result may take either form's.
@@ -762,7 +768,11 @@ func (s Set) MinusInto(t Set, spare Set) Set {
 		} else {
 			w = make([]uint64, nwords)
 		}
+		if n <= minusStack {
+			return fillDense(buf, w)
+		}
 		off := first &^ 63
+		c = newMinusCursor(s, t)
 		for id, ok := c.next(); ok; id, ok = c.next() {
 			w[(id-off)/64] |= 1 << ((id - off) % 64)
 		}
@@ -772,11 +782,19 @@ func (s Set) MinusInto(t Set, spare Set) Set {
 	if cap(ids) < n {
 		ids = make([]ID, 0, n)
 	}
+	if n <= minusStack {
+		return Set{ids: append(ids, buf...)}
+	}
+	c = newMinusCursor(s, t)
 	for id, ok := c.next(); ok; id, ok = c.next() {
 		ids = append(ids, id)
 	}
 	return Set{ids: ids}
 }
+
+// minusStack is the most survivors MinusInto buffers on the stack, in
+// 128 bytes of its frame, to write them without a second pass.
+const minusStack = 32
 
 // minusCursor yields the members of s that t lacks, in increasing order:
 // a merge against a sparse t, a bit probe into a dense one.
@@ -835,6 +853,21 @@ func (s Set) SubsetOf(t Set) bool {
 			if !t.Contains(id) {
 				return false
 			}
+		}
+		return true
+	case s.card == 0:
+		// Both sparse: a merge that stops at the first member of s
+		// that t lacks.
+		b := t.ids
+		j := 0
+		for _, id := range s.ids {
+			for j < len(b) && b[j] < id {
+				j++
+			}
+			if j == len(b) || b[j] != id {
+				return false
+			}
+			j++
 		}
 		return true
 	default:

@@ -603,6 +603,38 @@ func TestMinusResultOwned(t *testing.T) {
 	}
 }
 
+// TestMinusIntoAroundStackBuffer: differences of minusStack − 1 to
+// minusStack + 1 survivors and far more, dense and sparse, written from
+// MinusInto's stack buffer or by its second pass, into every kind of
+// spare, against the reference.
+func TestMinusIntoAroundStackBuffer(t *testing.T) {
+	for _, n := range []int{minusStack - 1, minusStack, minusStack + 1, 5 * minusStack} {
+		for _, stride := range []ID{1, 3, 97} { // dense, dense, sparse results
+			var all, odd, ref []ID
+			for i := 0; i < 2*n; i++ {
+				id := 5 + ID(i)*stride
+				all = append(all, id)
+				if i%2 == 1 {
+					odd = append(odd, id)
+				} else {
+					ref = append(ref, id)
+				}
+			}
+			want := Compact(FromSorted(ref))
+			for _, av := range reprs(FromSorted(all)) {
+				for _, bv := range reprs(FromSorted(odd)) {
+					for k, spare := range []Set{{}, {ids: make([]ID, 0, 4*n)}, dense(make([]uint64, 1, 4*n), 0, 1)} {
+						got := av.MinusInto(bv, spare)
+						if !got.Equal(want) || (got.card != 0) != (want.card != 0) {
+							t.Fatalf("n %d stride %d spare %d: %#v, want %#v", n, stride, k, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestMinusIntoMatchesCompact: on every representation pairing and with
 // spare storage of either form, too small or roomy, MinusInto returns
 // s ∖ t in exactly the representation Compact picks for the difference,

@@ -310,8 +310,10 @@ func TestEvaluateStatesFanout(t *testing.T) {
 				t.Fatalf("%d subscribers: two matches of %v hold separate frame lists", nsubs, m.Objects)
 			}
 		}
-		if allocs := testing.AllocsPerRun(50, func() { ev.EvaluateStates(states, classOf) }); allocs > 2 {
-			t.Errorf("%d subscribers, %d matches over %d states: %.0f allocations per call, want 2",
+		// Warm, on an unchanged state set: every list comes from its
+		// state's frame log, so the []Match is the one allocation.
+		if allocs := testing.AllocsPerRun(50, func() { ev.EvaluateStates(states, classOf) }); allocs > 1 {
+			t.Errorf("%d subscribers, %d matches over %d states: %.0f allocations per call, want 1",
 				nsubs, len(out), len(lists), allocs)
 		}
 	}

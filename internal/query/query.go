@@ -31,11 +31,13 @@ type Match struct {
 	QueryID int
 	Objects objset.Set
 	// Frames lists the frames of joint presence, oldest first. Every
-	// match of the same state in one evaluation holds the same list —
-	// one backing array, materialized once — so it is read-only: sinks,
-	// Process callers and anything they hand it to must copy before
-	// changing it. The list is never reused by the evaluator, so holding
-	// a match for as long as one likes is safe.
+	// match of the same state in one evaluation holds the same list, so
+	// it is read-only: sinks, Process callers and anything they hand it
+	// to must copy before changing it. Its capacity ends where its
+	// length does. A later frame's match of the same state may extend
+	// the backing array past that end, but no element a handed-out list
+	// covers is ever written again, so holding a match for as long as
+	// one likes is safe.
 	Frames []vr.FrameID
 }
 
@@ -54,17 +56,25 @@ type Evaluator struct {
 	p       *plan
 
 	// Evaluation scratch, reused across EvaluateStates calls (one more
-	// reason the evaluator is not safe for concurrent use). Neither
-	// holds a pointer, so a finished pass keeps nothing alive.
+	// reason the evaluator is not safe for concurrent use). hits is
+	// cleared after each pass, so the scratch keeps no result alive.
 	keys []uint64 // subscriber rank<<32 | index into hits
 	hits []stateHit
+
+	// logs holds the frame log of every state the last pass matched, by
+	// state; a pass reads logs and writes next, then swaps them. They
+	// keep the last pass's states and frame lists alive until the next
+	// pass over a state; the states are the generator's, which recycles
+	// them (a recycled state must pass the exactness check like any
+	// other), and the lists are shared with matches that may be held.
+	logs, next map[*core.State]frameLog
 }
 
 // NewEvaluator builds an evaluator over queries — possibly none. All
 // queries must be valid, share the same window size and have distinct
 // ids.
 func NewEvaluator(reg *vr.Registry, queries []cnf.Query) (*Evaluator, error) {
-	e := &Evaluator{reg: reg, p: newPlan(reg)}
+	e := &Evaluator{reg: reg, p: newPlan(reg), logs: map[*core.State]frameLog{}, next: map[*core.State]frameLog{}}
 	for _, q := range queries {
 		if err := e.Add(q); err != nil {
 			return nil, err
@@ -192,11 +202,13 @@ func (e *Evaluator) EvaluateStates(states []*core.State, classOf func(objset.ID)
 // which are then written into one exactly sized slice. A (query, state)
 // pair occurs at most once, so the order is total.
 //
-// The result is freshly allocated on every call and owned by the
-// caller: one []Match plus one block of frame ids, in which every
-// matched state's frame list is materialized once. All matches of a
-// state share that list (and the state's immutable object set), so
-// Match.Frames is read-only for everyone downstream.
+// The []Match is freshly allocated on every call and owned by the
+// caller. All matches of a state share one frame list (and the state's
+// immutable object set), so Match.Frames is read-only for everyone
+// downstream. The list comes from the state's frame log (see frameLog):
+// a state matched in the previous pass whose frames only slid hands out
+// its log again, one frame longer at most, without filling or
+// allocating.
 func (e *Evaluator) EvaluateStatesFrom(states []*core.State, classOf func(objset.ID) vr.Class, start vr.FrameID) []Match {
 	if len(e.queries) == 0 || len(states) == 0 {
 		return nil
@@ -206,8 +218,7 @@ func (e *Evaluator) EvaluateStatesFrom(states []*core.State, classOf func(objset
 	nclasses := e.reg.Len()
 	rank := p.ranks()
 	keys, hits := e.keys[:0], e.hits[:0]
-	nframes := 0
-	for si, s := range states {
+	for _, s := range states {
 		frameCount := s.FrameCount()
 		first := len(keys)
 		for _, bid := range p.satisfied(s.Aggregate(nclasses, classOf), s.Objects) {
@@ -220,37 +231,81 @@ func (e *Evaluator) EvaluateStatesFrom(states []*core.State, classOf func(objset
 			}
 		}
 		if len(keys) > first {
-			hits = append(hits, stateHit{state: si, frames: nframes})
-			nframes += frameCount
+			hits = append(hits, stateHit{objects: s.Objects, frames: e.frames(s, start)})
 		}
 	}
-	e.keys, e.hits = keys, hits
+	// Logs of states this pass did not match are dropped; the matched
+	// ones were carried into e.next.
+	clear(e.logs)
+	e.logs, e.next = e.next, e.logs
+	e.keys = keys
 	if len(keys) == 0 {
 		return nil
 	}
 	slices.Sort(keys)
 
-	frames := make([]vr.FrameID, nframes)
-	for _, h := range hits {
-		s := states[h.state]
-		s.FillFrames(frames[h.frames:h.frames+s.FrameCount()], start)
-	}
 	out := make([]Match, len(keys))
 	for i, k := range keys {
-		h := hits[uint32(k)]
-		s := states[h.state]
-		end := h.frames + s.FrameCount()
-		out[i] = Match{QueryID: p.subs[p.byQID[k>>32]].qid, Objects: s.Objects, Frames: frames[h.frames:end:end]}
+		h := &hits[uint32(k)]
+		out[i] = Match{QueryID: p.subs[p.byQID[k>>32]].qid, Objects: h.objects, Frames: h.frames}
 	}
+	clear(hits) // the scratch keeps no result alive
+	e.hits = hits[:0]
 	return out
 }
 
 // stateHit is one state with at least one match in the current pass:
-// its index in the evaluated slice and where its frame list starts in
-// the pass's shared block of frame ids.
+// its object set and its frame list, in the caller's numbering.
 type stateHit struct {
-	state  int
-	frames int
+	objects objset.Set
+	frames  []vr.FrameID
+}
+
+// frameLog is the frame list the evaluator last handed out for one
+// state: buf[lo:], in the caller's numbering. Every slice handed out is
+// capped at len(buf), so the evaluator may write past it — append the
+// next frame into the spare capacity — without touching an element a
+// match holds. No element below len(buf) is ever written again: a log
+// that cannot slide is replaced, never rebuilt in place.
+type frameLog struct {
+	buf []vr.FrameID
+	lo  int
+}
+
+// frames returns s's frame list, each id shifted by start, and records
+// it as s's log for the next pass: the log s's previous match left,
+// slid, when it can slide, and otherwise a fresh log with room to grow
+// to twice the list's length — for a new state, another start, a
+// tumbling window, a pooled state reused at the same address.
+func (e *Evaluator) frames(s *core.State, start vr.FrameID) []vr.FrameID {
+	lg, ok := e.logs[s]
+	if !ok || !lg.slide(s, start) {
+		n := s.FrameCount()
+		lg = frameLog{buf: make([]vr.FrameID, n, 2*n)}
+		s.FillFrames(lg.buf, start)
+	}
+	e.next[s] = lg
+	return slices.Clip(lg.buf[lg.lo:])
+}
+
+// slide moves the log on to s's frames and reports whether it could:
+// they must be the log's after an expired prefix, plus at most one
+// newer frame that fits in the array. The cost is the ends of s's runs,
+// not its frames.
+func (lg *frameLog) slide(s *core.State, start vr.FrameID) bool {
+	skip, next, ok := s.ExtendsFrames(lg.buf[lg.lo:], start)
+	if !ok {
+		return false
+	}
+	lg.lo += skip
+	if s.FrameCount() == len(lg.buf)-lg.lo {
+		return true
+	}
+	if len(lg.buf) == cap(lg.buf) {
+		return false
+	}
+	lg.buf = append(lg.buf, next) // within capacity: past every list handed out
+	return true
 }
 
 // GEOnly reports whether the §5.3 pruning strategy is applicable: every
