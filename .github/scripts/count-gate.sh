@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
-# Fails when a benchmark's median allocs/op or B/op over its counts
-# rises above the merge base's by more than the benchmark's band.
+# Fails when a benchmark's lowest allocs/op or B/op over its counts
+# rises above the merge base's by more than the benchmark's band. The
+# lowest, not the median: a count's noise is allocation outside the
+# measured code, which only adds to it, so a noisy run on either side
+# cannot move the lowest of N, where a median moves once half the runs
+# are noisy.
 #
 #   count-gate.sh BASE.txt HEAD.txt [ANNOUNCED.txt]
 #
@@ -20,12 +24,10 @@ awk '
     if (name ~ /^BenchmarkDaemonIngest/) return unit == "B/op" ? 0.25 : 0.01
     return 0.005
   }
-  function median(key, n,   i, j, t, v) {
-    n = cnt[key]
-    for (i = 1; i <= n; i++) v[i] = val[key, i]
-    for (i = 2; i <= n; i++)
-      for (j = i; j > 1 && v[j-1] > v[j]; j--) { t = v[j]; v[j] = v[j-1]; v[j-1] = t }
-    return n % 2 ? v[(n+1)/2] : (v[n/2] + v[n/2+1]) / 2
+  function lowest(key,   i, m) {
+    m = val[key, 1] + 0
+    for (i = 2; i <= cnt[key]; i++) if (val[key, i] + 0 < m) m = val[key, i] + 0
+    return m
   }
   FILENAME == ARGV[1] { ann = ann " " $0; next }
   FNR == 1 { side++ }
@@ -43,7 +45,7 @@ awk '
     for (u in units) {
       split(u, p, SUBSEP); name = p[1]; unit = p[2]
       if (!((1 SUBSEP u) in cnt)) continue
-      b = median(1 SUBSEP u); h = median(2 SUBSEP u); n++
+      b = lowest(1 SUBSEP u); h = lowest(2 SUBSEP u); n++
       r = b > 0 ? h / b - 1 : (h > 0 ? 1 : 0)
       top = name; sub(/\/.*/, "", top)
       verdict = "ok"
